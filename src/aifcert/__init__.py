@@ -24,6 +24,7 @@ from .model import (
     State,
     boundary_inflow,
     equilibrium,
+    field,
     vector_field,
 )
 from .plot import states_svg, x1_bound_svg
@@ -76,6 +77,7 @@ __all__ = [
     "ell4",
     "equilibrium",
     "excursions_above",
+    "field",
     "first_hitting",
     "growth_envelope",
     "integrate",

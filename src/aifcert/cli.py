@@ -42,23 +42,47 @@ class RunConfig:
     trajectory_csv: str | None = None
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+def _csv_floats(text: str, n: int, what: str) -> list[float]:
+    parts = [s.strip() for s in text.split(",")]
+    if len(parts) != n:
+        raise ValueError(f"{what} needs {n} comma-separated values, got {len(parts)}")
+    return [float(s) for s in parts]
 
 
 def _coerce_params(obj) -> Params:
-    if isinstance(obj, dict):
-        return Params.from_json(obj)
-    return Params.from_sequence(obj)
+    if isinstance(obj, str):
+        obj = _csv_floats(obj, 8, "--params")
+    return Params.from_json(obj) if isinstance(obj, dict) else Params.from_sequence(obj)
 
 
 def _coerce_state(obj) -> State:
-    if isinstance(obj, dict):
-        return State.from_json(obj)
-    return State.from_sequence(obj)
+    if isinstance(obj, str):
+        obj = _csv_floats(obj, 4, "--x0")
+    return State.from_json(obj) if isinstance(obj, dict) else State.from_sequence(obj)
+
+
+# Config values, from the JSON file or from flag text, are read by their field's type.
+_READ = {"Params": _coerce_params, "State": _coerce_state, "float": float, "int": int, "str": str}
+_COERCE = {f.name: _READ[f.type.split(" | ")[0]] for f in fields(RunConfig)}
+
+# Config keys that can also be set by a flag; flags win over the file.
+_FLAGS = {
+    "params": "a1,...,a8 rate constants",
+    "x0": "v1,v2,v3,v4 initial state",
+    "horizon": "integration horizon",
+    "L0": "certificate level override (>= L*)",
+    "out": "output directory",
+    "seed": "fuzzing seed",
+    "fuzz": "fuzzed parameter sets to fold into verify",
+}
 
 
 def default_config() -> RunConfig:
     return RunConfig(params=Params.from_sequence(DEMO_ALPHAS), x0=State.zero())
+
+
+def _updated(cfg: RunConfig, values: dict) -> RunConfig:
+    return replace(cfg, **{k: _COERCE[k](v) for k, v in values.items() if v is not None})
 
 
 def load_config(path: str) -> RunConfig:
@@ -69,51 +93,10 @@ def load_config(path: str) -> RunConfig:
             raise ValueError(f"malformed config JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("config JSON must be an object")
-    unknown = set(obj) - _CONFIG_KEYS
+    unknown = set(obj) - set(_COERCE)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cfg = default_config()
-    updates = {}
-    if "params" in obj:
-        updates["params"] = _coerce_params(obj["params"])
-    if "x0" in obj:
-        updates["x0"] = _coerce_state(obj["x0"])
-    for key in ("horizon", "rel_tol", "abs_tol", "L0"):
-        if key in obj and obj[key] is not None:
-            updates[key] = float(obj[key])
-    for key in ("seed", "fuzz"):
-        if key in obj:
-            updates[key] = int(obj[key])
-    for key in ("out", "certificate_json", "trajectory_csv"):
-        if key in obj and obj[key] is not None:
-            updates[key] = str(obj[key])
-    return replace(cfg, **updates)
-
-
-def _csv_floats(text: str, n: int, what: str) -> list[float]:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"{what} needs {n} comma-separated values, got {len(parts)}")
-    return [float(s) for s in parts]
-
-
-def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.params is not None:
-        updates["params"] = Params.from_sequence(_csv_floats(args.params, 8, "--params"))
-    if args.x0 is not None:
-        updates["x0"] = State.from_sequence(_csv_floats(args.x0, 4, "--x0"))
-    if args.horizon is not None:
-        updates["horizon"] = float(args.horizon)
-    if args.L0 is not None:
-        updates["L0"] = float(args.L0)
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.seed is not None:
-        updates["seed"] = int(args.seed)
-    if args.fuzz is not None:
-        updates["fuzz"] = int(args.fuzz)
-    return replace(cfg, **updates)
+    return _updated(default_config(), obj)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -251,13 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, h in helps.items():
         sp = sub.add_parser(name, help=h)
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--params", help="a1,...,a8 rate constants")
-        sp.add_argument("--x0", help="v1,v2,v3,v4 initial state")
-        sp.add_argument("--horizon", type=float, help="integration horizon")
-        sp.add_argument("--L0", type=float, help="certificate level override (>= L*)")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int, help="fuzzing seed")
-        sp.add_argument("--fuzz", type=int, help="fuzzed parameter sets to fold into verify")
+        for key, text in _FLAGS.items():
+            kind = _COERCE[key] if _COERCE[key] in (float, int) else None
+            sp.add_argument(f"--{key}", type=kind, help=text)
     return ap
 
 
@@ -265,7 +244,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else default_config()
-        cfg = _apply_flags(cfg, args)
+        cfg = _updated(cfg, {key: getattr(args, key) for key in _FLAGS})
         return _COMMANDS[args.command](cfg)
     except (CertificateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ __all__ = [
     "Params",
     "DerivedConstants",
     "State",
+    "field",
     "vector_field",
     "boundary_inflow",
     "equilibrium",
@@ -174,6 +175,20 @@ def _components(x) -> tuple[float, float, float, float]:
     return vals
 
 
+def field(a, x1, x2, x3, x4):
+    """Time derivative at components x1..x4 for rates a = p.as_tuple().
+
+    Plain arithmetic, so it takes floats or the columns of an (n, 4) array.
+    """
+    a1, a2, a3, a4, a5, a6, a7, a8 = a
+    return (
+        a1 - a2 * x1 * x4,
+        a3 * x1 - a4 * x2,
+        a5 * x2 - a6 * x3,
+        a7 * x3 - a8 * x1 * x4,
+    )
+
+
 def vector_field(p: Params, x) -> tuple[float, float, float, float]:
     """Time derivative of the state.
 
@@ -183,12 +198,7 @@ def vector_field(p: Params, x) -> tuple[float, float, float, float]:
     x1, x2, x3, x4 = _components(x)
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3) and math.isfinite(x4)):
         raise ValueError(f"state must be finite, got {(x1, x2, x3, x4)}")
-    return (
-        p.alpha1 - p.alpha2 * x1 * x4,
-        p.alpha3 * x1 - p.alpha4 * x2,
-        p.alpha5 * x2 - p.alpha6 * x3,
-        p.alpha7 * x3 - p.alpha8 * x1 * x4,
-    )
+    return field(p.as_tuple(), x1, x2, x3, x4)
 
 
 def boundary_inflow(p: Params, x) -> list[tuple[int, float]]:

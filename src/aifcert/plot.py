@@ -129,12 +129,17 @@ def _legend(entries) -> list[str]:
     return out
 
 
-def _document(body: list[str]) -> str:
+def _document(body: list[str], path) -> str:
+    """The SVG text around body; also written to path when given."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    doc = "\n".join([head, *body, "</svg>"]) + "\n"
+    if path is not None:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(doc)
+    return doc
 
 
 def _plot_times(traj: Trajectory) -> np.ndarray:
@@ -151,11 +156,7 @@ def states_svg(traj: Trajectory, path=None) -> str:
     for i in range(4):
         body.append(_polyline(frame, ts, ys[:, i], _COLORS[i]))
     body.extend(_legend([(_LABELS[i], _COLORS[i], False) for i in range(4)]))
-    doc = _document(body)
-    if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(doc)
-    return doc
+    return _document(body, path)
 
 
 def x1_bound_svg(traj: Trajectory, bound: float, path=None) -> str:
@@ -172,8 +173,4 @@ def x1_bound_svg(traj: Trajectory, bound: float, path=None) -> str:
     )
     body.append(_polyline(frame, ts, x1, _COLORS[0]))
     body.extend(_legend([("x1", _COLORS[0], False), (f"M1 = {bound:.4f}", "#555555", True)]))
-    doc = _document(body)
-    if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(doc)
-    return doc
+    return _document(body, path)

@@ -8,18 +8,22 @@ interpolation polynomial, so trajectories can be evaluated anywhere in
 the covered span and events located to high accuracy without re-running
 the integration.
 
-The state space is tiny (four components), so the hot loop works on
-plain float tuples; arrays are built once at the end.
+The state space is tiny (four components), so the one step shared by
+integrate and propagate_fixed is written out component by component on
+plain floats; accepted states and stages go into flat float buffers that
+become numpy arrays once, at the end.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .model import DerivedConstants, Params, State
+from .model import DerivedConstants, Params, State, field
 
 __all__ = [
     "IntegrationError",
@@ -133,9 +137,13 @@ class Trajectory:
     the dense coefficients let ``at`` evaluate the solution anywhere in
     between.  Instances are immutable after construction and carry the
     inputs that produced them.
+
+    ``stats`` counts what the integrator did: accepted steps, rejected
+    attempts by reason (error, orthant, non-finite) and function
+    evaluations.  It is empty for trajectories rebuilt from samples.
     """
 
-    def __init__(self, params, x0, t, y, dense, rel_tol, abs_tol, error_estimate):
+    def __init__(self, params, x0, t, y, dense, rel_tol, abs_tol, error_estimate, stats=None):
         self.params = params
         self.x0 = x0
         self.t = t
@@ -144,14 +152,11 @@ class Trajectory:
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
         self.error_estimate = error_estimate
+        self.stats = MappingProxyType(dict(stats or {}))
 
     @property
     def t0(self) -> float:
         return float(self.t[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.t[-1])
 
     def at(self, times):
         """Evaluate the state at one time or an array of times.
@@ -187,16 +192,18 @@ class Trajectory:
         would otherwise let a feature slip between two nodes during
         event scans.
         """
-        pieces = [self.t[:1]]
         t = self.t
-        for i in range(len(t) - 1):
-            h = t[i + 1] - t[i]
-            if h > max_dt:
-                k = int(math.ceil(h / max_dt))
-                inner = t[i] + h * np.arange(1, k) / k
-                pieces.append(inner)
-            pieces.append(t[i + 1 : i + 2])
-        return np.concatenate(pieces)
+        h = np.diff(t)
+        # step i contributes k[i] points t[i] + h*j/k for j = 1..k, the
+        # last of which is the node t[i+1] itself
+        k = np.where(h > max_dt, np.ceil(h / max_dt), 1.0).astype(np.intp)
+        step = np.repeat(np.arange(len(h)), k)
+        kk = k[step]
+        j = np.arange(1, len(step) + 1) - np.repeat(np.cumsum(k) - k, k)
+        inner = t[step] + h[step] * j / kk
+        node = j == kk
+        inner[node] = t[1:]
+        return np.concatenate([t[:1], inner])
 
     @classmethod
     def from_samples(cls, params, t, y, rel_tol=1e-8, abs_tol=1e-10):
@@ -219,7 +226,7 @@ class Trajectory:
         if (y < -1e-9).any():
             raise ValueError("sample states must lie in the orthant (tolerance 1e-9)")
         y = np.maximum(y, 0.0)
-        f = _vf_samples(params, y)
+        f = np.stack(field(params.as_tuple(), *y.T), axis=-1)
         h = np.diff(t)[:, None]
         dy = np.diff(y, axis=0)
         f0, f1 = f[:-1], f[1:]
@@ -236,82 +243,75 @@ class Trajectory:
         return cls(params, x0, t, y, dense, rel_tol, abs_tol, np.zeros(4))
 
 
-def _vf_samples(p: Params, y: np.ndarray) -> np.ndarray:
-    """Vector field evaluated row-wise on an (n, 4) array of states."""
-    x1, x2, x3, x4 = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-    return np.stack(
-        [
-            p.alpha1 - p.alpha2 * x1 * x4,
-            p.alpha3 * x1 - p.alpha4 * x2,
-            p.alpha5 * x2 - p.alpha6 * x3,
-            p.alpha7 * x3 - p.alpha8 * x1 * x4,
-        ],
-        axis=-1,
+def _dp54_step(a, y, k1, h):
+    """One Dormand-Prince step from y with k1 = field(a, *y).
+
+    Returns (y5, k7, stages, err): the 5th order solution, the field at
+    y5, the 28 stage values in stage order and the error estimate.
+    """
+    y1, y2, y3, y4 = y
+    k11, k12, k13, k14 = k1
+    k21, k22, k23, k24 = field(
+        a,
+        y1 + h * (_A21 * k11),
+        y2 + h * (_A21 * k12),
+        y3 + h * (_A21 * k13),
+        y4 + h * (_A21 * k14),
     )
-
-
-def _rhs(p: Params):
-    a1, a2, a3, a4, a5, a6, a7, a8 = p.as_tuple()
-
-    def f(v):
-        v1, v2, v3, v4 = v
-        return (
-            a1 - a2 * v1 * v4,
-            a3 * v1 - a4 * v2,
-            a5 * v2 - a6 * v3,
-            a7 * v3 - a8 * v1 * v4,
-        )
-
-    return f
-
-
-def _dp54_step(f, y, h, k1):
-    """One Dormand-Prince step; returns (y_new, k_last, stages, error)."""
-    k2 = f(tuple(y[i] + h * (_A21 * k1[i]) for i in range(4)))
-    k3 = f(tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(4)))
-    k4 = f(tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(4)))
-    k5 = f(
-        tuple(
-            y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-            for i in range(4)
-        )
+    k31, k32, k33, k34 = field(
+        a,
+        y1 + h * (_A31 * k11 + _A32 * k21),
+        y2 + h * (_A31 * k12 + _A32 * k22),
+        y3 + h * (_A31 * k13 + _A32 * k23),
+        y4 + h * (_A31 * k14 + _A32 * k24),
     )
-    k6 = f(
-        tuple(
-            y[i]
-            + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
-            for i in range(4)
-        )
+    k41, k42, k43, k44 = field(
+        a,
+        y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+        y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
+        y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33),
+        y4 + h * (_A41 * k14 + _A42 * k24 + _A43 * k34),
     )
-    y5 = tuple(
-        y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
-        for i in range(4)
+    k51, k52, k53, k54 = field(
+        a,
+        y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+        y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+        y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43),
+        y4 + h * (_A51 * k14 + _A52 * k24 + _A53 * k34 + _A54 * k44),
     )
-    k7 = f(y5)
-    err = tuple(
-        h
-        * (
-            _E1 * k1[i]
-            + _E3 * k3[i]
-            + _E4 * k4[i]
-            + _E5 * k5[i]
-            + _E6 * k6[i]
-            + _E7 * k7[i]
-        )
-        for i in range(4)
+    k61, k62, k63, k64 = field(
+        a,
+        y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
+        y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52),
+        y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53),
+        y4 + h * (_A61 * k14 + _A62 * k24 + _A63 * k34 + _A64 * k44 + _A65 * k54),
     )
-    return y5, k7, (k1, k2, k3, k4, k5, k6, k7), err
+    y5 = (
+        y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61),
+        y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62),
+        y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63),
+        y4 + h * (_B1 * k14 + _B3 * k34 + _B4 * k44 + _B5 * k54 + _B6 * k64),
+    )
+    k71, k72, k73, k74 = k7 = field(a, *y5)
+    err = (
+        h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71),
+        h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72),
+        h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63 + _E7 * k73),
+        h * (_E1 * k14 + _E3 * k34 + _E4 * k44 + _E5 * k54 + _E6 * k64 + _E7 * k74),
+    )
+    stages = (k11, k12, k13, k14, k21, k22, k23, k24, k31, k32, k33, k34, k41, k42, k43, k44,
+              k51, k52, k53, k54, k61, k62, k63, k64, k71, k72, k73, k74)
+    return y5, k7, stages, err
 
 
-def _initial_step(f, y0, f0, rel_tol, abs_tol, horizon):
+def _initial_step(a, y0, f0, rel_tol, abs_tol, horizon):
     """Starting step size from the local scale of the flow."""
     sc = [abs_tol + rel_tol * abs(v) for v in y0]
     d0 = math.sqrt(sum((y0[i] / sc[i]) ** 2 for i in range(4)) / 4.0)
     d1 = math.sqrt(sum((f0[i] / sc[i]) ** 2 for i in range(4)) / 4.0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, horizon)
-    y1 = tuple(y0[i] + h0 * f0[i] for i in range(4))
-    f1 = f(y1)
+    f1 = field(a, *(y0[i] + h0 * f0[i] for i in range(4)))
     d2 = math.sqrt(sum(((f1[i] - f0[i]) / sc[i]) ** 2 for i in range(4)) / 4.0) / h0
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
@@ -342,66 +342,83 @@ def integrate(
         if not (0.0 < tol < 1.0):
             raise ValueError(f"{name} must lie in (0, 1), got {tol!r}")
 
-    f = _rhs(p)
+    a = p.as_tuple()
+    isfinite = math.isfinite
     t = 0.0
     y = x0.as_tuple()
-    k1 = f(y)
-    h = _initial_step(f, y, k1, rel_tol, abs_tol, horizon)
+    k1 = field(a, *y)
+    h = _initial_step(a, y, k1, rel_tol, abs_tol, horizon)
 
-    ts = [0.0]
-    ys = [y]
-    stages = []
-    hs = []
-    acc = [0.0, 0.0, 0.0, 0.0]
+    ts = array("d", [0.0])
+    ys = array("d", y)
+    stages = array("d")
+    hs = array("d")
+    acc1 = acc2 = acc3 = acc4 = 0.0
+    rejected_error = rejected_orthant = rejected_nonfinite = 0
+    nfev = 2
 
     while t < horizon:
         if h < 1e-13 * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t)
-        if len(ts) > 5_000_000:
+        if len(hs) >= 5_000_000:
             raise IntegrationError("step budget exhausted", t)
         last = h >= horizon - t
         h_use = horizon - t if last else h
 
-        y5, k7, kk, e = _dp54_step(f, y, h_use, k1)
-        if not all(map(math.isfinite, y5)):
+        y5, k7, kk, (e1, e2, e3, e4) = _dp54_step(a, y, k1, h_use)
+        nfev += 6
+        v1, v2, v3, v4 = y5
+        if not (isfinite(v1) and isfinite(v2) and isfinite(v3) and isfinite(v4)):
+            rejected_nonfinite += 1
             h = h_use * 0.2
             continue
-        err = math.sqrt(
-            sum(
-                (e[i] / (abs_tol + rel_tol * max(abs(y[i]), abs(y5[i])))) ** 2
-                for i in range(4)
-            )
-            / 4.0
+        # accepted states lie in the orthant, so |y_i| = y_i here
+        y1, y2, y3, y4 = y
+        sq = (
+            (e1 / (abs_tol + rel_tol * (y1 if y1 > abs(v1) else abs(v1)))) ** 2
+            + (e2 / (abs_tol + rel_tol * (y2 if y2 > abs(v2) else abs(v2)))) ** 2
+            + (e3 / (abs_tol + rel_tol * (y3 if y3 > abs(v3) else abs(v3)))) ** 2
+            + (e4 / (abs_tol + rel_tol * (y4 if y4 > abs(v4) else abs(v4)))) ** 2
         )
-        if not math.isfinite(err):
+        err = math.sqrt(sq / 4.0)
+        if not isfinite(err):
+            rejected_nonfinite += 1
             h = h_use * 0.2
             continue
         if err > 1.0:
+            rejected_error += 1
             h = h_use * max(0.2, 0.9 * err**-0.2)
             continue
-        if min(y5) < -abs_tol:
+        if v1 < -abs_tol or v2 < -abs_tol or v3 < -abs_tol or v4 < -abs_tol:
             # accuracy is fine but the orthant would be left; try smaller
+            rejected_orthant += 1
             h = h_use * 0.5
             continue
 
-        clamped = tuple(0.0 if -abs_tol <= v < 0.0 else v for v in y5)
+        if v1 < 0.0 or v2 < 0.0 or v3 < 0.0 or v4 < 0.0:
+            # undershoot within abs_tol: clamp, and restart FSAL from there
+            y5 = (max(v1, 0.0), max(v2, 0.0), max(v3, 0.0), max(v4, 0.0))
+            k7 = field(a, *y5)
+            nfev += 1
         t = horizon if last else t + h_use
-        k1 = k7 if clamped == y5 else f(clamped)
-        y = clamped
+        y, k1 = y5, k7
         ts.append(t)
-        ys.append(clamped)
-        stages.append(kk)
+        ys.extend(y5)
+        stages.extend(kk)
         hs.append(h_use)
-        for i in range(4):
-            acc[i] += abs(e[i])
+        acc1 += abs(e1)
+        acc2 += abs(e2)
+        acc3 += abs(e3)
+        acc4 += abs(e4)
         h = h_use * (10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err**-0.2)))
 
-    t_arr = np.array(ts)
-    y_arr = np.array(ys)
-    k_arr = np.array(stages)  # (m, 7, 4)
-    h_arr = np.array(hs)
+    k_arr = np.frombuffer(stages).reshape(-1, 7, 4)
+    h_arr = np.frombuffer(hs)
     dense = h_arr[:, None, None] * np.einsum("msj,sp->mjp", k_arr, _P)
-    return Trajectory(p, x0, t_arr, y_arr, dense, rel_tol, abs_tol, np.array(acc))
+    stats = dict(accepted=len(hs), rejected_error=rejected_error, rejected_orthant=rejected_orthant,
+                 rejected_nonfinite=rejected_nonfinite, nfev=nfev)
+    return Trajectory(p, x0, np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4), dense,
+                      rel_tol, abs_tol, np.array([acc1, acc2, acc3, acc4]), stats)
 
 
 def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
@@ -412,12 +429,12 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     """
     if not isinstance(x0, State):
         x0 = State.from_sequence(x0)
-    f = _rhs(p)
+    a = p.as_tuple()
     y = x0.as_tuple()
-    k1 = f(y)
+    k1 = field(a, *y)
     h = float(horizon) / int(n_steps)
     for _ in range(int(n_steps)):
-        y, k1, _, _ = _dp54_step(f, y, h, k1)
+        y, k1, _, _ = _dp54_step(a, y, k1, h)
     return np.array(y)
 
 
@@ -487,26 +504,20 @@ def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
         raise ValueError(f"level must be finite and > 0, got {level!r}")
     ts = traj.scan_times()
     above = traj.at(ts)[:, 0] >= level
+    edges = np.diff(above.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
     excursions = []
-    n = len(ts)
-    i = 0
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
+    for i, j in zip(starts.tolist(), ends.tolist()):
         if i == 0:
             start = float(ts[0])
         else:
             start = _refine_crossing(traj, "x1", level, float(ts[i - 1]), float(ts[i]), "from-below")
-        if j == n - 1:
+        if j == len(ts) - 1:
             end = float(ts[-1])
         else:
             end = _refine_crossing(traj, "x1", level, float(ts[j]), float(ts[j + 1]), "from-above")
         excursions.append(Excursion(level=level, start=start, end=end))
-        i = j + 1
     return excursions
 
 

@@ -26,8 +26,8 @@ from .bounds import (
     solve_L_star,
     tau,
 )
-from .model import DerivedConstants, Params, State
-from .simulate import Excursion, Trajectory, _vf_samples, excursions_above, integrate
+from .model import DerivedConstants, Params, State, field
+from .simulate import Excursion, Trajectory, excursions_above, integrate
 
 __all__ = [
     "CheckResult",
@@ -191,7 +191,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
             qualifying += 1
             grid = _window_grid(exc.start + T0, exc.end)
             yw = traj.at(grid)
-            xdot1 = _vf_samples(p, yw)[:, 0]
+            xdot1 = field(p.as_tuple(), *yw.T)[0]
             prod = yw[:, 0] * yw[:, 3]
             m_neg = (-xdot1 - eps_neg) / p.alpha1
             m_prod = (prod - dc.theta) / dc.theta
@@ -312,8 +312,8 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     dc = DerivedConstants.from_params(p)
     y = traj.y
     W = y[:, 3] + dc.c * y[:, 1] + dc.d * y[:, 2]
-    f = _vf_samples(p, y)
-    w_chain = f[:, 3] + dc.c * f[:, 1] + dc.d * f[:, 2]
+    f = field(p.as_tuple(), *y.T)
+    w_chain = f[3] + dc.c * f[1] + dc.d * f[2]
     w_alg = p.alpha8 * y[:, 0] * (dc.K - y[:, 3])
     ident = np.abs(w_chain - w_alg)
     i_worst = int(np.argmax(ident))

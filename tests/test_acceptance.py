@@ -22,6 +22,7 @@ from aifcert import (
     ell4,
     equilibrium,
     excursions_above,
+    field,
     growth_envelope,
     integrate,
     propagate_fixed,
@@ -29,7 +30,6 @@ from aifcert import (
     tau,
     vector_field,
 )
-from aifcert.simulate import _vf_samples
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -168,7 +168,7 @@ def test_07_excursion_witness():
     for e in qualifying:
         grid = np.linspace(e.start + cert.T0, e.end, 200)
         ys = traj.at(grid)
-        xdot1 = _vf_samples(DEMO, ys)[:, 0]
+        xdot1 = field(DEMO.as_tuple(), *ys.T)[0]
         prod = ys[:, 0] * ys[:, 3]
         conditions_ok &= bool((xdot1 < -1e-9 * DEMO.alpha1).all())
         conditions_ok &= bool((prod > dc.theta).all())

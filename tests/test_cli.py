@@ -68,6 +68,13 @@ class TestSimulate:
         last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == 7.0
 
+    def test_null_config_values_mean_unset(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"horizon": 5.0, "seed": None, "fuzz": None, "x0": None}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        first = (tmp_path / "trajectory.csv").read_text().splitlines()[1]
+        assert first.split(",") == ["0", "0", "0", "0", "0"]
+
     def test_custom_initial_state(self, tmp_path, capsys):
         code = main(
             ["simulate", "--x0", "1,0,0,0.5", "--horizon", "5", "--out", str(tmp_path)]

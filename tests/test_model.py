@@ -13,6 +13,7 @@ from aifcert import (
     State,
     boundary_inflow,
     equilibrium,
+    field,
     vector_field,
 )
 
@@ -115,6 +116,16 @@ class TestVectorField:
             assert f[0] <= p.alpha1 + 1e-15
             if x[0] * x[3] == 0.0:
                 assert f[0] == p.alpha1
+
+    def test_field_on_columns_matches_rows_bitwise(self):
+        # the same function serves floats and (n, 4) sample columns
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            p = Params.from_sequence(log_uniform(rng, 1e-2, 1e2, 8))
+            y = rng.uniform(-1.0, 5.0, (50, 4))
+            cols = np.stack(field(p.as_tuple(), *y.T), axis=-1)
+            rows = np.array([vector_field(p, row) for row in y])
+            assert cols.tobytes() == rows.tobytes()
 
 
 class TestBoundaryInflow:

@@ -14,6 +14,7 @@ from aifcert import (
     State,
     Trajectory,
     excursions_above,
+    field,
     first_hitting,
     integrate,
     propagate_fixed,
@@ -22,6 +23,75 @@ from aifcert import (
     write_trajectory_csv,
 )
 from aifcert import simulate as sim
+
+
+STIFF = Params.from_sequence((1.0, 1e4, 100.0, 1.0, 1.0, 1.0, 1.0, 1e4))
+
+
+def _step_cases():
+    cases = [
+        ("demo", DEMO, (0.0, 0.0, 0.0, 0.0), 100.0),
+        ("overshoot", DEMO, (10.0, 0.0, 0.0, 0.0), 30.0),
+        ("stiff", STIFF, (0.0, 0.0, 0.0, 0.0), 3.0),
+    ]
+    rng = np.random.default_rng(34)
+    for k in range(5):
+        p = Params.from_sequence(log_uniform(rng, 0.1, 10.0, 8))
+        cases.append((f"fuzz{k}", p, tuple(rng.uniform(0.0, 2.0, 4)), 20.0))
+    return cases
+
+
+def reference_dp54_step(f, y, h, k1):
+    """Dormand-Prince step in loop form over the components."""
+    k2 = f(tuple(y[i] + h * (sim._A21 * k1[i]) for i in range(4)))
+    k3 = f(tuple(y[i] + h * (sim._A31 * k1[i] + sim._A32 * k2[i]) for i in range(4)))
+    k4 = f(
+        tuple(
+            y[i] + h * (sim._A41 * k1[i] + sim._A42 * k2[i] + sim._A43 * k3[i])
+            for i in range(4)
+        )
+    )
+    k5 = f(
+        tuple(
+            y[i]
+            + h * (sim._A51 * k1[i] + sim._A52 * k2[i] + sim._A53 * k3[i] + sim._A54 * k4[i])
+            for i in range(4)
+        )
+    )
+    k6 = f(
+        tuple(
+            y[i]
+            + h
+            * (
+                sim._A61 * k1[i]
+                + sim._A62 * k2[i]
+                + sim._A63 * k3[i]
+                + sim._A64 * k4[i]
+                + sim._A65 * k5[i]
+            )
+            for i in range(4)
+        )
+    )
+    y5 = tuple(
+        y[i]
+        + h
+        * (sim._B1 * k1[i] + sim._B3 * k3[i] + sim._B4 * k4[i] + sim._B5 * k5[i] + sim._B6 * k6[i])
+        for i in range(4)
+    )
+    return y5, (k1, k2, k3, k4, k5, k6, f(y5))
+
+
+def scan_times_loop(traj, max_dt=sim._SCAN_DT):
+    """Trajectory.scan_times written as a loop over the steps."""
+    t = traj.t
+    pieces = [t[:1]]
+    for i in range(len(t) - 1):
+        h = t[i + 1] - t[i]
+        if h > max_dt:
+            k = int(math.ceil(h / max_dt))
+            pieces.append(t[i] + h * np.arange(1, k) / k)
+        pieces.append(t[i + 1 : i + 2])
+    return np.concatenate(pieces)
 
 
 def scipy_reference(p, x0, horizon):
@@ -154,6 +224,11 @@ class TestDenseOutput:
         assert ts[0] == 0.0 and ts[-1] == 100.0
         assert np.diff(ts).max() <= 0.05 + 1e-12
 
+    @pytest.mark.parametrize("max_dt", [0.05, 0.003, 1e3])
+    def test_scan_times_match_loop_form_bitwise(self, demo_traj, max_dt):
+        ts = demo_traj.scan_times(max_dt)
+        assert ts.tobytes() == scan_times_loop(demo_traj, max_dt).tobytes()
+
 
 class TestFixedStepOrder:
     def test_order_at_least_four(self):
@@ -164,6 +239,106 @@ class TestFixedStepOrder:
         ]
         slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(slopes) >= 4.0
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("case", _step_cases(), ids=lambda c: c[0])
+    def test_accepted_steps_match_loop_form_bitwise(self, case, monkeypatch):
+        _, p, x0, horizon = case
+        attempts = []
+        fused = sim._dp54_step
+
+        def spy(a, y, k1, h):
+            attempts.append((y, h))
+            return fused(a, y, k1, h)
+
+        monkeypatch.setattr(sim, "_dp54_step", spy)
+        traj = integrate(p, x0, horizon)
+        monkeypatch.undo()
+
+        # every attempt from one state gets the same tuple; the last is accepted
+        accepted = [
+            att for att, nxt in zip(attempts, attempts[1:] + [(None, None)]) if nxt[0] is not att[0]
+        ]
+        m = len(traj.t) - 1
+        assert len(accepted) == m
+        a = p.as_tuple()
+
+        def f(v):
+            return field(a, *v)
+
+        hs, stages, clamped = [], [], 0
+        for i, (y, h) in enumerate(accepted):
+            assert np.array(y).tobytes() == traj.y[i].tobytes()
+            assert traj.t[i + 1] == (horizon if i == m - 1 else traj.t[i] + h)
+            y5, kk = reference_dp54_step(f, y, h, f(y))
+            if min(y5) < 0.0:
+                clamped += 1
+            else:
+                assert np.array(y5).tobytes() == traj.y[i + 1].tobytes()
+            hs.append(h)
+            stages.append(kk)
+        dense = np.array(hs)[:, None, None] * np.einsum("msj,sp->mjp", np.array(stages), sim._P)
+        assert dense.tobytes() == traj._dense.tobytes()
+
+        # the counters are exact: six evaluations per attempt, two to
+        # start, one more after each clamp
+        st = traj.stats
+        assert st["accepted"] == m
+        rejected = st["rejected_error"] + st["rejected_orthant"] + st["rejected_nonfinite"]
+        assert m + rejected == len(attempts)
+        assert st["nfev"] == 2 + 6 * len(attempts) + clamped
+
+    def test_rejections_and_clamp_are_handled_and_counted(self, monkeypatch):
+        # the first three attempts are made non-finite, outside the
+        # orthant, and undershooting by less than abs_tol, in that order
+        fused = sim._dp54_step
+        attempts = []
+        forced = {1: math.nan, 2: -1e-9, 3: -0.5e-10}
+
+        def spy(a, y, k1, h):
+            attempts.append((y, k1, h))
+            y5, k7, kk, err = fused(a, y, k1, h)
+            if len(attempts) in forced:
+                y5 = (y5[0], forced[len(attempts)], y5[2], y5[3])
+            return y5, k7, kk, err
+
+        monkeypatch.setattr(sim, "_dp54_step", spy)
+        traj = integrate(DEMO, State.zero(), 1.0)
+        monkeypatch.undo()
+
+        st = traj.stats
+        assert (st["rejected_nonfinite"], st["rejected_orthant"]) == (1, 1)
+        h1, h2, h3 = (att[2] for att in attempts[:3])
+        assert (h2, h3) == (h1 * 0.2, h2 * 0.5)
+        assert traj.y[1][1] == 0.0 and not math.copysign(1.0, traj.y[1][1]) < 0.0
+        # after a clamp the next step starts from the field at the clamped
+        # state, not from the FSAL stage
+        assert attempts[3][1] == field(DEMO.as_tuple(), *traj.y[1])
+        assert st["nfev"] == 2 + 6 * len(attempts) + 1
+
+
+class TestStats:
+    def test_counts(self, demo_traj):
+        st = demo_traj.stats
+        assert set(st) == {
+            "accepted",
+            "rejected_error",
+            "rejected_orthant",
+            "rejected_nonfinite",
+            "nfev",
+        }
+        assert st["accepted"] == len(demo_traj.t) - 1
+        rejected = st["rejected_error"] + st["rejected_orthant"] + st["rejected_nonfinite"]
+        assert st["nfev"] >= 6 * (st["accepted"] + rejected)
+
+    def test_read_only(self, demo_traj):
+        with pytest.raises(TypeError):
+            demo_traj.stats["accepted"] = 0
+
+    def test_rebuilt_trajectory_has_no_counters(self, demo_traj):
+        rebuilt = Trajectory.from_samples(DEMO, demo_traj.t[:50], demo_traj.y[:50])
+        assert dict(rebuilt.stats) == {}
 
 
 class TestFirstHitting:
