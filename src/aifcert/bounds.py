@@ -235,8 +235,8 @@ def certificate(p: Params, x0: State, L_override: float | None = None) -> BoundC
     M1 = max(x0.x1, L_used) + p.alpha1 * T0
     M2 = max(x0.x2, (p.alpha3 / p.alpha4) * M1)
     M3 = max(x0.x3, (p.alpha5 / p.alpha6) * M2)
-    W0 = x0.x4 + dc.c * x0.x2 + dc.d * x0.x3
-    gamma = dc.K + dc.c * M2 + dc.d * M3
+    W0 = dc.W(x0.x2, x0.x3, x0.x4)
+    gamma = dc.W(M2, M3, dc.K)
     M4 = max(W0, gamma)
     return BoundCertificate(
         L_star=L_star,

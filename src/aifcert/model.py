@@ -110,6 +110,10 @@ class DerivedConstants:
             delta3=ln2 / p.alpha6,
         )
 
+    def W(self, x2, x3, x4):
+        """The aggregate x4 + c*x2 + d*x3, on floats or numpy arrays alike."""
+        return x4 + self.c * x2 + self.d * x3
+
 
 @dataclass(frozen=True)
 class State:

@@ -5,8 +5,12 @@ per step give a 5th order solution, an embedded 4th order error
 estimate, and a free evaluation at the step end that doubles as the
 next step's first stage (FSAL).  Each accepted step keeps a quartic
 interpolation polynomial, so trajectories can be evaluated anywhere in
-the covered span and events located to high accuracy without re-running
-the integration.
+the covered span without re-running the integration.  Events are the
+real roots of those polynomials (minus the level) on each step: steps
+whose Bernstein hull excludes the level are skipped, the rest cut into
+monotone pieces at the roots of their derivatives and each crossing
+solved by a bracketed Newton iteration, so crossings are exact to
+rounding and a pair of crossings inside one step is not missed.
 
 The state space is tiny (four components), so the one step shared by
 integrate and propagate_fixed is written out component by component on
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -98,8 +103,7 @@ _P = np.array(
 
 OBSERVABLES = ("x1", "x2", "x3", "x4", "p", "W")
 
-_EVENT_TOL = 1e-10  # time accuracy of refined crossings
-_SCAN_DT = 0.05  # max spacing of the sign-change scan grid
+_SCAN_DT = 0.05  # default spacing of Trajectory.scan_times
 
 
 class IntegrationError(RuntimeError):
@@ -114,10 +118,11 @@ class IntegrationError(RuntimeError):
 class Excursion:
     """A maximal interval on which species 1 stays at or above a level.
 
-    For interior intervals the start is a refined up-crossing, so
-    x1(start) equals the level up to the event tolerance; an excursion
-    starting at the initial time may begin strictly above it.  The end
-    is a refined down-crossing or the horizon.
+    Interior endpoints are real roots of the per-step dense-output
+    polynomial minus the level, so x1 equals the level there up to
+    rounding; there is no event tolerance.  An excursion above the level
+    at the initial time starts there, and one still above it at the end
+    runs to the horizon.
     """
 
     level: float
@@ -185,12 +190,51 @@ class Trajectory:
         np.maximum(vals, 0.0, out=vals)
         return vals[0] if scalar else vals
 
+    @cached_property
+    def _x1(self):
+        coef = _coefficients(self, "x1")
+        return (coef, *_hull(coef))
+
+    def _pieces(self, name: str):
+        """Per-step coefficients and hull of an observable.
+
+        Cached for x1, which every excursion query of a report reads;
+        the others are rebuilt on each call so memory stays flat.
+        """
+        if name == "x1":
+            return self._x1
+        coef = _coefficients(self, name)
+        return (coef, *_hull(coef))
+
+    def maximum(self, i: int) -> tuple[float, float]:
+        """Largest value of component i (0 for x1) on the interpolant, and its time.
+
+        On [0, 1] a step's polynomial stays below its left node value plus
+        its positive coefficients; steps where that bound passes the
+        largest node value are searched at the roots of their derivative.
+        """
+        y, dense = self.y[:, i], self._dense[:, i, :]
+        j = int(np.argmax(y))
+        best, where = float(y[j]), float(self.t[j])
+        up = np.maximum(dense, 0.0)
+        cand = np.flatnonzero(y[:-1] + up[:, 0] + up[:, 1] + up[:, 2] + up[:, 3] > best)
+        if cand.size:
+            c = np.concatenate([y[None, cand], dense[cand].T])
+            slope = c[1:] * np.arange(1.0, len(c))[:, None]
+            s = _unit_roots(slope, 0.0, 0.0)
+            v = _horner(c, s)
+            k, q = np.unravel_index(int(np.argmax(v)), v.shape)
+            if v[k, q] > best:
+                step = cand[q]
+                best = float(v[k, q])
+                where = float(self.t[step] + (self.t[step + 1] - self.t[step]) * s[k, q])
+        return best, where
+
     def scan_times(self, max_dt: float = _SCAN_DT) -> np.ndarray:
         """Node times plus per-step subdivision at spacing <= max_dt.
 
-        Long steps (the integrator takes them where the flow is mild)
-        would otherwise let a feature slip between two nodes during
-        event scans.
+        A sampling grid for dense checks: long steps (the integrator
+        takes them where the flow is mild) get interior points too.
         """
         t = self.t
         h = np.diff(t)
@@ -438,87 +482,179 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     return np.array(y)
 
 
-def _observable_series(p: Params, name: str, y: np.ndarray) -> np.ndarray:
+def _coefficients(traj: Trajectory, name: str) -> np.ndarray:
+    """Per-step polynomial of an observable in s in [0, 1].
+
+    Row k holds the s**k coefficient of every step, so the array is
+    (degree + 1, steps): the components and W are quartics, p = x1*x4
+    has degree 8.  Row 0 is the observable at the step's left node.
+    """
     if name == "p":
-        return y[..., 0] * y[..., 3]
+        a, b = _coefficients(traj, "x1"), _coefficients(traj, "x4")
+        c = np.zeros((9, a.shape[1]))
+        for j in range(5):
+            c[j : j + 5] += a[j] * b
+        return c
     if name == "W":
-        dc = DerivedConstants.from_params(p)
-        return y[..., 3] + dc.c * y[..., 1] + dc.d * y[..., 2]
+        dc = DerivedConstants.from_params(traj.params)
+        return dc.W(*(_coefficients(traj, n) for n in ("x2", "x3", "x4")))
     try:
-        col = ("x1", "x2", "x3", "x4").index(name)
+        i = ("x1", "x2", "x3", "x4").index(name)
     except ValueError:
         raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLES}")
-    return y[..., col]
+    c = np.empty((5, len(traj.t) - 1))
+    c[0] = traj.y[:-1, i]
+    c[1:] = traj._dense[:, i, :].T
+    return c
 
 
-def _refine_crossing(traj, name, level, lo, hi, direction) -> float:
-    """Bisect the dense output down to the event tolerance.
+# power-to-Bernstein basis change by degree: b_k = sum_j C(k,j)/C(d,j) a_j
+_TO_BERNSTEIN = {
+    d: np.array([[math.comb(k, j) / math.comb(d, j) if j <= k else 0.0 for j in range(d + 1)]
+                 for k in range(d + 1)])
+    for d in range(1, 9)
+}
 
-    The invariant is that the observable sits on the starting side at
-    ``lo`` and on the crossed side at ``hi``.
+
+def _hull(coef: np.ndarray):
+    """Per-step (min, max) of the Bernstein coefficients.
+
+    The polynomial on [0, 1] lies between them, so a step can only reach
+    a level inside that range.
     """
-    side = -1.0 if direction == "from-below" else 1.0
-    for _ in range(200):
-        if hi - lo <= _EVENT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        g = float(_observable_series(traj.params, name, traj.at(mid))) - level
-        if g * side > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    b = np.einsum("kj,jm->km", _TO_BERNSTEIN[len(coef) - 1], coef)
+    return b.min(axis=0), b.max(axis=0)
+
+
+def _horner(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    v = coef[-1] * s
+    for c in coef[-2:0:-1]:
+        v = (v + c) * s
+    return v + coef[0]
+
+
+def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
+    """Real roots in [0, 1] of each step's polynomial minus level.
+
+    Returns (degree, steps): each column's roots and, in the unused
+    slots, pad, sorted.  The roots of the derivative, found the same way
+    down to a linear polynomial (and only where the derivative's hull
+    straddles 0), cut [0, 1] into monotone pieces; a piece whose ends lie
+    on opposite sides holds exactly one root, and a Newton iteration kept
+    inside the shrinking bracket takes it to rounding.  Zero leading
+    coefficients (the cubic Hermite pieces of from_samples) need no
+    special case.
+    """
+    c = coef.copy()
+    c[0] -= level
+    d, m = len(c) - 1, c.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 1:
+            r = -c[0] / c[1]
+            return np.where((r >= 0.0) & (r <= 1.0), r, pad)[None]
+        slope = c[1:] * np.arange(1.0, d + 1)[:, None]
+        knots = np.ones((d + 1, m))
+        knots[0] = 0.0
+        lo, hi = _hull(slope)
+        bend = np.flatnonzero((lo < 0.0) & (hi > 0.0))  # only these can turn
+        if bend.size:
+            knots[1:-1, bend] = _unit_roots(slope[:, bend], 0.0, 1.0)
+        f = _horner(c, knots)
+        fa, fb = f[:-1], f[1:]
+        k, j = np.nonzero(((fa < 0.0) & (fb >= 0.0)) | ((fa > 0.0) & (fb <= 0.0)))
+        c, slope = c[:, j], slope[:, j]
+        a, b, ga, gb = knots[k, j], knots[k + 1, j], fa[k, j], fb[k, j]
+        a_below = ga < 0.0
+        s = a + (b - a) * (ga / (ga - gb))  # start from the secant
+        for _ in range(100):
+            g = _horner(c, s)
+            right = (g < 0.0) == a_below  # still on a's side: the root is right of s
+            a, b = np.where(right, s, a), np.where(right, b, s)
+            newton = s - g / _horner(slope, s)
+            s, prev = np.where((newton >= a) & (newton <= b), newton, 0.5 * (a + b)), s
+            if not (np.abs(s - prev) > 1e-15).any():
+                break
+    roots = np.full((d, m), pad)
+    roots[k, j] = s
+    return np.sort(roots, axis=0)
+
+
+def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.ndarray:
+    """Times at which the interpolant moves between < level and >= level.
+
+    ``start`` says whether the observable is at or above the level at
+    t0.  The moves alternate, the first one leaving the start side.
+    Steps whose hull excludes the level stay on one side; the others are
+    cut at the roots of their polynomial minus level, and each stretch
+    between roots is placed by its midpoint.  A crossing on a node shared
+    by two steps counts once, because a move is recorded only where the
+    side changes.
+    """
+    t = traj.t
+    d = len(coef) - 1
+    first = lo > level  # side of each step's first and last stretch
+    last = first.copy()
+    cand = np.flatnonzero((lo <= level) & (level <= hi))
+    inner_t, inner_key = np.empty(0), np.empty(0, dtype=np.intp)
+    if cand.size:
+        c = coef[:, cand]
+        r = _unit_roots(c, level, 1.0)
+        cuts = np.concatenate([np.zeros((1, cand.size)), r, np.ones((1, cand.size))])
+        side = _horner(c, 0.5 * (cuts[:-1] + cuts[1:])) >= level
+        # empty stretches (the padding at s = 1) take the side before them
+        valid = cuts[1:] > cuts[:-1]
+        for k in range(1, d + 1):
+            side[k] = np.where(valid[k], side[k], side[k - 1])
+        first[cand], last[cand] = side[0], side[-1]
+        k, j = np.nonzero(side[1:] != side[:-1])
+        step = cand[j]
+        inner_t = t[step] + (t[step + 1] - t[step]) * r[k, j]
+        inner_key = step * (d + 2) + k + 1
+    # moves on nodes: between one step's last stretch and the next one's first
+    before = np.concatenate([[start], last[:-1]])
+    nodes = np.flatnonzero(before != first)
+    times = np.concatenate([t[nodes], inner_t])
+    return times[np.argsort(np.concatenate([nodes * (d + 2), inner_key]))]
 
 
 def first_hitting(traj: Trajectory, observable: str, level: float, direction: str = "from-below"):
     """Earliest time the observable reaches the level, or None.
 
-    A sign-change scan over the step nodes (subdivided so no scan cell
-    exceeds the scan spacing) locates a bracket, and bisection on the
-    dense output refines it to 1e-10 time accuracy.  ``direction``
-    selects up-crossings ("from-below") or down-crossings ("from-above").
+    "from-below" is the first move from below the level to at or above
+    it, "from-above" the first move from above to at or below; a start
+    exactly on the level returns t0.  Crossings are the real roots of the
+    per-step dense-output polynomials, so they are exact to rounding and
+    no event tolerance applies.
     """
     if observable not in OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
     if direction not in ("from-below", "from-above"):
         raise ValueError(f"direction must be 'from-below' or 'from-above', got {direction!r}")
     level = float(level)
-    ts = traj.scan_times()
-    g = _observable_series(traj.params, observable, traj.at(ts)) - level
-    if g[0] == 0.0:
-        return float(ts[0])
-    if direction == "from-below":
-        hits = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
-    else:
-        hits = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0]
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    return _refine_crossing(traj, observable, level, float(ts[i]), float(ts[i + 1]), direction)
+    coef, lo, hi = traj._pieces(observable)
+    if coef[0, 0] == level:
+        return traj.t0
+    if level < 0.0 or (level == 0.0 and direction == "from-below"):
+        return None  # every observable is >= 0 on the (clamped) trajectory
+    if direction == "from-above":
+        coef, lo, hi, level = -coef, -hi, -lo, -level
+    start = bool(coef[0, 0] >= level)
+    times = _crossings(traj, coef, lo, hi, level, start)
+    return float(times[int(start)]) if times.size > start else None
 
 
 def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
-    """Maximal intervals with x1 >= level, endpoints refined, by start time."""
+    """Maximal intervals with x1 >= level, by start time."""
     level = float(level)
     if not math.isfinite(level) or level <= 0.0:
         raise ValueError(f"level must be finite and > 0, got {level!r}")
-    ts = traj.scan_times()
-    above = traj.at(ts)[:, 0] >= level
-    edges = np.diff(above.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    excursions = []
-    for i, j in zip(starts.tolist(), ends.tolist()):
-        if i == 0:
-            start = float(ts[0])
-        else:
-            start = _refine_crossing(traj, "x1", level, float(ts[i - 1]), float(ts[i]), "from-below")
-        if j == len(ts) - 1:
-            end = float(ts[-1])
-        else:
-            end = _refine_crossing(traj, "x1", level, float(ts[j]), float(ts[j + 1]), "from-above")
-        excursions.append(Excursion(level=level, start=start, end=end))
-    return excursions
+    start = bool(traj.y[0, 0] >= level)
+    ends = _crossings(traj, *traj._pieces("x1"), level, start).tolist()
+    if start:
+        ends.insert(0, traj.t0)
+    if len(ends) % 2:
+        ends.append(float(traj.t[-1]))
+    return [Excursion(level, a, b) for a, b in zip(ends[::2], ends[1::2])]
 
 
 def write_trajectory_csv(traj: Trajectory, path, dt: float = 0.01) -> None:
@@ -530,11 +666,14 @@ def write_trajectory_csv(traj: Trajectory, path, dt: float = 0.01) -> None:
     grid = np.arange(traj.t[0], traj.t[-1] + 0.5 * dt, dt)
     grid = grid[grid <= traj.t[-1]]
     ts = np.union1d(traj.t, grid)
-    vals = traj.at(ts)
+    table = np.column_stack([ts, traj.at(ts)])
     with open(path, "w", newline="\n") as fh:
         fh.write("t,x1,x2,x3,x4\n")
-        for t, row in zip(ts, vals):
-            fh.write(f"{t:.17g},{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}\n")
+        # one formatting call per block of rows keeps the text small in memory
+        row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+        for k in range(0, len(table), 512):
+            block = table[k : k + 512]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trajectory_csv(path, params: Params, rel_tol: float = 1e-8, abs_tol: float = 1e-10) -> Trajectory:

@@ -27,7 +27,7 @@ from .bounds import (
     tau,
 )
 from .model import DerivedConstants, Params, State, field
-from .simulate import Excursion, Trajectory, excursions_above, integrate
+from .simulate import Excursion, Trajectory, excursions_above, first_hitting, integrate
 
 __all__ = [
     "CheckResult",
@@ -123,7 +123,12 @@ def _window_grid(a: float, b: float, max_dt: float = 0.005, min_pts: int = 33) -
 
 
 def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult:
-    """Every sampled state component stays below its certificate bound."""
+    """Each state component stays below its certificate bound.
+
+    The comparison is against the exact maximum of the interpolant, not
+    just the step nodes; a failure is located where a component first
+    exceeds its bound by more than 1e-6 relative.
+    """
     _check_provenance(traj, cert)
     bounds = (cert.M1, cert.M2, cert.M3, cert.M4)
     worst_margin = math.inf
@@ -131,16 +136,15 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     fail_loc = None
     parts = []
     for i, M in enumerate(bounds):
-        col = traj.y[:, i]
-        margins = (M - col) / M
-        j = int(np.argmin(margins))
-        parts.append(f"x{i + 1} max {col.max():.6g} vs M{i + 1} {M:.6g}")
-        if margins[j] < worst_margin:
-            worst_margin = float(margins[j])
-            worst_loc = float(traj.t[j])
-        viol = np.nonzero(col > M + 1e-6 * M)[0]
-        if viol.size:
-            t_first = float(traj.t[viol[0]])
+        top, t_top = traj.maximum(i)
+        margin = (M - top) / M
+        parts.append(f"x{i + 1} max {top:.6g} vs M{i + 1} {M:.6g}")
+        if margin < worst_margin:
+            worst_margin, worst_loc = margin, t_top
+        limit = M + 1e-6 * M
+        if top > limit:
+            t_first = traj.t0 if traj.y[0, i] > limit else first_hitting(traj, f"x{i + 1}", limit)
+            t_first = t_top if t_first is None else t_first
             fail_loc = t_first if fail_loc is None else min(fail_loc, t_first)
     if fail_loc is not None:
         return CheckResult(
@@ -165,9 +169,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     L_used, T0 = cert.L_used, cert.T0
     eps_neg = _STRICT_NEG * p.alpha1
 
-    ts_scan = traj.scan_times()
-    x1_scan = traj.at(ts_scan)[:, 0]
-    x1max = float(x1_scan.max())
+    x1max = traj.maximum(0)[0]
     if x1max <= L_used:
         return CheckResult(
             "excursion_lemma",
@@ -311,9 +313,9 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     _check_provenance(traj, cert)
     dc = DerivedConstants.from_params(p)
     y = traj.y
-    W = y[:, 3] + dc.c * y[:, 1] + dc.d * y[:, 2]
+    W = dc.W(y[:, 1], y[:, 2], y[:, 3])
     f = field(p.as_tuple(), *y.T)
-    w_chain = f[3] + dc.c * f[1] + dc.d * f[2]
+    w_chain = dc.W(f[1], f[2], f[3])
     w_alg = p.alpha8 * y[:, 0] * (dc.K - y[:, 3])
     ident = np.abs(w_chain - w_alg)
     i_worst = int(np.argmax(ident))

@@ -23,6 +23,8 @@ from aifcert import (
     write_trajectory_csv,
 )
 from aifcert import simulate as sim
+from aifcert.model import DerivedConstants
+from aifcert.verify import SIMULATION_FUZZ_RANGE, random_params, random_state
 
 
 STIFF = Params.from_sequence((1.0, 1e4, 100.0, 1.0, 1.0, 1.0, 1.0, 1e4))
@@ -92,6 +94,27 @@ def scan_times_loop(traj, max_dt=sim._SCAN_DT):
             pieces.append(t[i] + h * np.arange(1, k) / k)
         pieces.append(t[i + 1 : i + 2])
     return np.concatenate(pieces)
+
+
+def bump_trajectory():
+    """One 0.04-long cubic Hermite piece from x1 = 1 back to x1 = 1.
+
+    The slopes at its ends are +50 and -70, so x1 bumps to about 1.6 in
+    between, unseen by any scan over the nodes.
+    """
+    p = Params.from_sequence((50.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    return Trajectory.from_samples(p, [0.0, 0.04], [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 120.0]])
+
+
+def brute_first_hit(traj, series, level, direction, t_end, dt=1e-5):
+    """First crossing on a uniform grid, linearly interpolated."""
+    grid = np.arange(0.0, t_end, dt)
+    chunks = np.array_split(grid, max(1, grid.size // 100_000))
+    g = np.concatenate([series(traj.at(c)) for c in chunks]) - level
+    if direction == "from-above":
+        g = -g
+    i = int(np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]) + 1
+    return grid[i - 1] + dt * g[i - 1] / (g[i - 1] - g[i])
 
 
 def scipy_reference(p, x0, horizon):
@@ -230,6 +253,32 @@ class TestDenseOutput:
         assert ts.tobytes() == scan_times_loop(demo_traj, max_dt).tobytes()
 
 
+class TestMaximum:
+    @pytest.fixture(scope="class")
+    def overshoot(self):
+        return integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_interpolant_maximum(self, overshoot, i):
+        traj = overshoot
+        top, t_top = traj.maximum(i)
+        assert top >= traj.y[:, i].max()
+        assert traj.at(traj.scan_times(0.01))[:, i].max() <= top
+        grid = np.arange(max(0.0, t_top - 0.01), min(30.0, t_top + 0.01), 1e-5)
+        near = traj.at(grid)[:, i].max()
+        assert near <= top and top - near <= 1e-9 * top
+
+    def test_bump_between_nodes(self):
+        traj = bump_trajectory()
+        top, t_top = traj.maximum(0)
+        grid = np.arange(0.0, 0.04, 1e-5)
+        x1 = traj.at(grid)[:, 0]
+        assert top > 1.5
+        # a 1e-5 grid on a 0.04-long step with curvature 5.6 misses the top by <= 2e-8
+        assert 0.0 <= top - x1.max() <= 1e-7
+        assert abs(t_top - grid[np.argmax(x1)]) <= 1e-5
+
+
 class TestFixedStepOrder:
     def test_order_at_least_four(self):
         ref = propagate_fixed(DEMO, State.zero(), 5.0, 64000)
@@ -365,6 +414,20 @@ class TestFirstHitting:
         v = demo_traj.at(t_hit)
         assert v[0] * v[3] == pytest.approx(1.0 / 30.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "observable, level, direction",
+        [("p", 1.0 / 30.0, "from-below"), ("p", 1.0 / 30.0, "from-above"), ("W", 2.0, "from-below")],
+    )
+    def test_product_and_aggregate_match_brute_force(self, demo_traj, observable, level, direction):
+        dc = DerivedConstants.from_params(DEMO)
+        series = {
+            "p": lambda v: v[:, 0] * v[:, 3],
+            "W": lambda v: dc.W(v[:, 1], v[:, 2], v[:, 3]),
+        }[observable]
+        t_hit = first_hitting(demo_traj, observable, level, direction)
+        t_ref = brute_first_hit(demo_traj, series, level, direction, t_hit + 0.01)
+        assert abs(t_hit - t_ref) <= 1e-7
+
     def test_level_already_met_at_start(self):
         traj = integrate(DEMO, State.from_sequence([2.0, 0.0, 0.0, 0.0]), 5.0)
         assert first_hitting(traj, "x1", 2.0) == 0.0
@@ -403,6 +466,37 @@ class TestExcursions:
 
     def test_level_above_range_gives_nothing(self, demo_traj):
         assert excursions_above(demo_traj, 100.0) == []
+
+    def test_pair_of_crossings_inside_one_scan_cell(self):
+        traj = bump_trajectory()
+        assert traj.at(traj.scan_times())[:, 0].max() < 1.25
+        exc = excursions_above(traj, 1.25)
+        assert len(exc) == 1
+        grid = np.arange(0.0, 0.04, 1e-6)
+        inside = grid[traj.at(grid)[:, 0] >= 1.25]
+        assert abs(exc[0].start - inside[0]) <= 1e-6
+        assert abs(exc[0].end - inside[-1]) <= 1e-6
+
+    def test_fuzzed_endpoints_are_exact_crossings(self):
+        rng = np.random.default_rng(404)
+        for _ in range(10):
+            p = random_params(rng, *SIMULATION_FUZZ_RANGE)
+            traj = integrate(p, random_state(rng), 10.0)
+            grid = np.arange(0.0, 10.0, 1e-4)
+            x1_grid = traj.at(grid)[:, 0]
+            x1 = traj.y[:, 0]
+            for level in np.linspace(x1.min(), x1.max(), 7)[1:-1]:
+                exc = excursions_above(traj, level)
+                ends = [t for e in exc for t in (e.start, e.end) if 0.0 < t < 10.0]
+                for t in ends:
+                    assert abs(traj.at(t)[0] - level) <= 1e-9 * max(1.0, level)
+                member = np.zeros(grid.size, dtype=bool)
+                for e in exc:
+                    member |= (grid >= e.start) & (grid <= e.end)
+                near = np.zeros(grid.size, dtype=bool)
+                for t in ends:
+                    near |= np.abs(grid - t) <= 1e-6
+                assert np.array_equal(member[~near], (x1_grid >= level)[~near])
 
 
 class TestCsvRoundTrip:
