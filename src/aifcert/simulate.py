@@ -1,21 +1,25 @@
-"""Adaptive Runge-Kutta integration with dense output and event location.
+"""Adaptive integration with dense output and event location.
 
-The integrator is a Dormand-Prince 5(4) pair: six function evaluations
-per step give a 5th order solution, an embedded 4th order error
-estimate, and a free evaluation at the step end that doubles as the
-next step's first stage (FSAL).  Each accepted step keeps a quartic
-interpolation polynomial, so trajectories can be evaluated anywhere in
-the covered span without re-running the integration.  Events are the
-real roots of those polynomials (minus the level) on each step: steps
-whose Bernstein hull excludes the level are skipped, the rest cut into
-monotone pieces at the roots of their derivatives and each crossing
-solved by a bracketed Newton iteration, so crossings are exact to
-rounding and a pair of crossings inside one step is not missed.
+The default step is a Dormand-Prince 5(4) pair: six function evaluations
+give a 5th order solution, an embedded 4th order error estimate, and a
+free evaluation at the step end that doubles as the next step's first
+stage (FSAL); each such step keeps a quartic interpolation polynomial.
+Strong annihilation makes the system stiff, and DOPRI5's step is then
+held at its stability limit.  Hairer's stiffness test detects this and
+switches to RODAS4, an L-stable order-4(3) Rosenbrock method with the
+analytic Jacobian, for the rest of the span; its steps keep cubic
+Hermite rows built from the states and fields at their ends.
+Trajectories can be evaluated anywhere in the covered span without
+re-running the integration.  Events are the real roots of the per-step
+polynomials (minus the level): steps whose Bernstein hull excludes the
+level are skipped, the rest cut into monotone pieces at the roots of
+their derivatives and each crossing solved by a bracketed Newton
+iteration, so crossings are exact to rounding and a pair of crossings
+inside one step is not missed.
 
-The state space is tiny (four components), so the one step shared by
-integrate and propagate_fixed is written out component by component on
-plain floats; accepted states and stages go into flat float buffers that
-become numpy arrays once, at the end.
+The state space is tiny (four components), so both steps are written
+out component by component on plain floats; accepted states and stages
+go into flat float buffers that become numpy arrays once, at the end.
 """
 
 from __future__ import annotations
@@ -101,9 +105,53 @@ _P = np.array(
     ]
 )
 
-OBSERVABLES = ("x1", "x2", "x3", "x4", "p", "W")
+# RODAS4 (Hairer & Wanner, Solving ODEs II, IV.7, the rodas.f
+# coefficients): with g = 1/(_RG*h), stage i solves
+# (g*I - J) u_i = field(y + sum_j _RAij*u_j) + sum_j _RCij*u_j / h.
+# Stage 6 starts from the embedded solution y + sum_j _RA5j*u_j + u5, and
+# adding u6 gives the solution, so u6 is the error estimate.
+_RG = 0.25
+_RA21 = 1.544
+_RA31, _RA32 = 0.9466785280815826, 0.2557011698983284
+_RA41, _RA42, _RA43 = 3.314825187068521, 2.896124015972201, 0.9986419139977817
+_RA51, _RA52, _RA53, _RA54 = (
+    1.221224509226641,
+    6.019134481288629,
+    12.53708332932087,
+    -0.6878860361058950,
+)
+_RC21 = -5.6688
+_RC31, _RC32 = -2.430093356833875, -0.2063599157091915
+_RC41, _RC42, _RC43 = -0.1073529058151375, -9.594562251023355, -20.47028614809616
+_RC51, _RC52, _RC53, _RC54 = (
+    7.496443313967647,
+    -10.24680431464352,
+    -33.99990352819905,
+    11.70890893206160,
+)
+_RC61, _RC62, _RC63, _RC64, _RC65 = (
+    8.083246795921522,
+    -7.981132988064893,
+    -31.52159432874371,
+    16.31930543123136,
+    -6.058818238834054,
+)
 
-_SCAN_DT = 0.05  # default spacing of Trajectory.scan_times
+# Stiffness switch.  DOPRI5 is stable for h*rho(J) up to about 3.3.
+# Hairer's test (Solving ODEs II, IV.2) estimates h*rho as
+# h*|k7 - k6| / |y5 - Y6| (Y6 the sixth stage's argument, k6 the field
+# there); it runs only when the cheap bound h*(a2*x4 + a8*x1 + a4 + a6)
+# on the trace of -J says the step is near the limit.  _STIFF_HITS
+# estimates above _STIFF_RHO, with no run of _STIFF_RESET non-stiff
+# steps in between, switch to RODAS4 for the rest of the span.
+_NEAR_LIMIT = 3.0
+_STIFF_RHO = 3.25
+_STIFF_HITS = 15
+_STIFF_RESET = 6
+# y5 - Y6 = h * sum_j _Sj * k_j
+_S1, _S2, _S3, _S4, _S5, _S6 = _B1 - _A61, -_A62, _B3 - _A63, _B4 - _A64, _B5 - _A65, _B6
+
+OBSERVABLES = ("x1", "x2", "x3", "x4", "p", "W")
 
 
 class IntegrationError(RuntimeError):
@@ -144,8 +192,10 @@ class Trajectory:
     inputs that produced them.
 
     ``stats`` counts what the integrator did: accepted steps, rejected
-    attempts by reason (error, orthant, non-finite) and function
-    evaluations.  It is empty for trajectories rebuilt from samples.
+    attempts by reason (error, orthant, non-finite), function
+    evaluations, accepted RODAS4 steps (``stiff_steps``) and switches to
+    RODAS4 (0 or 1; there is no switch back).  It is empty for
+    trajectories rebuilt from samples.
     """
 
     def __init__(self, params, x0, t, y, dense, rel_tol, abs_tol, error_estimate, stats=None):
@@ -230,24 +280,37 @@ class Trajectory:
                 where = float(self.t[step] + (self.t[step + 1] - self.t[step]) * s[k, q])
         return best, where
 
-    def scan_times(self, max_dt: float = _SCAN_DT) -> np.ndarray:
-        """Node times plus per-step subdivision at spacing <= max_dt.
+    def W_rate_maximum(self, gamma: float):
+        """Largest dW/dt = alpha8*x1*(K - x4) on the interpolant where W > gamma.
 
-        A sampling grid for dense checks: long steps (the integrator
-        takes them where the flow is mild) get interior points too.
+        Returns (value, time, steps), steps being how many steps have W
+        above gamma somewhere, or None if W never exceeds gamma.  Steps
+        whose W hull stays <= gamma are skipped; the others are cut at the
+        roots of W - gamma, and the rate is maximised over the pieces above
+        gamma at their ends and at the roots of its derivative inside them.
         """
-        t = self.t
-        h = np.diff(t)
-        # step i contributes k[i] points t[i] + h*j/k for j = 1..k, the
-        # last of which is the node t[i+1] itself
-        k = np.where(h > max_dt, np.ceil(h / max_dt), 1.0).astype(np.intp)
-        step = np.repeat(np.arange(len(h)), k)
-        kk = k[step]
-        j = np.arange(1, len(step) + 1) - np.repeat(np.cumsum(k) - k, k)
-        inner = t[step] + h[step] * j / kk
-        node = j == kk
-        inner[node] = t[1:]
-        return np.concatenate([t[:1], inner])
+        W = _coefficients(self, "W")
+        steps = np.flatnonzero(_hull(W)[1] > gamma)
+        if not steps.size:
+            return None
+        W = W[:, steps]
+        gap = -_coefficients(self, "x4")[:, steps]
+        gap[0] += DerivedConstants.from_params(self.params).K
+        rate = self.params.alpha8 * _product(_coefficients(self, "x1")[:, steps], gap)
+        edge = np.zeros((1, steps.size))
+        cuts = np.concatenate([edge, _unit_roots(W, gamma, 1.0), edge + 1.0])
+        above = (_horner(W, 0.5 * (cuts[:-1] + cuts[1:])) > gamma) & (cuts[1:] > cuts[:-1])
+        if not above.any():
+            return None
+        ends = np.zeros(cuts.shape, dtype=bool)
+        ends[:-1] |= above
+        ends[1:] |= above
+        turns = _unit_roots(rate[1:] * np.arange(1.0, len(rate))[:, None], 0.0, 0.0)
+        s = np.concatenate([cuts, turns])
+        v = np.where(np.concatenate([ends, _horner(W, turns) > gamma]), _horner(rate, s), -np.inf)
+        k, j = np.unravel_index(int(np.argmax(v)), v.shape)
+        t0, t1 = self.t[steps[j]], self.t[steps[j] + 1]
+        return float(v[k, j]), float(t0 + (t1 - t0) * s[k, j]), int(above.any(axis=0).sum())
 
     @classmethod
     def from_samples(cls, params, t, y, rel_tol=1e-8, abs_tol=1e-10):
@@ -271,20 +334,26 @@ class Trajectory:
             raise ValueError("sample states must lie in the orthant (tolerance 1e-9)")
         y = np.maximum(y, 0.0)
         f = np.stack(field(params.as_tuple(), *y.T), axis=-1)
-        h = np.diff(t)[:, None]
-        dy = np.diff(y, axis=0)
-        f0, f1 = f[:-1], f[1:]
-        dense = np.stack(
-            [
-                h * f0,
-                3.0 * dy - h * (2.0 * f0 + f1),
-                -2.0 * dy + h * (f0 + f1),
-                np.zeros_like(dy),
-            ],
-            axis=-1,
-        )
+        dense = _hermite(np.diff(t)[:, None], np.diff(y, axis=0), f[:-1], f[1:])
         x0 = State.from_clamped(y[0])
         return cls(params, x0, t, y, dense, rel_tol, abs_tol, np.zeros(4))
+
+
+def _hermite(h, dy, f0, f1):
+    """Dense rows of cubic Hermite pieces: (steps, 4 components, 4 powers of s).
+
+    Each piece matches the states (through dy = y1 - y0) and the
+    derivatives f0, f1 at both ends of its step of length h.
+    """
+    return np.stack(
+        [
+            h * f0,
+            3.0 * dy - h * (2.0 * f0 + f1),
+            -2.0 * dy + h * (f0 + f1),
+            np.zeros_like(dy),
+        ],
+        axis=-1,
+    )
 
 
 def _dp54_step(a, y, k1, h):
@@ -348,6 +417,110 @@ def _dp54_step(a, y, k1, h):
     return y5, k7, stages, err
 
 
+def _dp54_stiffness(stages):
+    """Hairer's estimate of (h*rho(J))**2 from one step's 28 stage values.
+
+    (h*|k7 - k6| / |y5 - Y6|)**2, with y5 - Y6 = h * sum_j _Sj*k_j, so h
+    cancels.
+    """
+    (k11, k12, k13, k14, k21, k22, k23, k24, k31, k32, k33, k34, k41, k42, k43, k44,
+     k51, k52, k53, k54, k61, k62, k63, k64, k71, k72, k73, k74) = stages
+    d1 = _S1 * k11 + _S2 * k21 + _S3 * k31 + _S4 * k41 + _S5 * k51 + _S6 * k61
+    d2 = _S1 * k12 + _S2 * k22 + _S3 * k32 + _S4 * k42 + _S5 * k52 + _S6 * k62
+    d3 = _S1 * k13 + _S2 * k23 + _S3 * k33 + _S4 * k43 + _S5 * k53 + _S6 * k63
+    d4 = _S1 * k14 + _S2 * k24 + _S3 * k34 + _S4 * k44 + _S5 * k54 + _S6 * k64
+    den = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
+    num = (k71 - k61) ** 2 + (k72 - k62) ** 2 + (k73 - k63) ** 2 + (k74 - k64) ** 2
+    return num / den if den > 0.0 else 0.0
+
+
+def _rodas4_step(a, y, f0, h):
+    """One RODAS4 step from y with f0 = field(a, *y).
+
+    Returns (y1, err): the 4th order solution and the error estimate
+    (the difference to the embedded 3rd order one).  The stage matrix
+    g*I - J needs no general LU: rows 2 and 3 of the Jacobian are
+    constant, so u2 and u3 are affine in u1 and what remains is a 2x2
+    system in (u1, u4) whose determinant
+    g**2 + g*(a2*x4 + a8*x1) + a2*x1*a7*a3*a5/((g+a4)*(g+a6))
+    is positive on the orthant.
+    """
+    _, a2, a3, a4, a5, a6, a7, a8 = a
+    y1, y2, y3, y4 = y
+    hi = 1.0 / h
+    g = hi / _RG
+    p = 1.0 / (g + a4)
+    q = 1.0 / (g + a6)
+    chain = a3 * a5 * p * q  # u3 = chain*u1 + (terms free of u1)
+    A, B = g + a2 * y4, a2 * y1
+    C, D = a8 * y4 - a7 * chain, g + a8 * y1
+    idet = 1.0 / (g * (g + a2 * y4 + a8 * y1) + a2 * y1 * a7 * chain)
+    a5p, a7q = a5 * p, a7 * q
+
+    def solve(r1, r2, r3, r4):
+        r4 += a7q * (r3 + a5p * r2)
+        u1 = (D * r1 - B * r4) * idet
+        u2 = p * (r2 + a3 * u1)
+        return u1, u2, q * (r3 + a5 * u2), (A * r4 - C * r1) * idet
+
+    u11, u12, u13, u14 = solve(*f0)
+    f1, f2, f3, f4 = field(
+        a, y1 + _RA21 * u11, y2 + _RA21 * u12, y3 + _RA21 * u13, y4 + _RA21 * u14
+    )
+    u21, u22, u23, u24 = solve(
+        f1 + hi * (_RC21 * u11),
+        f2 + hi * (_RC21 * u12),
+        f3 + hi * (_RC21 * u13),
+        f4 + hi * (_RC21 * u14),
+    )
+    f1, f2, f3, f4 = field(
+        a,
+        y1 + _RA31 * u11 + _RA32 * u21,
+        y2 + _RA31 * u12 + _RA32 * u22,
+        y3 + _RA31 * u13 + _RA32 * u23,
+        y4 + _RA31 * u14 + _RA32 * u24,
+    )
+    u31, u32, u33, u34 = solve(
+        f1 + hi * (_RC31 * u11 + _RC32 * u21),
+        f2 + hi * (_RC31 * u12 + _RC32 * u22),
+        f3 + hi * (_RC31 * u13 + _RC32 * u23),
+        f4 + hi * (_RC31 * u14 + _RC32 * u24),
+    )
+    f1, f2, f3, f4 = field(
+        a,
+        y1 + _RA41 * u11 + _RA42 * u21 + _RA43 * u31,
+        y2 + _RA41 * u12 + _RA42 * u22 + _RA43 * u32,
+        y3 + _RA41 * u13 + _RA42 * u23 + _RA43 * u33,
+        y4 + _RA41 * u14 + _RA42 * u24 + _RA43 * u34,
+    )
+    u41, u42, u43, u44 = solve(
+        f1 + hi * (_RC41 * u11 + _RC42 * u21 + _RC43 * u31),
+        f2 + hi * (_RC41 * u12 + _RC42 * u22 + _RC43 * u32),
+        f3 + hi * (_RC41 * u13 + _RC42 * u23 + _RC43 * u33),
+        f4 + hi * (_RC41 * u14 + _RC42 * u24 + _RC43 * u34),
+    )
+    w1 = y1 + _RA51 * u11 + _RA52 * u21 + _RA53 * u31 + _RA54 * u41
+    w2 = y2 + _RA51 * u12 + _RA52 * u22 + _RA53 * u32 + _RA54 * u42
+    w3 = y3 + _RA51 * u13 + _RA52 * u23 + _RA53 * u33 + _RA54 * u43
+    w4 = y4 + _RA51 * u14 + _RA52 * u24 + _RA53 * u34 + _RA54 * u44
+    f1, f2, f3, f4 = field(a, w1, w2, w3, w4)
+    u51, u52, u53, u54 = solve(
+        f1 + hi * (_RC51 * u11 + _RC52 * u21 + _RC53 * u31 + _RC54 * u41),
+        f2 + hi * (_RC51 * u12 + _RC52 * u22 + _RC53 * u32 + _RC54 * u42),
+        f3 + hi * (_RC51 * u13 + _RC52 * u23 + _RC53 * u33 + _RC54 * u43),
+        f4 + hi * (_RC51 * u14 + _RC52 * u24 + _RC53 * u34 + _RC54 * u44),
+    )
+    w1, w2, w3, w4 = w1 + u51, w2 + u52, w3 + u53, w4 + u54
+    f1, f2, f3, f4 = field(a, w1, w2, w3, w4)
+    u61, u62, u63, u64 = err = solve(
+        f1 + hi * (_RC61 * u11 + _RC62 * u21 + _RC63 * u31 + _RC64 * u41 + _RC65 * u51),
+        f2 + hi * (_RC61 * u12 + _RC62 * u22 + _RC63 * u32 + _RC64 * u42 + _RC65 * u52),
+        f3 + hi * (_RC61 * u13 + _RC62 * u23 + _RC63 * u33 + _RC64 * u43 + _RC65 * u53),
+        f4 + hi * (_RC61 * u14 + _RC62 * u24 + _RC63 * u34 + _RC64 * u44 + _RC65 * u54),
+    )
+    return (w1 + u61, w2 + u62, w3 + u63, w4 + u64), err
+
+
 def _initial_step(a, y0, f0, rel_tol, abs_tol, horizon):
     """Starting step size from the local scale of the flow."""
     sc = [abs_tol + rel_tol * abs(v) for v in y0]
@@ -371,11 +544,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate forward from x0 over [0, horizon] with error control.
 
-    The per-step error estimate is held below
-    abs_tol + rel_tol * |component|.  A step that would push a component
-    below -abs_tol is rejected and retried smaller; residual undershoot
-    inside [-abs_tol, 0) is clamped to 0, keeping every stored state in
-    the orthant.
+    Steps are Dormand-Prince 5(4) until the stiffness test finds the
+    step size held at that method's stability limit (see _STIFF_RHO);
+    from then on they are RODAS4 steps, with cubic Hermite dense rows.
+    Once stiff, a trajectory stays stiff.  For either method the
+    per-step error estimate is held below abs_tol + rel_tol * |component|.
+    A step that would push a component below -abs_tol is rejected and
+    retried smaller; residual undershoot inside [-abs_tol, 0) is clamped
+    to 0, keeping every stored state in the orthant.
     """
     if not isinstance(x0, State):
         x0 = State.from_sequence(x0)
@@ -387,6 +563,8 @@ def integrate(
             raise ValueError(f"{name} must lie in (0, 1), got {tol!r}")
 
     a = p.as_tuple()
+    _, a2, _, a4, _, a6, _, a8 = a
+    a46 = a4 + a6
     isfinite = math.isfinite
     t = 0.0
     y = x0.as_tuple()
@@ -395,11 +573,15 @@ def integrate(
 
     ts = array("d", [0.0])
     ys = array("d", y)
-    stages = array("d")
+    stages = array("d")  # 28 per DOPRI5 step
+    ends = array("d")  # field at both ends, 8 per RODAS4 step
     hs = array("d")
     acc1 = acc2 = acc3 = acc4 = 0.0
     rejected_error = rejected_orthant = rejected_nonfinite = 0
     nfev = 2
+    stiff = False
+    hits = calm = 0
+    expo = -0.2  # -1/(order of the embedded solution + 1)
 
     while t < horizon:
         if h < 1e-13 * max(1.0, abs(t)):
@@ -409,8 +591,12 @@ def integrate(
         last = h >= horizon - t
         h_use = horizon - t if last else h
 
-        y5, k7, kk, (e1, e2, e3, e4) = _dp54_step(a, y, k1, h_use)
-        nfev += 6
+        if stiff:
+            y5, (e1, e2, e3, e4) = _rodas4_step(a, y, k1, h_use)
+            nfev += 5
+        else:
+            y5, k7, kk, (e1, e2, e3, e4) = _dp54_step(a, y, k1, h_use)
+            nfev += 6
         v1, v2, v3, v4 = y5
         if not (isfinite(v1) and isfinite(v2) and isfinite(v3) and isfinite(v4)):
             rejected_nonfinite += 1
@@ -431,7 +617,7 @@ def integrate(
             continue
         if err > 1.0:
             rejected_error += 1
-            h = h_use * max(0.2, 0.9 * err**-0.2)
+            h = h_use * max(0.2, 0.9 * err**expo)
             continue
         if v1 < -abs_tol or v2 < -abs_tol or v3 < -abs_tol or v4 < -abs_tol:
             # accuracy is fine but the orthant would be left; try smaller
@@ -440,28 +626,55 @@ def integrate(
             continue
 
         if v1 < 0.0 or v2 < 0.0 or v3 < 0.0 or v4 < 0.0:
-            # undershoot within abs_tol: clamp, and restart FSAL from there
+            # undershoot within abs_tol: clamp, and restart from there
             y5 = (max(v1, 0.0), max(v2, 0.0), max(v3, 0.0), max(v4, 0.0))
+            if not stiff:
+                k7 = field(a, *y5)
+                nfev += 1
+        if stiff:
+            # the field at the new state is the next step's first stage
+            # and the slope at the right end of the Hermite row
             k7 = field(a, *y5)
             nfev += 1
+            ends.extend(k1)
+            ends.extend(k7)
+        else:
+            stages.extend(kk)
         t = horizon if last else t + h_use
         y, k1 = y5, k7
         ts.append(t)
         ys.extend(y5)
-        stages.extend(kk)
         hs.append(h_use)
         acc1 += abs(e1)
         acc2 += abs(e2)
         acc3 += abs(e3)
         acc4 += abs(e4)
-        h = h_use * (10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err**-0.2)))
+        h = h_use * (10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err**expo)))
 
-    k_arr = np.frombuffer(stages).reshape(-1, 7, 4)
+        if not stiff:
+            rho = a2 * v4 + a8 * v1 + a46  # trace of -J, about rho(J) when stiff
+            if h_use * rho > _NEAR_LIMIT and _dp54_stiffness(kk) > _STIFF_RHO**2:
+                hits, calm = hits + 1, 0
+                if hits == _STIFF_HITS:
+                    stiff, expo = True, -0.25
+            elif hits:
+                calm += 1
+                if calm == _STIFF_RESET:
+                    hits = 0
+
     h_arr = np.frombuffer(hs)
-    dense = h_arr[:, None, None] * np.einsum("msj,sp->mjp", k_arr, _P)
+    y_arr = np.frombuffer(ys).reshape(-1, 4)
+    m = len(stages) // 28  # the DOPRI5 steps, all before the RODAS4 ones
+    dense = np.einsum("msj,sp->mjp", np.frombuffer(stages).reshape(-1, 7, 4), _P)
+    dense *= h_arr[:m, None, None]
+    if m < len(hs):
+        f = np.frombuffer(ends).reshape(-1, 2, 4)
+        hermite = _hermite(h_arr[m:, None], np.diff(y_arr[m:], axis=0), f[:, 0], f[:, 1])
+        dense = np.concatenate([dense, hermite])
     stats = dict(accepted=len(hs), rejected_error=rejected_error, rejected_orthant=rejected_orthant,
-                 rejected_nonfinite=rejected_nonfinite, nfev=nfev)
-    return Trajectory(p, x0, np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4), dense,
+                 rejected_nonfinite=rejected_nonfinite, nfev=nfev, stiff_steps=len(hs) - m,
+                 switches=int(stiff))
+    return Trajectory(p, x0, np.frombuffer(ts), y_arr, dense,
                       rel_tol, abs_tol, np.array([acc1, acc2, acc3, acc4]), stats)
 
 
@@ -490,11 +703,7 @@ def _coefficients(traj: Trajectory, name: str) -> np.ndarray:
     has degree 8.  Row 0 is the observable at the step's left node.
     """
     if name == "p":
-        a, b = _coefficients(traj, "x1"), _coefficients(traj, "x4")
-        c = np.zeros((9, a.shape[1]))
-        for j in range(5):
-            c[j : j + 5] += a[j] * b
-        return c
+        return _product(_coefficients(traj, "x1"), _coefficients(traj, "x4"))
     if name == "W":
         dc = DerivedConstants.from_params(traj.params)
         return dc.W(*(_coefficients(traj, n) for n in ("x2", "x3", "x4")))
@@ -505,6 +714,14 @@ def _coefficients(traj: Trajectory, name: str) -> np.ndarray:
     c = np.empty((5, len(traj.t) - 1))
     c[0] = traj.y[:-1, i]
     c[1:] = traj._dense[:, i, :].T
+    return c
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-step coefficients of the product of two per-step polynomials."""
+    c = np.zeros((len(a) + len(b) - 1, a.shape[1]))
+    for j in range(len(a)):
+        c[j : j + len(b)] += a[j] * b
     return c
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import DEMO, GOLDEN, log_uniform
+from sampling import scan_times
 
 from aifcert import (
     DerivedConstants,
@@ -127,7 +128,7 @@ def test_05_growth_envelopes_dominate():
         p = Params.from_sequence(log_uniform(rng, 0.1, 10.0, 8))
         x0 = State.from_sequence(rng.uniform(0.0, 2.0, 4))
         traj = integrate(p, x0, 10.0)
-        ts = traj.scan_times()
+        ts = scan_times(traj)
         ys = traj.at(ts)
         env = np.array([growth_envelope(p, x0, t) for t in ts])
         worst = min(worst, float((env - ys).min()))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ class TestVerify:
         assert [c["status"] for c in from_csv["checks"]] == [
             c.status for c in direct.checks
         ]
+
+    def test_readme_example_matches_output(self, tmp_path, capsys):
+        # each "[..]" line of the README's verify example is a line of the
+        # output, or its prefix where the README cuts it with "..."; the
+        # rounding-level margins are cut, as they depend on summation order
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        k = readme.index("$ aifcert verify --horizon 100 --fuzz 50 --out results")
+        shown = []
+        for line in readme[k + 1 :]:
+            if not line.startswith("["):
+                break
+            shown.append(line)
+        assert len(shown) == 5
+        assert main(["verify", "--horizon", "100", "--fuzz", "50", "--out", str(tmp_path)]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert len(printed) == len(shown)
+        for want, got in zip(shown, printed):
+            if want.endswith("..."):
+                assert got.startswith(want[:-3])
+            else:
+                assert got == want
 
     def test_fuzz_flag_reaches_report(self, tmp_path, capsys):
         code = main(

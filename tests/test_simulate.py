@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import DEMO, log_uniform
+from sampling import SCAN_DT, scan_times
 
 from aifcert import (
     IntegrationError,
@@ -83,17 +84,71 @@ def reference_dp54_step(f, y, h, k1):
     return y5, (k1, k2, k3, k4, k5, k6, f(y5))
 
 
-def scan_times_loop(traj, max_dt=sim._SCAN_DT):
-    """Trajectory.scan_times written as a loop over the steps."""
-    t = traj.t
-    pieces = [t[:1]]
-    for i in range(len(t) - 1):
-        h = t[i + 1] - t[i]
-        if h > max_dt:
-            k = int(math.ceil(h / max_dt))
-            pieces.append(t[i] + h * np.arange(1, k) / k)
-        pieces.append(t[i + 1 : i + 2])
-    return np.concatenate(pieces)
+def jacobian(p, y):
+    _, a2, a3, a4, a5, a6, a7, a8 = p.as_tuple()
+    x1, _, _, x4 = y
+    return np.array(
+        [
+            [-a2 * x4, 0.0, 0.0, -a2 * x1],
+            [a3, -a4, 0.0, 0.0],
+            [0.0, a5, -a6, 0.0],
+            [-a8 * x4, 0.0, a7, -a8 * x1],
+        ]
+    )
+
+
+def reference_rodas4_step(f, jac, y, h):
+    """RODAS4 step in loop form, each stage solved by numpy's pivoted LU.
+
+    Stage i solves (I/(gamma*h) - J) u_i = f(y + sum_j A_ij u_j) + sum_j C_ij u_j / h;
+    the sixth stage starts from the embedded solution and the solution
+    adds u6 to it.  Returns (solution, error estimate u6).
+    """
+    A = [
+        [],
+        [sim._RA21],
+        [sim._RA31, sim._RA32],
+        [sim._RA41, sim._RA42, sim._RA43],
+        [sim._RA51, sim._RA52, sim._RA53, sim._RA54],
+        [sim._RA51, sim._RA52, sim._RA53, sim._RA54, 1.0],
+    ]
+    C = [
+        [],
+        [sim._RC21],
+        [sim._RC31, sim._RC32],
+        [sim._RC41, sim._RC42, sim._RC43],
+        [sim._RC51, sim._RC52, sim._RC53, sim._RC54],
+        [sim._RC61, sim._RC62, sim._RC63, sim._RC64, sim._RC65],
+    ]
+    y = np.array(y)
+    E = np.eye(4) / (sim._RG * h) - jac(y)
+    u = []
+    for a_row, c_row in zip(A, C):
+        arg = y + sum((a * uj for a, uj in zip(a_row, u)), np.zeros(4))
+        rhs = np.array(f(tuple(arg))) + sum((c * uj for c, uj in zip(c_row, u)), np.zeros(4)) / h
+        u.append(np.linalg.solve(E, rhs))
+    return arg + u[-1], u[-1]
+
+
+def propagate_rodas4(p, x0, horizon, n_steps):
+    a = p.as_tuple()
+    y = tuple(x0)
+    for _ in range(n_steps):
+        y, _ = sim._rodas4_step(a, y, field(a, *y), horizon / n_steps)
+    return np.array(y)
+
+
+def radau_reference(p, x0, horizon):
+    return solve_ivp(
+        lambda _, y: field(p.as_tuple(), *y),
+        (0.0, horizon),
+        list(x0),
+        method="Radau",
+        rtol=1e-10,
+        atol=1e-14,
+        jac=lambda _, y: jacobian(p, y),
+        dense_output=True,
+    )
 
 
 def bump_trajectory():
@@ -176,7 +231,7 @@ class TestIntegrate:
             x0 = State.from_sequence(rng.uniform(0.0, 2.0, 4))
             traj = integrate(p, x0, 20.0)
             assert traj.y.min() >= 0.0
-            assert traj.at(traj.scan_times()).min() >= 0.0
+            assert traj.at(scan_times(traj)).min() >= 0.0
 
     def test_time_shift_equivariance(self):
         # autonomous flow: restarting from the state at t=12 reproduces
@@ -243,14 +298,9 @@ class TestDenseOutput:
             demo_traj.at(100.5)
 
     def test_scan_times_cover_span_densely(self, demo_traj):
-        ts = demo_traj.scan_times()
+        ts = scan_times(demo_traj)
         assert ts[0] == 0.0 and ts[-1] == 100.0
-        assert np.diff(ts).max() <= 0.05 + 1e-12
-
-    @pytest.mark.parametrize("max_dt", [0.05, 0.003, 1e3])
-    def test_scan_times_match_loop_form_bitwise(self, demo_traj, max_dt):
-        ts = demo_traj.scan_times(max_dt)
-        assert ts.tobytes() == scan_times_loop(demo_traj, max_dt).tobytes()
+        assert np.diff(ts).max() <= SCAN_DT + 1e-12
 
 
 class TestMaximum:
@@ -263,7 +313,7 @@ class TestMaximum:
         traj = overshoot
         top, t_top = traj.maximum(i)
         assert top >= traj.y[:, i].max()
-        assert traj.at(traj.scan_times(0.01))[:, i].max() <= top
+        assert traj.at(scan_times(traj, 0.01))[:, i].max() <= top
         grid = np.arange(max(0.0, t_top - 0.01), min(30.0, t_top + 0.01), 1e-5)
         near = traj.at(grid)[:, i].max()
         assert near <= top and top - near <= 1e-9 * top
@@ -293,21 +343,29 @@ class TestFixedStepOrder:
 class TestFusedStep:
     @pytest.mark.parametrize("case", _step_cases(), ids=lambda c: c[0])
     def test_accepted_steps_match_loop_form_bitwise(self, case, monkeypatch):
-        _, p, x0, horizon = case
+        # DOPRI5 steps must match the loop form bit for bit; RODAS4 steps
+        # match a loop form with a generic pivoted solve to rounding, and
+        # their dense rows are exactly the Hermite rows of their ends
+        name, p, x0, horizon = case
         attempts = []
-        fused = sim._dp54_step
+        dp54, rodas4 = sim._dp54_step, sim._rodas4_step
 
         def spy(a, y, k1, h):
-            attempts.append((y, h))
-            return fused(a, y, k1, h)
+            attempts.append((False, y, h))
+            return dp54(a, y, k1, h)
+
+        def spy_rodas(a, y, f0, h):
+            attempts.append((True, y, h))
+            return rodas4(a, y, f0, h)
 
         monkeypatch.setattr(sim, "_dp54_step", spy)
+        monkeypatch.setattr(sim, "_rodas4_step", spy_rodas)
         traj = integrate(p, x0, horizon)
         monkeypatch.undo()
 
         # every attempt from one state gets the same tuple; the last is accepted
         accepted = [
-            att for att, nxt in zip(attempts, attempts[1:] + [(None, None)]) if nxt[0] is not att[0]
+            att for att, nxt in zip(attempts, attempts[1:] + [(None,) * 3]) if nxt[1] is not att[1]
         ]
         m = len(traj.t) - 1
         assert len(accepted) == m
@@ -316,10 +374,20 @@ class TestFusedStep:
         def f(v):
             return field(a, *v)
 
+        rosenbrock = np.array([att[0] for att in accepted])
+        assert rosenbrock.any() == (name in ("overshoot", "stiff"))
         hs, stages, clamped = [], [], 0
-        for i, (y, h) in enumerate(accepted):
+        for i, (stiff, y, h) in enumerate(accepted):
             assert np.array(y).tobytes() == traj.y[i].tobytes()
             assert traj.t[i + 1] == (horizon if i == m - 1 else traj.t[i] + h)
+            if stiff:
+                y1, _ = reference_rodas4_step(f, lambda v: jacobian(p, v), y, h)
+                dev = np.abs(np.maximum(y1, 0.0) - traj.y[i + 1]).max()
+                assert dev <= 1e-13 * np.abs(y1).max()
+                dy = traj.y[i + 1] - traj.y[i]
+                row = sim._hermite(h, dy, np.array(f(traj.y[i])), np.array(f(traj.y[i + 1])))
+                assert row.tobytes() == traj._dense[i].tobytes()
+                continue
             y5, kk = reference_dp54_step(f, y, h, f(y))
             if min(y5) < 0.0:
                 clamped += 1
@@ -327,16 +395,26 @@ class TestFusedStep:
                 assert np.array(y5).tobytes() == traj.y[i + 1].tobytes()
             hs.append(h)
             stages.append(kk)
-        dense = np.array(hs)[:, None, None] * np.einsum("msj,sp->mjp", np.array(stages), sim._P)
-        assert dense.tobytes() == traj._dense.tobytes()
+        if stages:
+            dense = np.array(hs)[:, None, None] * np.einsum("msj,sp->mjp", np.array(stages), sim._P)
+            assert dense.tobytes() == traj._dense[~rosenbrock].tobytes()
 
-        # the counters are exact: six evaluations per attempt, two to
-        # start, one more after each clamp
+        # the counters are exact: six evaluations per DOPRI5 attempt and
+        # one more after each clamp, five per RODAS4 attempt and one more
+        # at each accepted RODAS4 state, two to start
         st = traj.stats
         assert st["accepted"] == m
         rejected = st["rejected_error"] + st["rejected_orthant"] + st["rejected_nonfinite"]
         assert m + rejected == len(attempts)
-        assert st["nfev"] == 2 + 6 * len(attempts) + clamped
+        tried = sum(att[0] for att in attempts)
+        evaluations = 6 * (len(attempts) - tried) + 5 * tried + rosenbrock.sum() + clamped
+        assert st["nfev"] == 2 + evaluations
+        assert st["stiff_steps"] == rosenbrock.sum()
+        # the switch is one way, so the RODAS4 steps come last; a switch
+        # after the last step has no attempt to show it
+        changes = sum(u[0] != v[0] for u, v in zip(attempts, attempts[1:]))
+        assert changes <= st["switches"] <= 1
+        assert not rosenbrock[: m - rosenbrock.sum()].any()
 
     def test_rejections_and_clamp_are_handled_and_counted(self, monkeypatch):
         # the first three attempts are made non-finite, outside the
@@ -366,6 +444,83 @@ class TestFusedStep:
         assert attempts[3][1] == field(DEMO.as_tuple(), *traj.y[1])
         assert st["nfev"] == 2 + 6 * len(attempts) + 1
 
+    def test_rosenbrock_rejections_and_clamp(self, monkeypatch):
+        # the same three faults forced on the first RODAS4 attempts of the
+        # stiff set; the clamped state's field starts the next step and
+        # ends its Hermite row, at no extra evaluation
+        rodas4 = sim._rodas4_step
+        attempts = []
+        forced = {1: math.nan, 2: -1e-9, 3: -0.5e-10}
+
+        def spy(a, y, f0, h):
+            attempts.append((y, f0, h))
+            y1, err = rodas4(a, y, f0, h)
+            if len(attempts) in forced:
+                y1 = (y1[0], y1[1], y1[2], forced[len(attempts)])
+            return y1, err
+
+        monkeypatch.setattr(sim, "_rodas4_step", spy)
+        traj = integrate(STIFF, State.zero(), 3.0)
+        monkeypatch.undo()
+
+        st = traj.stats
+        assert (st["rejected_nonfinite"], st["rejected_orthant"]) == (1, 1)
+        h1, h2, h3 = (att[2] for att in attempts[:3])
+        assert (h2, h3) == (h1 * 0.2, h2 * 0.5)
+        i = next(k for k in range(len(traj.t)) if tuple(traj.y[k]) == attempts[0][0])
+        assert traj.t[i + 1] == traj.t[i] + h3
+        assert traj.y[i + 1][3] == 0.0 and not math.copysign(1.0, traj.y[i + 1][3]) < 0.0
+        f1 = field(STIFF.as_tuple(), *traj.y[i + 1])
+        assert attempts[3][1] == f1
+        row = sim._hermite(h3, traj.y[i + 1] - traj.y[i], np.array(attempts[0][1]), np.array(f1))
+        assert row.tobytes() == traj._dense[i].tobytes()
+
+
+class TestRosenbrock:
+    def test_fixed_step_order_at_least_3_8(self):
+        ref = propagate_fixed(DEMO, State.zero(), 2.0, 64000)
+        errs = [
+            np.abs(propagate_rodas4(DEMO, (0.0, 0.0, 0.0, 0.0), 2.0, n) - ref).max()
+            for n in (250, 500, 1000)
+        ]
+        slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        assert min(slopes) >= 3.8
+
+    def test_stiff_matches_radau_between_nodes(self):
+        traj = integrate(STIFF, State.zero(), 3.0)
+        ref = radau_reference(STIFF, (0.0, 0.0, 0.0, 0.0), 3.0)
+        grid = np.linspace(0.0, 3.0, 2001)
+        # the RODAS4 steps come last; over half the grid falls inside them
+        t_switch = traj.t[-1 - traj.stats["stiff_steps"]]
+        assert np.sum((grid > t_switch) & ~np.isin(grid, traj.t)) > 1000
+        want = ref.sol(grid).T
+        err = np.abs(traj.at(grid) - want).max(axis=0)
+        assert (err <= 1e-6 * np.abs(want).max(axis=0)).all()
+
+    def test_stiff_switches_once_and_saves_steps(self):
+        st = integrate(STIFF, State.zero(), 3.0).stats
+        assert st["stiff_steps"] > 0 and st["switches"] == 1
+        assert st["accepted"] <= 3000
+
+    def test_switch_is_one_way(self):
+        overshoot = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0).stats
+        assert overshoot["stiff_steps"] > 0 and overshoot["switches"] == 1
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = random_params(rng, 1e-2, 1e2)
+            st = integrate(p, random_state(rng, 20.0), 20.0).stats
+            assert st["switches"] <= 1
+            assert st["stiff_steps"] == 0 or st["switches"] == 1
+
+    @pytest.mark.parametrize(
+        "rel_tol, abs_tol",
+        [(1e-8, 1e-10), (1e-12, 1e-13)] + [(1e-6 * 0.5**k, 1e-8 * 0.5**k) for k in range(5)],
+    )
+    def test_demo_never_switches(self, rel_tol, abs_tol):
+        horizon = 100.0 if rel_tol == 1e-8 else 10.0
+        st = integrate(DEMO, State.zero(), horizon, rel_tol, abs_tol).stats
+        assert (st["stiff_steps"], st["switches"]) == (0, 0)
+
 
 class TestStats:
     def test_counts(self, demo_traj):
@@ -376,6 +531,8 @@ class TestStats:
             "rejected_orthant",
             "rejected_nonfinite",
             "nfev",
+            "stiff_steps",
+            "switches",
         }
         assert st["accepted"] == len(demo_traj.t) - 1
         rejected = st["rejected_error"] + st["rejected_orthant"] + st["rejected_nonfinite"]
@@ -469,7 +626,7 @@ class TestExcursions:
 
     def test_pair_of_crossings_inside_one_scan_cell(self):
         traj = bump_trajectory()
-        assert traj.at(traj.scan_times())[:, 0].max() < 1.25
+        assert traj.at(scan_times(traj))[:, 0].max() < 1.25
         exc = excursions_above(traj, 1.25)
         assert len(exc) == 1
         grid = np.arange(0.0, 0.04, 1e-6)

@@ -11,6 +11,7 @@ from conftest import DEMO, log_uniform
 from aifcert import (
     Params,
     State,
+    Trajectory,
     build_report,
     certificate,
     check_W_decrease,
@@ -23,6 +24,7 @@ from aifcert import (
     integrate,
     tau,
 )
+from aifcert.model import DerivedConstants
 from aifcert.verify import SIMULATION_FUZZ_RANGE, random_params, random_state
 
 CHECK_NAMES = {
@@ -137,6 +139,41 @@ class TestWDecrease:
         bad = dataclasses.replace(cert, gamma=1.0)
         res = check_W_decrease(demo_traj, DEMO, bad)
         assert res.status == "fail"
+
+    def test_rise_above_gamma_between_nodes_fails(self):
+        # W sits 0.01 below gamma at the last two nodes, but the slopes
+        # there (+10 and -10) lift the Hermite piece between them up to
+        # gamma + 0.015, where x4 < K and so W still climbs
+        x0 = State.from_sequence([1.0, 0.0, 0.0, 0.0])
+        cert = certificate(DEMO, x0)
+        g = cert.gamma
+        y = [[1.0, 0.0, 0.0, 0.0], [1.0, g - 0.01, 0.0, 0.0], [1.0, g - 0.01 - 2 / 3, 0.0, 2 / 3]]
+        traj = Trajectory.from_samples(DEMO, [0.0, 1.0, 1.1], y)
+        dc = DerivedConstants.from_params(DEMO)
+        assert (dc.W(traj.y[:, 1], traj.y[:, 2], traj.y[:, 3]) < g).all()
+        res = check_W_decrease(traj, DEMO, cert)
+        assert res.status == "fail"
+        assert 1.0 < res.location < 1.1
+
+    def test_rate_above_gamma_is_the_interpolant_maximum(self, demo_traj):
+        # with gamma understated, the largest Wdot where W > gamma must be
+        # the maximum over the interpolant, not over the nodes
+        cert = dataclasses.replace(certificate(DEMO, State.zero()), gamma=1.0)
+        res = check_W_decrease(demo_traj, DEMO, cert)
+        top = 1e-9 - res.margin
+        dc = DerivedConstants.from_params(DEMO)
+
+        def rate_above(v):
+            rate = DEMO.alpha8 * v[:, 0] * (dc.K - v[:, 3])
+            return rate[dc.W(v[:, 1], v[:, 2], v[:, 3]) > 1.0].max()
+
+        at_nodes = rate_above(demo_traj.y)
+        on_grid = rate_above(demo_traj.at(np.arange(0.0, 100.0, 1e-4)))
+        assert top >= max(at_nodes, on_grid)
+        assert top - on_grid <= 1e-6 * top
+        assert top > at_nodes
+        x = demo_traj.at(res.location)
+        assert DEMO.alpha8 * x[0] * (dc.K - x[3]) == pytest.approx(top, rel=1e-12)
 
 
 class TestPropositions:
