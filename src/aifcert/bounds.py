@@ -1,12 +1,12 @@
 """Constructive constants: waiting time, cascade floors, bound certificate.
 
-Everything here is closed-form arithmetic on the rate constants except
-``solve_L_star``, which bisects a strictly increasing scalar map.  The
-central object is the waiting time tau(L): once species 1 has stayed at
-or above a level L for tau(L) time units, the chain has pumped enough
-of species 4 to force species 1 downward.  Levels L above the threshold
-L* make that forcing self-sustaining, which is what the certificate
-exploits.
+Everything here is closed-form arithmetic on the rate constants, and
+``solve_L_star`` takes the threshold as the root of a quartic by
+Newton's method.  The central object is the waiting time tau(L): once
+species 1 has stayed at or above a level L for tau(L) time units, the
+chain has pumped enough of species 4 to force species 1 downward.
+Levels L above the threshold L* make that forcing self-sustaining,
+which is what the certificate exploits.
 """
 
 from __future__ import annotations
@@ -110,48 +110,29 @@ def window_upper(p: Params, L: float, t: float) -> float:
     return L + p.alpha1 * t
 
 
-def _threshold_gap(p: Params, L: float) -> float:
-    """Signed gap L*ell4(L, tau(L)) - theta; strictly increasing in L."""
-    dc = DerivedConstants.from_params(p)
-    return L * ell4(p, L, tau(p, L)) - dc.theta
-
-
 def solve_L_star(p: Params) -> float:
     """Smallest admissible level L*: root of L*ell4(L, tau(L)) = theta.
 
-    The map is continuous, strictly increasing, and spans (0, inf), so a
-    geometrically grown bracket plus bisection converges unconditionally.
+    With s = L + alpha1*tau(L), tau's fixed point gives s = L + b + c/s
+    (b = alpha1*psi1, c = alpha1*psi2) and L*ell4 = theta gives s = k*L**2
+    (k = K/(8*theta)), so L* is the one positive root of the quartic
+    f(L) = k*L**4 - L**3 - b*L**2 - c/k.  On [L*, inf), where k*L**2 >= L + b,
+    f is increasing and convex, so Newton from the Fujiwara root bound falls onto L*.
     """
-    lo, hi = 1e-6, 1.0
-    for _ in range(400):
-        if _threshold_gap(p, lo) < 0.0:
-            break
-        hi = lo
-        lo /= 8.0
-    else:
-        raise ArithmeticError("could not bracket L* from below")
-    for _ in range(400):
-        if _threshold_gap(p, hi) > 0.0:
-            break
-        lo = max(lo, hi)
-        hi *= 8.0
-    else:
-        raise ArithmeticError("could not bracket L* from above")
-
-    for _ in range(300):
-        if hi - lo <= 1e-14 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if _threshold_gap(p, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    L_star = 0.5 * (lo + hi)
-
     dc = DerivedConstants.from_params(p)
+    fp = FixedPointConstants.from_params(p)
+    k = dc.K / (8.0 * dc.theta)
+    b, c = p.alpha1 * fp.psi1, p.alpha1 * fp.psi2
+    L = 2.0 * max(1.0 / k, math.sqrt(b / k), (c / (2.0 * k * k)) ** 0.25)
+    for _ in range(200):
+        f = ((k * L - 1.0) * L - b) * L * L - c / k
+        step = f / (((4.0 * k * L - 3.0) * L - 2.0 * b) * L)
+        if not L - step < L:
+            break
+        L -= step
     # the defining equation forces L* > 8*theta/K, so this holds with margin
-    assert L_star > 4.0 * p.alpha1 / (dc.K * p.alpha2)
-    return L_star
+    assert L > 4.0 * p.alpha1 / (dc.K * p.alpha2)
+    return L
 
 
 @dataclass(frozen=True)

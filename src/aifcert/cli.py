@@ -81,8 +81,15 @@ def default_config() -> RunConfig:
     return RunConfig(params=Params.from_sequence(DEMO_ALPHAS), x0=State.zero())
 
 
+def _read(key: str, value):
+    try:
+        return _COERCE[key](value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def _updated(cfg: RunConfig, values: dict) -> RunConfig:
-    return replace(cfg, **{k: _COERCE[k](v) for k, v in values.items() if v is not None})
+    return replace(cfg, **{k: _read(k, v) for k, v in values.items() if v is not None})
 
 
 def load_config(path: str) -> RunConfig:

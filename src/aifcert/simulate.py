@@ -15,7 +15,8 @@ polynomials (minus the level): steps whose Bernstein hull excludes the
 level are skipped, the rest cut into monotone pieces at the roots of
 their derivatives and each crossing solved by a bracketed Newton
 iteration, so crossings are exact to rounding and a pair of crossings
-inside one step is not missed.
+inside one step is not missed.  Extrema over a time window are searched
+on the same polynomials (Trajectory.maximum and minimum, _extremum).
 
 The state space is tiny (four components), so both steps are written
 out component by component on plain floats; accepted states and stages
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 # Dormand-Prince 5(4) tableau.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -256,61 +256,35 @@ class Trajectory:
         coef = _coefficients(self, name)
         return (coef, *_hull(coef))
 
-    def maximum(self, i: int) -> tuple[float, float]:
-        """Largest value of component i (0 for x1) on the interpolant, and its time.
+    def maximum(self, observable: str, start: float | None = None, end: float | None = None):
+        """Largest value of an observable on the interpolant over [start, end], and its time.
 
-        On [0, 1] a step's polynomial stays below its left node value plus
-        its positive coefficients; steps where that bound passes the
-        largest node value are searched at the roots of their derivative.
+        Observables are named as in first_hitting, and the window defaults
+        to the whole span.  The search is exact to rounding (_extremum).
         """
-        y, dense = self.y[:, i], self._dense[:, i, :]
-        j = int(np.argmax(y))
-        best, where = float(y[j]), float(self.t[j])
-        up = np.maximum(dense, 0.0)
-        cand = np.flatnonzero(y[:-1] + up[:, 0] + up[:, 1] + up[:, 2] + up[:, 3] > best)
-        if cand.size:
-            c = np.concatenate([y[None, cand], dense[cand].T])
-            slope = c[1:] * np.arange(1.0, len(c))[:, None]
-            s = _unit_roots(slope, 0.0, 0.0)
-            v = _horner(c, s)
-            k, q = np.unravel_index(int(np.argmax(v)), v.shape)
-            if v[k, q] > best:
-                step = cand[q]
-                best = float(v[k, q])
-                where = float(self.t[step] + (self.t[step + 1] - self.t[step]) * s[k, q])
-        return best, where
+        return _extremum(self, lambda n: _coefficients(self, observable, n), start, end)
+
+    def minimum(self, observable: str, start: float | None = None, end: float | None = None):
+        """Smallest value of an observable on the interpolant over [start, end], and its time.
+
+        Like at, it reads a polynomial that dips below 0 by rounding as 0.
+        """
+        top, where = _extremum(self, lambda n: -_coefficients(self, observable, n), start, end)
+        return max(-top, 0.0), where
 
     def W_rate_maximum(self, gamma: float):
         """Largest dW/dt = alpha8*x1*(K - x4) on the interpolant where W > gamma.
 
-        Returns (value, time, steps), steps being how many steps have W
-        above gamma somewhere, or None if W never exceeds gamma.  Steps
-        whose W hull stays <= gamma are skipped; the others are cut at the
-        roots of W - gamma, and the rate is maximised over the pieces above
-        gamma at their ends and at the roots of its derivative inside them.
+        Returns (value, time), or None if W never exceeds gamma.
         """
-        W = _coefficients(self, "W")
-        steps = np.flatnonzero(_hull(W)[1] > gamma)
-        if not steps.size:
-            return None
-        W = W[:, steps]
-        gap = -_coefficients(self, "x4")[:, steps]
-        gap[0] += DerivedConstants.from_params(self.params).K
-        rate = self.params.alpha8 * _product(_coefficients(self, "x1")[:, steps], gap)
-        edge = np.zeros((1, steps.size))
-        cuts = np.concatenate([edge, _unit_roots(W, gamma, 1.0), edge + 1.0])
-        above = (_horner(W, 0.5 * (cuts[:-1] + cuts[1:])) > gamma) & (cuts[1:] > cuts[:-1])
-        if not above.any():
-            return None
-        ends = np.zeros(cuts.shape, dtype=bool)
-        ends[:-1] |= above
-        ends[1:] |= above
-        turns = _unit_roots(rate[1:] * np.arange(1.0, len(rate))[:, None], 0.0, 0.0)
-        s = np.concatenate([cuts, turns])
-        v = np.where(np.concatenate([ends, _horner(W, turns) > gamma]), _horner(rate, s), -np.inf)
-        k, j = np.unravel_index(int(np.argmax(v)), v.shape)
-        t0, t1 = self.t[steps[j]], self.t[steps[j] + 1]
-        return float(v[k, j]), float(t0 + (t1 - t0) * s[k, j]), int(above.any(axis=0).sum())
+        def rate(nodes):
+            gap = -_coefficients(self, "x4", nodes)
+            gap[0] += DerivedConstants.from_params(self.params).K
+            return self.params.alpha8 * _product(_coefficients(self, "x1", nodes), gap)
+
+        above = _coefficients(self, "W")
+        above[0] -= gamma
+        return _extremum(self, rate, where=above)
 
     @classmethod
     def from_samples(cls, params, t, y, rel_tol=1e-8, abs_tol=1e-10):
@@ -695,22 +669,25 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     return np.array(y)
 
 
-def _coefficients(traj: Trajectory, name: str) -> np.ndarray:
+def _coefficients(traj: Trajectory, name: str, nodes: bool = False) -> np.ndarray:
     """Per-step polynomial of an observable in s in [0, 1].
 
     Row k holds the s**k coefficient of every step, so the array is
     (degree + 1, steps): the components and W are quartics, p = x1*x4
     has degree 8.  Row 0 is the observable at the step's left node.
+    With nodes=True the result is the observable at every node, as a
+    (1, nodes) array, computed with the same operations as row 0.
     """
+    if name not in OBSERVABLES:
+        raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLES}")
     if name == "p":
-        return _product(_coefficients(traj, "x1"), _coefficients(traj, "x4"))
+        return _product(_coefficients(traj, "x1", nodes), _coefficients(traj, "x4", nodes))
     if name == "W":
         dc = DerivedConstants.from_params(traj.params)
-        return dc.W(*(_coefficients(traj, n) for n in ("x2", "x3", "x4")))
-    try:
-        i = ("x1", "x2", "x3", "x4").index(name)
-    except ValueError:
-        raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLES}")
+        return dc.W(*(_coefficients(traj, n, nodes) for n in ("x2", "x3", "x4")))
+    i = OBSERVABLES.index(name)
+    if nodes:
+        return traj.y[None, :, i].copy()
     c = np.empty((5, len(traj.t) - 1))
     c[0] = traj.y[:-1, i]
     c[1:] = traj._dense[:, i, :].T
@@ -796,6 +773,73 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
     return np.sort(roots, axis=0)
 
 
+def _cut(coef: np.ndarray, level: float):
+    """Cuts of [0, 1] at the roots of coef - level (padded with 1), and midpoint values."""
+    m = coef.shape[1]
+    cuts = np.concatenate([np.zeros((1, m)), _unit_roots(coef, level, 1.0), np.ones((1, m))])
+    return cuts, _horner(coef, 0.5 * (cuts[:-1] + cuts[1:]))
+
+
+def _extremum(traj: Trajectory, poly, start=None, end=None, where=None):
+    """Largest value of per-step polynomials on [start, end] (default the span), and its time.
+
+    ``poly(nodes)`` gives the polynomials as _coefficients(traj, name,
+    nodes) does.  With ``where`` (laid out as poly(False)) only stretches
+    where it is > 0 count, and None is returned if there are none.  The
+    candidates are the ends of the stretches that count, cut to the
+    window, and the roots of the derivative inside them, searched only in
+    steps whose left value plus positive coefficients beats the best end.
+    """
+    t = traj.t
+    start, end = t[0] if start is None else float(start), t[-1] if end is None else float(end)
+    if not (t[0] - 1e-12 <= start <= end + 1e-12 and end <= t[-1] + 1e-12):
+        raise ValueError(f"window [{start!r}, {end!r}] is not inside [{t[0]!r}, {t[-1]!r}]")
+    first = min(max(int(np.searchsorted(t, start, "right")) - 1, 0), len(t) - 2)
+    stop = min(max(int(np.searchsorted(t, end, "left")), first + 1), len(t) - 1)
+    steps = np.arange(first, stop)
+    lo, hi = np.zeros(steps.size), np.ones(steps.size)
+    lo[0] = min(max((start - t[first]) / (t[first + 1] - t[first]), 0.0), 1.0)
+    hi[-1] = min(max((end - t[stop - 1]) / (t[stop] - t[stop - 1]), 0.0), 1.0)
+    if where is None:
+        c, node = poly(False)[:, first:stop], poly(True)[0]
+        # the window's ends and the nodes inside it
+        v = node[first : stop + 1].copy()
+        v[0] = _horner(c[:, 0], lo[0])
+        if hi[-1] < 1.0:
+            v[-1] = _horner(c[:, -1], hi[-1])
+        j = int(np.argmax(v))
+        best, j_best, live = v[j], min(j, steps.size - 1), True
+        s_best = lo[0] if j == 0 else hi[-1] if j == steps.size else 0.0
+    else:
+        meet = _hull(where[:, first:stop])[1] > 0.0
+        if not meet.any():
+            return None
+        steps, lo, hi = steps[meet], lo[meet], hi[meet]
+        cuts, mid = _cut(where[:, steps], 0.0)
+        cuts = np.clip(cuts, lo, hi)
+        keep = (mid > 0.0) & (cuts[1:] > cuts[:-1])
+        if not keep.any():
+            return None
+        c, live = poly(False)[:, steps], keep.any(axis=0)
+        ends = np.vstack([keep, keep[-1:]]) | np.vstack([keep[:1], keep])
+        v = np.where(ends, _horner(c, cuts), -np.inf)
+        k, j = np.unravel_index(int(np.argmax(v)), v.shape)
+        best, s_best, j_best = v[k, j], cuts[k, j], j
+    cand = np.flatnonzero((sum(np.maximum(c[1:], 0.0), c[0]) > best) & live)
+    if cand.size:
+        c = c[:, cand]
+        s = _unit_roots(c[1:] * np.arange(1.0, len(c))[:, None], 0.0, 0.0)
+        ok = (s >= lo[cand]) & (s <= hi[cand])
+        ok &= where is None or _horner(where[:, steps[cand]], s) > 0.0
+        v = np.where(ok, _horner(c, s), -np.inf)
+        k, q = np.unravel_index(int(np.argmax(v)), v.shape)
+        if v[k, q] > best:
+            best, s_best, j_best = v[k, q], s[k, q], cand[q]
+    step = steps[j_best]
+    time = t[step + 1] if s_best == 1.0 else t[step] + (t[step + 1] - t[step]) * s_best
+    return float(best), float(time)
+
+
 def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.ndarray:
     """Times at which the interpolant moves between < level and >= level.
 
@@ -814,10 +858,8 @@ def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.
     cand = np.flatnonzero((lo <= level) & (level <= hi))
     inner_t, inner_key = np.empty(0), np.empty(0, dtype=np.intp)
     if cand.size:
-        c = coef[:, cand]
-        r = _unit_roots(c, level, 1.0)
-        cuts = np.concatenate([np.zeros((1, cand.size)), r, np.ones((1, cand.size))])
-        side = _horner(c, 0.5 * (cuts[:-1] + cuts[1:])) >= level
+        cuts, mid = _cut(coef[:, cand], level)
+        side = mid >= level
         # empty stretches (the padding at s = 1) take the side before them
         valid = cuts[1:] > cuts[:-1]
         for k in range(1, d + 1):
@@ -825,7 +867,7 @@ def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.
         first[cand], last[cand] = side[0], side[-1]
         k, j = np.nonzero(side[1:] != side[:-1])
         step = cand[j]
-        inner_t = t[step] + (t[step + 1] - t[step]) * r[k, j]
+        inner_t = t[step] + (t[step + 1] - t[step]) * cuts[k + 1, j]
         inner_key = step * (d + 2) + k + 1
     # moves on nodes: between one step's last stretch and the next one's first
     before = np.concatenate([[start], last[:-1]])
@@ -843,8 +885,6 @@ def first_hitting(traj: Trajectory, observable: str, level: float, direction: st
     per-step dense-output polynomials, so they are exact to rounding and
     no event tolerance applies.
     """
-    if observable not in OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
     if direction not in ("from-below", "from-above"):
         raise ValueError(f"direction must be 'from-below' or 'from-above', got {direction!r}")
     level = float(level)

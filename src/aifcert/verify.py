@@ -5,8 +5,11 @@ status, a worst-case margin (normalized so positive means headroom), the
 location where the margin is attained, and a human-readable detail line.
 ``build_report`` assembles the five named checks exactly once each.
 
-Derivative-sign checks always evaluate the analytic vector field at
-interpolated states; nothing here differences samples.
+Every check quantifies over what its claim quantifies over: the
+interpolant, through the exact windowed extrema of Trajectory.maximum
+and Trajectory.minimum (the lemma reads the polynomial of p = x1*x4,
+since xdot1 = alpha1 - alpha2*p), or a closed form.  Nothing here
+samples or differences the trajectory.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .bounds import (
     solve_L_star,
     tau,
 )
-from .model import DerivedConstants, Params, State, field
+from .model import DerivedConstants, Params, State
 from .simulate import (
     Excursion,
     Trajectory,
@@ -123,11 +126,6 @@ def _check_provenance(traj: Trajectory, cert: BoundCertificate) -> None:
         raise ValueError("certificate provenance does not match the trajectory")
 
 
-def _window_grid(a: float, b: float, max_dt: float = 0.005, min_pts: int = 33) -> np.ndarray:
-    n = max(min_pts, int(math.ceil((b - a) / max_dt)) + 1)
-    return np.linspace(a, b, n)
-
-
 def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult:
     """Each state component stays below its certificate bound.
 
@@ -142,7 +140,7 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     fail_loc = None
     parts = []
     for i, M in enumerate(bounds):
-        top, t_top = traj.maximum(i)
+        top, t_top = traj.maximum(f"x{i + 1}")
         margin = (M - top) / M
         parts.append(f"x{i + 1} max {top:.6g} vs M{i + 1} {M:.6g}")
         if margin < worst_margin:
@@ -168,14 +166,14 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
 
     For every excursion above any grid level L > L_used that lasts at
     least T0, both xdot1 < 0 (strictly, below -1e-9*alpha1) and
-    x1*x4 > theta must hold on [start + T0, end].  If no excursion lasts
-    that long the check passes vacuously and says so.
+    x1*x4 > theta must hold on [start + T0, end].  Both follow from the
+    exact minimum of p = x1*x4 on that window, because
+    xdot1 = alpha1 - alpha2*p.  If no excursion lasts that long the
+    check passes vacuously and says so.
     """
-    dc = DerivedConstants.from_params(p)
     L_used, T0 = cert.L_used, cert.T0
-    eps_neg = _STRICT_NEG * p.alpha1
 
-    x1max = traj.maximum(0)[0]
+    x1max = traj.maximum("x1")[0]
     if x1max <= L_used:
         return CheckResult(
             "excursion_lemma",
@@ -189,7 +187,6 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     qualifying = 0
     worst_margin = math.inf
     worst_loc = None
-    failed = False
     longest = 0.0
     for L in levels:
         for exc in excursions_above(traj, float(L)):
@@ -197,19 +194,10 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
             if exc.duration < T0:
                 continue
             qualifying += 1
-            grid = _window_grid(exc.start + T0, exc.end)
-            yw = traj.at(grid)
-            xdot1 = field(p.as_tuple(), *yw.T)[0]
-            prod = yw[:, 0] * yw[:, 3]
-            m_neg = (-xdot1 - eps_neg) / p.alpha1
-            m_prod = (prod - dc.theta) / dc.theta
-            for m in (m_neg, m_prod):
-                j = int(np.argmin(m))
-                if m[j] < worst_margin:
-                    worst_margin = float(m[j])
-                    worst_loc = float(grid[j])
-            if m_neg.min() <= 0.0 or m_prod.min() <= 0.0:
-                failed = True
+            low, t_low = traj.minimum("p", exc.start + T0, exc.end)
+            margin = (p.alpha2 * low - p.alpha1 - _STRICT_NEG * p.alpha1) / p.alpha1
+            if margin < worst_margin:
+                worst_margin, worst_loc = margin, t_low
     if qualifying == 0:
         return CheckResult(
             "excursion_lemma",
@@ -225,7 +213,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     )
     return CheckResult(
         "excursion_lemma",
-        FAIL if failed else PASS,
+        FAIL if worst_margin <= 0.0 else PASS,
         worst_margin,
         worst_loc,
         detail,
@@ -243,8 +231,10 @@ def check_cascade_lower_bounds(
 
     With time re-based to the excursion start: x2 clears its floor after
     delta2, x3 after delta2+delta3, x4 after the further delay delta4,
-    and x1 stays under the window bound until T0.  An excursion shorter
-    than the waiting time is reported not-applicable.
+    and x1 stays under the window bound until T0.  Each stage compares
+    the exact minimum (for x1 the maximum) of the interpolant on its
+    window.  An excursion shorter than the waiting time is reported
+    not-applicable.
 
     The window bound uses the larger of L and x1 at the excursion start:
     excursions anchored at the initial time may start above their level,
@@ -265,46 +255,28 @@ def check_cascade_lower_bounds(
         )
 
     dc = DerivedConstants.from_params(p)
-    ln2 = math.log(2.0)
-    x1_start = float(traj.at(excursion.start)[0])
-    L_up = max(L, x1_start)
-    U_eff = L_up + p.alpha1 * T_w
-    delta4 = ln2 / (p.alpha8 * U_eff)
-    floor2 = ell2(p, L)
-    floor3 = ell3(p, L)
-    floor4 = dc.K * L / (8.0 * U_eff)  # ell4 with the effective window bound
-
     s = excursion.start
-    stages = []  # (label, passed, margin, location)
+    U_eff = max(L, float(traj.at(s)[0])) + p.alpha1 * T_w
+    delta4 = math.log(2.0) / (p.alpha8 * U_eff)
+    top, t_top = traj.maximum("x1", s, s + T_w)
+    stages = [("x1<=window", (U_eff - top) / U_eff, t_top)]  # (label, margin, location)
+    for label, name, a, b, floor in (
+        ("x2>=ell2", "x2", dc.delta2, dur, ell2(p, L)),
+        ("x3>=ell3", "x3", dc.delta2 + dc.delta3, dur, ell3(p, L)),
+        # ell4 with the effective window bound
+        ("x4>=ell4", "x4", dc.delta2 + dc.delta3 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
+    ):
+        if a <= b:
+            low, t_low = traj.minimum(name, s + a, s + b)
+            stages.append((label, (low - floor) / floor, t_low))
 
-    def floor_stage(label, comp, a, b, bound):
-        if b < a:
-            return
-        grid = _window_grid(s + a, s + b)
-        vals = traj.at(grid)[:, comp]
-        margins = (vals - bound) / bound
-        j = int(np.argmin(margins))
-        stages.append((label, margins[j] >= -1e-9, float(margins[j]), float(grid[j])))
-
-    # window cap on x1 over [0, T_w]
-    grid = _window_grid(s, s + T_w)
-    x1_vals = traj.at(grid)[:, 0]
-    margins = (U_eff - x1_vals) / U_eff
-    j = int(np.argmin(margins))
-    stages.append(("x1<=window", margins[j] >= -1e-9, float(margins[j]), float(grid[j])))
-
-    floor_stage("x2>=ell2", 1, dc.delta2, dur, floor2)
-    floor_stage("x3>=ell3", 2, dc.delta2 + dc.delta3, dur, floor3)
-    floor_stage("x4>=ell4", 3, dc.delta2 + dc.delta3 + delta4, T_w, floor4)
-
-    ok = all(st[1] for st in stages)
-    worst = min(stages, key=lambda st: st[2])
-    detail = "; ".join(f"{label} margin {m:.3g}" for label, _, m, _ in stages)
+    worst = min(stages, key=lambda st: st[1])
+    detail = "; ".join(f"{label} margin {m:.3g}" for label, m, _ in stages)
     return CheckResult(
         "cascade_lower_bounds",
-        PASS if ok else FAIL,
+        PASS if worst[1] >= -1e-9 else FAIL,
+        worst[1],
         worst[2],
-        worst[3],
         f"excursion [{excursion.start:.6g}, {excursion.end:.6g}]: {detail}",
     )
 
@@ -312,37 +284,33 @@ def check_cascade_lower_bounds(
 def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
     """W = x4 + c*x2 + d*x3 cannot climb while above gamma.
 
-    At every step node the chain-rule derivative of W must equal
-    alpha8*x1*(K - x4) to within 1e-12, and wherever the interpolant's W
-    exceeds gamma, between the nodes too, that derivative must be <= 1e-9.
+    By the chain rule dW/dt = (d*a5 - c*a4)*x2 + (a7 - d*a6)*x3
+    + c*a3*x1 - a8*x1*x4, which equals alpha8*x1*(K - x4) for every state
+    iff c*a4 = d*a5, d*a6 = a7 and c*a3 = a8*K; each must hold to 1e-12
+    relative.  Wherever the interpolant's W exceeds gamma, between the
+    nodes too, that derivative must be <= 1e-9.
     """
     _check_provenance(traj, cert)
     dc = DerivedConstants.from_params(p)
-    y = traj.y
-    f = field(p.as_tuple(), *y.T)
-    w_chain = dc.W(f[1], f[2], f[3])
-    w_alg = p.alpha8 * y[:, 0] * (dc.K - y[:, 3])
-    ident = np.abs(w_chain - w_alg)
-    i_worst = int(np.argmax(ident))
-    ident_ok = ident[i_worst] <= 1e-12
-    parts = [f"identity worst {ident[i_worst]:.3g} at t={traj.t[i_worst]:.6g}"]
-
-    margin = float(1e-12 - ident[i_worst])
-    location = float(traj.t[i_worst])
-    ok = ident_ok
+    pairs = (
+        (dc.c * p.alpha4, dc.d * p.alpha5),
+        (dc.d * p.alpha6, p.alpha7),
+        (dc.c * p.alpha3, p.alpha8 * dc.K),
+    )
+    ident = max(abs(lhs - rhs) / rhs for lhs, rhs in pairs)
+    margin, location = 1e-12 - ident, None
+    parts = [f"identity worst {ident:.3g} (c*a4 = d*a5, d*a6 = a7, c*a3 = a8*K)"]
     above = traj.W_rate_maximum(cert.gamma)
     if above is not None:
-        top, t_top, n = above
-        dec_ok = top <= 1e-9
-        parts.append(f"{n} step(s) above gamma {cert.gamma:.6g}, max Wdot there {top:.3g}")
-        if not dec_ok or 1e-9 - top < margin:
+        top, t_top = above
+        parts.append(f"W above gamma {cert.gamma:.6g}, max Wdot there {top:.3g}")
+        if 1e-9 - top < margin:
             margin, location = 1e-9 - top, t_top
-        ok = ok and dec_ok
     else:
-        parts.append(f"no sample above gamma {cert.gamma:.6g}; decrease part vacuous")
+        parts.append(f"W never above gamma {cert.gamma:.6g}; decrease part vacuous")
     return CheckResult(
         "W_decrease",
-        PASS if ok else FAIL,
+        PASS if margin >= 0.0 else FAIL,
         margin,
         location,
         "; ".join(parts),
@@ -429,6 +397,8 @@ def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> Ch
     random parameter sets (log-uniform in FORMULA_FUZZ_RANGE) and the
     worst outcome is folded into this single record.
     """
+    if fuzz_count < 0:
+        raise ValueError(f"fuzz must be >= 0, got {fuzz_count!r}")
     ok, margin, loc, detail = _propositions_eval(p)
     if fuzz_count > 0:
         rng = np.random.default_rng(fuzz_seed)

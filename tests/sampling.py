@@ -1,4 +1,4 @@
-"""Sampling grid for dense checks in the tests."""
+"""Sampling grids for dense checks in the tests."""
 
 import math
 
@@ -23,3 +23,9 @@ def scan_times(traj, max_dt=SCAN_DT):
             pieces.append(t[i] + h * np.arange(1, k) / k)
         pieces.append(t[i + 1 : i + 2])
     return np.concatenate(pieces)
+
+
+def window_grid(a, b, max_dt=0.005, min_pts=33):
+    """The uniform window grid the excursion lemma and cascade checks once sampled."""
+    n = max(min_pts, int(math.ceil((b - a) / max_dt)) + 1)
+    return np.linspace(a, b, n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import DEMO, GOLDEN, log_uniform
+from threshold import bisect_L_star
 
 from aifcert import (
     BoundCertificate,
@@ -23,6 +24,7 @@ from aifcert import (
     tau,
     window_upper,
 )
+from aifcert.verify import FORMULA_FUZZ_RANGE, random_params
 
 
 def fixed_point_tau(p: Params, L: float) -> float:
@@ -135,6 +137,16 @@ class TestThreshold:
             return v * ell4(DEMO, v, tau(DEMO, v))
 
         assert product(0.9 * L) < dc.theta < product(1.1 * L)
+
+    def test_matches_bisection_on_formula_fuzz_range(self):
+        # Newton on the quartic against the bracket-and-bisect reference
+        rng = np.random.default_rng(24)
+        for _ in range(500):
+            p = random_params(rng, *FORMULA_FUZZ_RANGE)
+            theta = DerivedConstants.from_params(p).theta
+            L = solve_L_star(p)
+            assert abs(L - bisect_L_star(p)) <= 1e-13 * L
+            assert abs(L * ell4(p, L, tau(p, L)) - theta) <= 1e-12 * theta
 
     def test_exceeds_coarse_lower_bound_on_fuzzed_rates(self):
         rng = np.random.default_rng(22)

@@ -52,6 +52,29 @@ class TestBounds:
     def test_short_x0_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--x0", "1,2,3", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"horizon": [1]}, "horizon"),
+            ({"params": 5}, "params"),
+            ({"x0": {"x": 5}}, "x0"),
+            ({"params": [1, 2, 3, 4, 5, 6, 7, None]}, "params"),
+            ({"fuzz": -3}, "fuzz"),
+        ],
+        ids=["horizon-list", "params-number", "x0-number", "params-null-rate", "fuzz-negative"],
+    )
+    def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "horizon": config.get("horizon", 2.0)}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_negative_fuzz_flag_exits_2(self, tmp_path, capsys):
+        assert main(["verify", "--horizon", "2", "--fuzz", "-3", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "fuzz" in err
+
 
 class TestSimulate:
     def test_writes_csv_and_summary(self, tmp_path, capsys):

@@ -303,6 +303,30 @@ class TestDenseOutput:
         assert np.diff(ts).max() <= SCAN_DT + 1e-12
 
 
+def observe(traj, name, times):
+    """An observable on the interpolant at the given times, from traj.at."""
+    x = traj.at(times)
+    if name == "p":
+        return x[..., 0] * x[..., 3]
+    if name == "W":
+        return DerivedConstants.from_params(traj.params).W(x[..., 1], x[..., 2], x[..., 3])
+    return x[..., int(name[1]) - 1]
+
+
+def extremum_windows(traj, steps):
+    """Windows over the given steps: inside one step, from and to mid-step, from and to a node."""
+    t = traj.t
+    k = steps[len(steps) // 2]
+    h = t[k + 1] - t[k]
+    far = min(k + 15, steps[-1])
+    return [
+        (t[k] + 0.2 * h, t[k] + 0.7 * h),
+        (t[k] + 0.3 * h, t[far] + 0.6 * (t[far + 1] - t[far])),
+        (t[k], t[far] + 0.5 * (t[far + 1] - t[far])),
+        (t[k] + 0.5 * h, t[far + 1]),
+    ]
+
+
 class TestMaximum:
     @pytest.fixture(scope="class")
     def overshoot(self):
@@ -311,7 +335,7 @@ class TestMaximum:
     @pytest.mark.parametrize("i", range(4))
     def test_interpolant_maximum(self, overshoot, i):
         traj = overshoot
-        top, t_top = traj.maximum(i)
+        top, t_top = traj.maximum(f"x{i + 1}")
         assert top >= traj.y[:, i].max()
         assert traj.at(scan_times(traj, 0.01))[:, i].max() <= top
         grid = np.arange(max(0.0, t_top - 0.01), min(30.0, t_top + 0.01), 1e-5)
@@ -320,13 +344,93 @@ class TestMaximum:
 
     def test_bump_between_nodes(self):
         traj = bump_trajectory()
-        top, t_top = traj.maximum(0)
+        top, t_top = traj.maximum("x1")
         grid = np.arange(0.0, 0.04, 1e-5)
         x1 = traj.at(grid)[:, 0]
         assert top > 1.5
         # a 1e-5 grid on a 0.04-long step with curvature 5.6 misses the top by <= 2e-8
         assert 0.0 <= top - x1.max() <= 1e-7
         assert abs(t_top - grid[np.argmax(x1)]) <= 1e-5
+
+    def test_window_ends_within_rounding_of_the_span(self, overshoot):
+        assert overshoot.maximum("x1", -5e-13, 30.0 + 5e-13) == overshoot.maximum("x1")
+        assert overshoot.minimum("x4", 30.0, 30.0 + 5e-13)[1] == 30.0
+        assert overshoot.W_rate_maximum(1e9) is None
+
+    def test_rejects_bad_window_and_observable(self, overshoot):
+        with pytest.raises(ValueError):
+            overshoot.maximum("x1", 2.0, 1.0)
+        with pytest.raises(ValueError):
+            overshoot.minimum("p", 0.0, 31.0)
+        with pytest.raises(ValueError):
+            overshoot.maximum("x5")
+
+
+@pytest.fixture(scope="module")
+def window_cases(demo_traj):
+    """Trajectory and windows by kind of dense row: DOPRI5, RODAS4 Hermite, rebuilt samples."""
+    overshoot = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
+    stiff_from = len(overshoot.t) - 1 - overshoot.stats["stiff_steps"]
+    samples = Trajectory.from_samples(DEMO, demo_traj.t[:300], demo_traj.y[:300])
+    return {
+        "dopri5": (demo_traj, extremum_windows(demo_traj, range(2000, 2100))),
+        "rodas4": (overshoot, extremum_windows(overshoot, range(stiff_from + 50, stiff_from + 150))),
+        "samples": (samples, extremum_windows(samples, range(100, 200)) + [(0.0, samples.t[-1])]),
+    }
+
+
+class TestWindowedExtrema:
+    @pytest.mark.parametrize("kind", ["dopri5", "rodas4", "samples"])
+    @pytest.mark.parametrize("name", sim.OBSERVABLES)
+    def test_matches_brute_force_grid(self, window_cases, kind, name):
+        traj, windows = window_cases[kind]
+        for a, b in windows:
+            grid = np.append(np.arange(a, b, 1e-5), b)
+            vals = observe(traj, name, grid)
+            scale = max(1.0, np.abs(vals).max())
+            for sign, search in ((1.0, traj.maximum), (-1.0, traj.minimum)):
+                top, t_top = search(name, a, b)
+                assert a <= t_top <= b
+                best = vals.max() if sign > 0 else vals.min()
+                # no grid point beats the search, and the search beats the
+                # grid by no more than the grid's resolution allows
+                assert sign * (top - best) >= -1e-13 * scale, (a, b, sign)
+                assert sign * (top - best) <= 1e-8 * scale, (a, b, sign)
+                assert observe(traj, name, t_top) == pytest.approx(top, rel=1e-12, abs=1e-13 * scale)
+
+    @pytest.mark.parametrize("name", sim.OBSERVABLES)
+    def test_whole_span_of_integrated_trajectory(self, demo_traj, name):
+        traj = demo_traj
+        for sign, search in ((1.0, traj.maximum), (-1.0, traj.minimum)):
+            top, t_top = search(name)
+            assert (top, t_top) == search(name, 0.0, 100.0)
+            coarse = sign * observe(traj, name, scan_times(traj, 1e-3))
+            assert coarse.max() <= sign * top + 1e-13 * abs(top)
+            grid = np.arange(max(0.0, t_top - 0.01), min(100.0, t_top + 0.01), 1e-5)
+            near = sign * observe(traj, name, grid)
+            assert sign * top - near.max() <= 1e-8 * max(1.0, abs(top))
+
+
+    @pytest.mark.parametrize("quantile", [0.3, 0.6, 0.9])
+    def test_rate_maximum_only_where_W_above_gamma(self, window_cases, quantile):
+        # gamma inside W's range, so the stretches above it begin and end
+        # inside steps and the rate peaks outside them too
+        traj = window_cases["rodas4"][0]
+        dc = DerivedConstants.from_params(traj.params)
+        grid = np.arange(0.0, 30.0, 1e-4)
+        x = traj.at(grid)
+        W = dc.W(x[:, 1], x[:, 2], x[:, 3])
+        gamma = float(np.quantile(W, quantile))
+        rate = traj.params.alpha8 * x[:, 0] * (dc.K - x[:, 3])
+        top, t_top = traj.W_rate_maximum(gamma)
+        assert rate[W > gamma].max() <= top + 1e-12 * abs(top) and top < rate.max()
+        # the top is attained where W >= gamma, up to a 1e-8 grid around it
+        near = np.arange(max(0.0, t_top - 1e-4), min(30.0, t_top + 1e-4), 1e-8)
+        x = traj.at(near)
+        above = dc.W(x[:, 1], x[:, 2], x[:, 3]) > gamma
+        rate_near = traj.params.alpha8 * x[:, 0] * (dc.K - x[:, 3])
+        assert top - rate_near[above].max() <= 1e-7 * abs(top)
+        assert observe(traj, "W", t_top) >= gamma * (1.0 - 1e-12)
 
 
 class TestFixedStepOrder:

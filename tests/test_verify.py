@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import DEMO, log_uniform
+from sampling import window_grid
 
 from aifcert import (
+    Excursion,
     Params,
     State,
     Trajectory,
@@ -19,6 +22,7 @@ from aifcert import (
     check_excursion_lemma,
     check_global_bounds,
     check_propositions,
+    ell2,
     equilibrium,
     excursions_above,
     integrate,
@@ -92,6 +96,28 @@ class TestExcursionLemma:
         assert res.location is not None
 
 
+    def test_margin_is_exact_minimum_of_product(self):
+        # the margin is that of xdot1 < -1e-9*alpha1 at the smallest x1*x4
+        # on any window [start+T0, end]; no point of a fine grid goes lower
+        x0 = State.from_sequence([10.0, 0.0, 0.0, 0.0])
+        traj = integrate(DEMO, x0, 30.0)
+        cert = dataclasses.replace(certificate(DEMO, x0), T0=0.2)
+        res = check_excursion_lemma(traj, DEMO, cert)
+        x1max = traj.maximum("x1")[0]
+        grid_min = np.inf
+        for L in np.geomspace(cert.L_used, x1max, 9)[1:]:
+            for e in excursions_above(traj, L):
+                if e.duration >= cert.T0:
+                    x = traj.at(np.arange(e.start + cert.T0, e.end, 1e-4))
+                    grid_min = min(grid_min, (x[:, 0] * x[:, 3]).min())
+        a1, a2 = DEMO.alpha1, DEMO.alpha2
+        grid_margin = (a2 * grid_min - a1 - 1e-9 * a1) / a1
+        assert "qualifying" in res.detail and np.isfinite(grid_min)
+        assert grid_margin - 1e-6 <= res.margin <= grid_margin + 1e-12
+        x = traj.at(res.location)
+        assert (a2 * x[0] * x[3] - a1 - 1e-9 * a1) / a1 == pytest.approx(res.margin, abs=1e-12)
+
+
 class TestCascadeLowerBounds:
     def test_short_excursion_is_not_applicable(self):
         x0 = State.from_sequence([10.0, 0.0, 0.0, 0.0])
@@ -113,6 +139,25 @@ class TestCascadeLowerBounds:
             assert res.status == "pass", res.detail
             assert res.margin > 0.0
 
+    def test_dip_between_window_grid_points_fails(self):
+        # x2 sits on its equilibrium value 1 except at one node where it is
+        # 0.4, below ell2(0.1) = 0.5; the node and its neighbours 0.001 away
+        # lie strictly between two points of the old 0.005 window grid,
+        # which therefore saw no violation
+        eq = equilibrium(DEMO).as_tuple()
+        s, dur, T0 = 0.0, 2.0, 1.0
+        grid = window_grid(s + math.log(2.0), s + dur)  # the x2 stage's window
+        t_dip = 0.5 * (grid[100] + grid[101])
+        dip = (eq[0], 0.4, eq[2], eq[3])
+        t = [0.0, t_dip - 0.001, t_dip, t_dip + 0.001, dur]
+        traj = Trajectory.from_samples(DEMO, t, [eq, eq, dip, eq, eq])
+        assert traj.at(grid)[:, 1].min() >= ell2(DEMO, 0.1)
+        res = check_cascade_lower_bounds(traj, DEMO, 0.1, Excursion(0.1, s, dur), T0=T0)
+        assert res.status == "fail"
+        assert t_dip - 0.001 < res.location < t_dip + 0.001
+        assert res.margin == pytest.approx((traj.minimum("x2")[0] - 0.5) / 0.5, rel=1e-12)
+        assert res.margin < -0.2
+
     def test_overstated_floor_fails(self, demo_traj):
         # widen the window beyond the excursion: not applicable again
         e = excursions_above(demo_traj, 0.2)[0]
@@ -126,6 +171,21 @@ class TestWDecrease:
         res = check_W_decrease(demo_traj, DEMO, cert)
         assert res.status == "pass"
         assert "identity" in res.detail
+        assert "W never above gamma" in res.detail
+
+    def test_tampered_weight_breaks_identity(self, demo_traj, monkeypatch):
+        # c off by 1e-9 relative breaks c*a4 = d*a5 and c*a3 = a8*K
+        cert = certificate(DEMO, State.zero())
+        exact = DerivedConstants.from_params.__func__
+
+        def tampered(cls, p):
+            dc = exact(cls, p)
+            return dataclasses.replace(dc, c=dc.c * (1.0 + 1e-9))
+
+        monkeypatch.setattr(DerivedConstants, "from_params", classmethod(tampered))
+        res = check_W_decrease(demo_traj, DEMO, cert)
+        assert res.status == "fail"
+        assert res.margin < 0.0
 
     def test_decrease_from_high_start(self):
         x0 = State.from_sequence([0.0, 0.0, 0.0, 100.0])
@@ -189,6 +249,10 @@ class TestPropositions:
         res = check_propositions(DEMO, fuzz_count=100, fuzz_seed=1729)
         assert res.status == "pass"
         assert "0 failure(s)" in res.detail
+
+    def test_negative_fuzz_count_rejected(self):
+        with pytest.raises(ValueError, match="fuzz"):
+            check_propositions(DEMO, fuzz_count=-3)
 
 
 class TestReport:
