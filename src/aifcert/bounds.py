@@ -213,7 +213,7 @@ def certificate(p: Params, x0: State, L_override: float | None = None) -> BoundC
         L_used = L_star
     dc = DerivedConstants.from_params(p)
     T0 = tau(p, L_used)
-    M1 = max(x0.x1, L_used) + p.alpha1 * T0
+    M1 = window_upper(p, max(x0.x1, L_used), T0)
     M2 = max(x0.x2, (p.alpha3 / p.alpha4) * M1)
     M3 = max(x0.x3, (p.alpha5 / p.alpha6) * M2)
     W0 = dc.W(x0.x2, x0.x3, x0.x4)

@@ -61,8 +61,16 @@ def _coerce_state(obj) -> State:
     return State.from_json(obj) if isinstance(obj, dict) else State.from_sequence(obj)
 
 
+def _count(value) -> int:
+    """A non-negative integer, from JSON or from flag text (not 2.7, true or -1)."""
+    n = int(value) if type(value) in (int, str) else None
+    if n is None or n < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return n
+
+
 # Config values, from the JSON file or from flag text, are read by their field's type.
-_READ = {"Params": _coerce_params, "State": _coerce_state, "float": float, "int": int, "str": str}
+_READ = {"Params": _coerce_params, "State": _coerce_state, "float": float, "int": _count, "str": str}
 _COERCE = {f.name: _READ[f.type.split(" | ")[0]] for f in fields(RunConfig)}
 
 # Config keys that can also be set by a flag; flags win over the file.
@@ -138,20 +146,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    try:
-        traj = integrate(cfg.params, cfg.x0, cfg.horizon, cfg.rel_tol, cfg.abs_tol)
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 1
+    traj = integrate(cfg.params, cfg.x0, cfg.horizon, cfg.rel_tol, cfg.abs_tol)
     out = _outdir(cfg)
     path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, path)
-    m = traj.y.max(axis=0)
     print(f"steps = {len(traj.t) - 1}")
-    print(
-        f"max x1 = {m[0]:.4f}, max x2 = {m[1]:.4f}, "
-        f"max x3 = {m[2]:.4f}, max x4 = {m[3]:.4f}"
-    )
+    print(", ".join(f"max x{i} = {traj.maximum(f'x{i}')[0]:.4f}" for i in range(1, 5)))
     print(f"wrote {path}")
     return 0
 
@@ -166,23 +166,19 @@ def cmd_verify(cfg: RunConfig) -> int:
             cert = BoundCertificate.from_json(json.load(fh))
     traj = None
     if cfg.trajectory_csv is not None:
-        traj = read_trajectory_csv(cfg.trajectory_csv, cfg.params, cfg.rel_tol, cfg.abs_tol)
-    try:
-        report = build_report(
-            cfg.params,
-            cfg.x0,
-            horizon=cfg.horizon,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            L_override=cfg.L0,
-            cert=cert,
-            traj=traj,
-            fuzz_count=cfg.fuzz,
-            fuzz_seed=cfg.seed,
-        )
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 1
+        traj = read_trajectory_csv(cfg.trajectory_csv, cfg.params)
+    report = build_report(
+        cfg.params,
+        cfg.x0,
+        horizon=cfg.horizon,
+        rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol,
+        L_override=cfg.L0,
+        cert=cert,
+        traj=traj,
+        fuzz_count=cfg.fuzz,
+        fuzz_seed=cfg.seed,
+    )
     out = _outdir(cfg)
     path = os.path.join(out, "report.json")
     _write_json(path, report.to_json())
@@ -199,13 +195,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_plot(cfg: RunConfig) -> int:
     if cfg.trajectory_csv is not None:
-        traj = read_trajectory_csv(cfg.trajectory_csv, cfg.params, cfg.rel_tol, cfg.abs_tol)
+        traj = read_trajectory_csv(cfg.trajectory_csv, cfg.params)
     else:
-        try:
-            traj = integrate(cfg.params, cfg.x0, cfg.horizon, cfg.rel_tol, cfg.abs_tol)
-        except IntegrationError as exc:
-            print(f"integration failed: {exc}", file=sys.stderr)
-            return 1
+        traj = integrate(cfg.params, cfg.x0, cfg.horizon, cfg.rel_tol, cfg.abs_tol)
     cert = certificate(cfg.params, cfg.x0, cfg.L0)
     out = _outdir(cfg)
     p_states = os.path.join(out, "states.svg")
@@ -242,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=h)
         sp.add_argument("--config", help="JSON config file")
         for key, text in _FLAGS.items():
-            kind = _COERCE[key] if _COERCE[key] in (float, int) else None
-            sp.add_argument(f"--{key}", type=kind, help=text)
+            sp.add_argument(f"--{key}", help=text)
     return ap
 
 
@@ -256,6 +247,9 @@ def main(argv=None) -> int:
     except (CertificateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -153,6 +152,9 @@ _S1, _S2, _S3, _S4, _S5, _S6 = _B1 - _A61, -_A62, _B3 - _A63, _B4 - _A64, _B5 - 
 
 OBSERVABLES = ("x1", "x2", "x3", "x4", "p", "W")
 
+# Spacing of the uniform grid that trajectory CSVs hold besides the step nodes.
+_CSV_STEP = 0.01
+
 
 class IntegrationError(RuntimeError):
     """Integration could not continue; carries the last valid time."""
@@ -198,14 +200,12 @@ class Trajectory:
     trajectories rebuilt from samples.
     """
 
-    def __init__(self, params, x0, t, y, dense, rel_tol, abs_tol, error_estimate, stats=None):
+    def __init__(self, params, x0, t, y, dense, error_estimate, stats=None):
         self.params = params
         self.x0 = x0
         self.t = t
         self.y = y
         self._dense = dense  # (n-1, 4 components, 4 powers of s)
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
         self.error_estimate = error_estimate
         self.stats = MappingProxyType(dict(stats or {}))
 
@@ -240,22 +240,6 @@ class Trajectory:
         np.maximum(vals, 0.0, out=vals)
         return vals[0] if scalar else vals
 
-    @cached_property
-    def _x1(self):
-        coef = _coefficients(self, "x1")
-        return (coef, *_hull(coef))
-
-    def _pieces(self, name: str):
-        """Per-step coefficients and hull of an observable.
-
-        Cached for x1, which every excursion query of a report reads;
-        the others are rebuilt on each call so memory stays flat.
-        """
-        if name == "x1":
-            return self._x1
-        coef = _coefficients(self, name)
-        return (coef, *_hull(coef))
-
     def maximum(self, observable: str, start: float | None = None, end: float | None = None):
         """Largest value of an observable on the interpolant over [start, end], and its time.
 
@@ -287,7 +271,7 @@ class Trajectory:
         return _extremum(self, rate, where=above)
 
     @classmethod
-    def from_samples(cls, params, t, y, rel_tol=1e-8, abs_tol=1e-10):
+    def from_samples(cls, params, t, y):
         """Rebuild a trajectory from plain samples (e.g. a CSV round trip).
 
         Interpolation uses cubic Hermite pieces with analytic
@@ -310,7 +294,7 @@ class Trajectory:
         f = np.stack(field(params.as_tuple(), *y.T), axis=-1)
         dense = _hermite(np.diff(t)[:, None], np.diff(y, axis=0), f[:-1], f[1:])
         x0 = State.from_clamped(y[0])
-        return cls(params, x0, t, y, dense, rel_tol, abs_tol, np.zeros(4))
+        return cls(params, x0, t, y, dense, np.zeros(4))
 
 
 def _hermite(h, dy, f0, f1):
@@ -543,7 +527,11 @@ def integrate(
     t = 0.0
     y = x0.as_tuple()
     k1 = field(a, *y)
-    h = _initial_step(a, y, k1, rel_tol, abs_tol, horizon)
+    try:
+        h = _initial_step(a, y, k1, rel_tol, abs_tol, horizon)
+    except OverflowError:
+        msg = f"abs_tol {abs_tol!r} is too small: the starting step's error norm overflows"
+        raise IntegrationError(msg, t) from None
 
     ts = array("d", [0.0])
     ys = array("d", y)
@@ -648,8 +636,8 @@ def integrate(
     stats = dict(accepted=len(hs), rejected_error=rejected_error, rejected_orthant=rejected_orthant,
                  rejected_nonfinite=rejected_nonfinite, nfev=nfev, stiff_steps=len(hs) - m,
                  switches=int(stiff))
-    return Trajectory(p, x0, np.frombuffer(ts), y_arr, dense,
-                      rel_tol, abs_tol, np.array([acc1, acc2, acc3, acc4]), stats)
+    error_estimate = np.array([acc1, acc2, acc3, acc4])
+    return Trajectory(p, x0, np.frombuffer(ts), y_arr, dense, error_estimate, stats)
 
 
 def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
@@ -888,7 +876,8 @@ def first_hitting(traj: Trajectory, observable: str, level: float, direction: st
     if direction not in ("from-below", "from-above"):
         raise ValueError(f"direction must be 'from-below' or 'from-above', got {direction!r}")
     level = float(level)
-    coef, lo, hi = traj._pieces(observable)
+    coef = _coefficients(traj, observable)
+    lo, hi = _hull(coef)
     if coef[0, 0] == level:
         return traj.t0
     if level < 0.0 or (level == 0.0 and direction == "from-below"):
@@ -906,7 +895,8 @@ def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
     if not math.isfinite(level) or level <= 0.0:
         raise ValueError(f"level must be finite and > 0, got {level!r}")
     start = bool(traj.y[0, 0] >= level)
-    ends = _crossings(traj, *traj._pieces("x1"), level, start).tolist()
+    coef = _coefficients(traj, "x1")
+    ends = _crossings(traj, coef, *_hull(coef), level, start).tolist()
     if start:
         ends.insert(0, traj.t0)
     if len(ends) % 2:
@@ -914,13 +904,13 @@ def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
     return [Excursion(level, a, b) for a, b in zip(ends[::2], ends[1::2])]
 
 
-def write_trajectory_csv(traj: Trajectory, path, dt: float = 0.01) -> None:
-    """Write `t,x1,x2,x3,x4` rows at the step nodes plus a uniform grid.
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write `t,x1,x2,x3,x4` rows at the step nodes plus a uniform grid, _CSV_STEP apart.
 
     Full double precision (17 significant digits) and LF line endings,
     so files round-trip bit-exactly across platforms.
     """
-    grid = np.arange(traj.t[0], traj.t[-1] + 0.5 * dt, dt)
+    grid = np.arange(traj.t[0], traj.t[-1] + 0.5 * _CSV_STEP, _CSV_STEP)
     grid = grid[grid <= traj.t[-1]]
     ts = np.union1d(traj.t, grid)
     table = np.column_stack([ts, traj.at(ts)])
@@ -933,7 +923,7 @@ def write_trajectory_csv(traj: Trajectory, path, dt: float = 0.01) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def read_trajectory_csv(path, params: Params, rel_tol: float = 1e-8, abs_tol: float = 1e-10) -> Trajectory:
+def read_trajectory_csv(path, params: Params) -> Trajectory:
     """Load a trajectory CSV written by write_trajectory_csv."""
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
@@ -942,4 +932,4 @@ def read_trajectory_csv(path, params: Params, rel_tol: float = 1e-8, abs_tol: fl
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[1] != 5:
         raise ValueError(f"expected 5 columns, got {data.shape[1]}")
-    return Trajectory.from_samples(params, data[:, 0], data[:, 1:], rel_tol, abs_tol)
+    return Trajectory.from_samples(params, data[:, 0], data[:, 1:])

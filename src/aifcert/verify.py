@@ -9,7 +9,9 @@ Every check quantifies over what its claim quantifies over: the
 interpolant, through the exact windowed extrema of Trajectory.maximum
 and Trajectory.minimum (the lemma reads the polynomial of p = x1*x4,
 since xdot1 = alpha1 - alpha2*p), or a closed form.  Nothing here
-samples or differences the trajectory.
+samples or differences the trajectory.  The lemma and the cascade read
+one set of excursions, those above L_used: an excursion above any higher
+level, and its window [start+T0, end], lies inside one of them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .bounds import (
     ell4,
     solve_L_star,
     tau,
+    window_upper,
 )
 from .model import DerivedConstants, Params, State
 from .simulate import (
@@ -164,12 +167,14 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
 def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
     """After the waiting time, species 1 is strictly decreasing.
 
-    For every excursion above any grid level L > L_used that lasts at
-    least T0, both xdot1 < 0 (strictly, below -1e-9*alpha1) and
-    x1*x4 > theta must hold on [start + T0, end].  Both follow from the
-    exact minimum of p = x1*x4 on that window, because
-    xdot1 = alpha1 - alpha2*p.  If no excursion lasts that long the
-    check passes vacuously and says so.
+    For every level L >= L_used and every excursion above L that lasts
+    at least T0, both xdot1 < 0 (strictly, below -1e-9*alpha1) and
+    x1*x4 > theta must hold on [start + T0, end].  An excursion above L
+    lies inside one above L_used, and so does its window, so checking
+    the excursions above L_used covers every level.  Both claims follow
+    from the exact minimum of p = x1*x4 on each window, because
+    xdot1 = alpha1 - alpha2*p.  If no excursion lasts T0 the check
+    passes vacuously and says so.
     """
     L_used, T0 = cert.L_used, cert.T0
 
@@ -183,32 +188,25 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
             f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}",
         )
 
-    levels = np.geomspace(L_used, x1max, 9)[1:]
-    qualifying = 0
-    worst_margin = math.inf
-    worst_loc = None
-    longest = 0.0
-    for L in levels:
-        for exc in excursions_above(traj, float(L)):
-            longest = max(longest, exc.duration)
-            if exc.duration < T0:
-                continue
-            qualifying += 1
-            low, t_low = traj.minimum("p", exc.start + T0, exc.end)
-            margin = (p.alpha2 * low - p.alpha1 - _STRICT_NEG * p.alpha1) / p.alpha1
-            if margin < worst_margin:
-                worst_margin, worst_loc = margin, t_low
-    if qualifying == 0:
+    excs, qualifying = _long_excursions(traj, cert)
+    if not qualifying:
+        longest = max((e.duration for e in excs), default=0.0)
         return CheckResult(
             "excursion_lemma",
             PASS,
             None,
             None,
-            f"vacuous: no excursion above the level grid lasted >= T0 {T0:.6g} "
+            f"vacuous: no excursion above L_used {L_used:.6g} lasted >= T0 {T0:.6g} "
             f"(longest {longest:.6g})",
         )
+    worst_margin, worst_loc = math.inf, None
+    for exc in qualifying:
+        low, t_low = traj.minimum("p", exc.start + T0, exc.end)
+        margin = (p.alpha2 * low - p.alpha1 - _STRICT_NEG * p.alpha1) / p.alpha1
+        if margin < worst_margin:
+            worst_margin, worst_loc = margin, t_low
     detail = (
-        f"{qualifying} qualifying excursion(s); strict decrease and product "
+        f"{len(qualifying)} qualifying excursion(s); strict decrease and product "
         f"threshold checked on [start+T0, end]"
     )
     return CheckResult(
@@ -256,7 +254,7 @@ def check_cascade_lower_bounds(
 
     dc = DerivedConstants.from_params(p)
     s = excursion.start
-    U_eff = max(L, float(traj.at(s)[0])) + p.alpha1 * T_w
+    U_eff = window_upper(p, max(L, float(traj.at(s)[0])), T_w)
     delta4 = math.log(2.0) / (p.alpha8 * U_eff)
     top, t_top = traj.maximum("x1", s, s + T_w)
     stages = [("x1<=window", (U_eff - top) / U_eff, t_top)]  # (label, margin, location)
@@ -449,10 +447,15 @@ def build_report(
     return VerificationReport(tuple(checks), p, x0, cert)
 
 
+def _long_excursions(traj: Trajectory, cert: BoundCertificate):
+    """The excursions above L_used, and those of them that last T0."""
+    excs = excursions_above(traj, cert.L_used)
+    return excs, [e for e in excs if e.duration >= cert.T0]
+
+
 def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
     """One aggregated cascade record over the certificate-level excursions."""
-    excs = excursions_above(traj, cert.L_used)
-    qualifying = [e for e in excs if e.duration >= cert.T0]
+    excs, qualifying = _long_excursions(traj, cert)
     if not qualifying:
         longest = max((e.duration for e in excs), default=0.0)
         return CheckResult(

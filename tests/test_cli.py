@@ -10,7 +10,7 @@ import pytest
 
 from conftest import DEMO
 
-from aifcert import BoundCertificate, State, build_report
+from aifcert import BoundCertificate, State, build_report, integrate
 from aifcert.cli import main
 
 SUMMARY = "T0 / M1 / M2 / M3 / M4 = 1.3936 / 3.1436 / 31.4364 / 31.4364 / 63.2062"
@@ -60,8 +60,12 @@ class TestBounds:
             ({"x0": {"x": 5}}, "x0"),
             ({"params": [1, 2, 3, 4, 5, 6, 7, None]}, "params"),
             ({"fuzz": -3}, "fuzz"),
+            ({"fuzz": 2.7}, "fuzz"),
+            ({"fuzz": True}, "fuzz"),
+            ({"seed": -1}, "seed"),
         ],
-        ids=["horizon-list", "params-number", "x0-number", "params-null-rate", "fuzz-negative"],
+        ids=["horizon-list", "params-number", "x0-number", "params-null-rate", "fuzz-negative",
+             "fuzz-fraction", "fuzz-bool", "seed-negative"],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
@@ -75,8 +79,54 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "fuzz" in err
 
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["--seed", "-1", "--fuzz", "2"], "seed"),
+            (["--fuzz", "-3"], "fuzz"),
+            (["--fuzz", "2.7"], "fuzz"),
+        ],
+        ids=["seed-negative", "fuzz-negative", "fuzz-fraction"],
+    )
+    def test_bad_count_flag_exits_2_before_integrating(self, tmp_path, capsys, monkeypatch,
+                                                       argv, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before the flags were rejected")
+
+        monkeypatch.setattr("aifcert.verify.integrate", refuse)
+        assert main(["verify", "--horizon", "400", *argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+class TestIntegrationFailure:
+    @pytest.mark.parametrize("command", ["simulate", "verify", "plot"])
+    @pytest.mark.parametrize(
+        "abs_tol,reason",
+        # 1e-150 leaves a starting step below the underflow limit; at
+        # 1e-160 the starting step's error norm overflows
+        [(1e-150, "step size underflow"), (1e-160, "abs_tol 1e-160 is too small")],
+        ids=["step-underflow", "norm-overflow"],
+    )
+    def test_exits_1_with_message(self, tmp_path, capsys, command, abs_tol, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"abs_tol": abs_tol, "horizon": 1}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("integration failed: ") and reason in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestSimulate:
+    def test_summary_prints_interpolant_maxima(self, tmp_path, capsys):
+        # node maxima would print max x1 = 0.7652; the interpolant peaks
+        # between nodes at 0.765256
+        assert main(["simulate", "--horizon", "100", "--out", str(tmp_path)]) == 0
+        line = [s for s in capsys.readouterr().out.splitlines() if s.startswith("max x1")]
+        printed = [part.split(" = ")[1] for part in line[0].split(", ")]
+        traj = integrate(DEMO, State.zero(), 100.0)
+        assert printed == [f"{traj.maximum(f'x{i}')[0]:.4f}" for i in range(1, 5)]
+        assert printed[0] == "0.7653"
+
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         assert main(["simulate", "--horizon", "30", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -10,6 +10,7 @@ import pytest
 from conftest import DEMO, log_uniform
 from sampling import window_grid
 
+import aifcert.verify
 from aifcert import (
     Excursion,
     Params,
@@ -95,6 +96,26 @@ class TestExcursionLemma:
         assert res.margin < 0.0
         assert res.location is not None
 
+    def test_long_excursion_just_above_L_used_fails(self):
+        # x1 stays at 1.05, just above L_used = 1, from t = 0.5 to 2.6, with
+        # x1*x4 = 0.03 < a1/a2 at the nodes, so x1 is not falling long after
+        # T0 = 1; a spike to 3 at t = 1.1 lifts every level of a geometric
+        # grid between L_used and max x1 above 1.05, where the one excursion
+        # is short
+        t = [0.0, 0.5, 1.0, 1.1, 1.2, 1.6, 2.0, 2.6, 3.0]
+        x1 = np.array([0.5, 1.05, 1.05, 3.0, 1.05, 1.05, 1.05, 1.05, 0.5])
+        y = np.column_stack([x1, np.full(9, 0.3), np.full(9, 0.3), 0.9 / (30.0 * x1)])
+        traj = Trajectory.from_samples(DEMO, t, y)
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), L_used=1.0, T0=1.0)
+        (e,) = excursions_above(traj, 1.0)
+        assert e.duration > 2.0
+        for L in np.geomspace(1.0, traj.maximum("x1")[0], 9)[1:]:
+            assert all(f.duration < 1.0 for f in excursions_above(traj, L))
+        res = check_excursion_lemma(traj, DEMO, cert)
+        assert res.status == "fail"
+        assert res.margin < -0.05
+        assert e.start + 1.0 <= res.location <= e.end
+
 
     def test_margin_is_exact_minimum_of_product(self):
         # the margin is that of xdot1 < -1e-9*alpha1 at the smallest x1*x4
@@ -103,13 +124,11 @@ class TestExcursionLemma:
         traj = integrate(DEMO, x0, 30.0)
         cert = dataclasses.replace(certificate(DEMO, x0), T0=0.2)
         res = check_excursion_lemma(traj, DEMO, cert)
-        x1max = traj.maximum("x1")[0]
         grid_min = np.inf
-        for L in np.geomspace(cert.L_used, x1max, 9)[1:]:
-            for e in excursions_above(traj, L):
-                if e.duration >= cert.T0:
-                    x = traj.at(np.arange(e.start + cert.T0, e.end, 1e-4))
-                    grid_min = min(grid_min, (x[:, 0] * x[:, 3]).min())
+        for e in excursions_above(traj, cert.L_used):
+            if e.duration >= cert.T0:
+                x = traj.at(np.arange(e.start + cert.T0, e.end, 1e-4))
+                grid_min = min(grid_min, (x[:, 0] * x[:, 3]).min())
         a1, a2 = DEMO.alpha1, DEMO.alpha2
         grid_margin = (a2 * grid_min - a1 - 1e-9 * a1) / a1
         assert "qualifying" in res.detail and np.isfinite(grid_min)
@@ -249,6 +268,14 @@ class TestPropositions:
         res = check_propositions(DEMO, fuzz_count=100, fuzz_seed=1729)
         assert res.status == "pass"
         assert "0 failure(s)" in res.detail
+
+    def test_tau_not_decreasing_fails(self, monkeypatch):
+        # tau held constant above L = 10 breaks its strict decrease
+        monkeypatch.setattr(aifcert.verify, "tau", lambda p, L: tau(p, min(L, 10.0)))
+        res = check_propositions(DEMO)
+        assert res.status == "fail"
+        assert "tau decreasing failed" in res.detail
+        assert res.margin <= 0.0
 
     def test_negative_fuzz_count_rejected(self):
         with pytest.raises(ValueError, match="fuzz"):
