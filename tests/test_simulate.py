@@ -44,44 +44,34 @@ def _step_cases():
     return cases
 
 
-def reference_dp54_step(f, y, h, k1):
-    """Dormand-Prince step in loop form over the components."""
-    k2 = f(tuple(y[i] + h * (sim._A21 * k1[i]) for i in range(4)))
-    k3 = f(tuple(y[i] + h * (sim._A31 * k1[i] + sim._A32 * k2[i]) for i in range(4)))
-    k4 = f(
-        tuple(
-            y[i] + h * (sim._A41 * k1[i] + sim._A42 * k2[i] + sim._A43 * k3[i])
-            for i in range(4)
-        )
-    )
-    k5 = f(
-        tuple(
-            y[i]
-            + h * (sim._A51 * k1[i] + sim._A52 * k2[i] + sim._A53 * k3[i] + sim._A54 * k4[i])
-            for i in range(4)
-        )
-    )
-    k6 = f(
-        tuple(
-            y[i]
-            + h
-            * (
-                sim._A61 * k1[i]
-                + sim._A62 * k2[i]
-                + sim._A63 * k3[i]
-                + sim._A64 * k4[i]
-                + sim._A65 * k5[i]
-            )
-            for i in range(4)
-        )
-    )
-    y5 = tuple(
-        y[i]
-        + h
-        * (sim._B1 * k1[i] + sim._B3 * k3[i] + sim._B4 * k4[i] + sim._B5 * k5[i] + sim._B6 * k6[i])
-        for i in range(4)
-    )
-    return y5, (k1, k2, k3, k4, k5, k6, f(y5))
+def reference_taylor(a, y):
+    """Taylor coefficients of orders 1 to 6 in loop form, (4 components, 6 orders).
+
+    Order 1 is the field; order k+1 is the linear part of order k over
+    k+1, with p = x1*x4 contributing the Cauchy product sum_j x1_j*x4_(k-j).
+    """
+    _, a2, a3, a4, a5, a6, a7, a8 = a
+    x1, x2, x3, x4 = ([v, f] for v, f in zip(y, field(a, *y)))
+    for k in range(1, 6):
+        p = x1[0] * x4[k]
+        for j in range(1, k + 1):
+            p += x1[j] * x4[k - j]
+        x2.append((a3 * x1[k] - a4 * x2[k]) / (k + 1))
+        x3.append((a5 * x2[k] - a6 * x3[k]) / (k + 1))
+        x4.append((a7 * x3[k] - a8 * p) / (k + 1))
+        x1.append(-a2 * p / (k + 1))
+    return np.array([x1[1:], x2[1:], x3[1:], x4[1:]])
+
+
+def reference_taylor_end(y, coef, h):
+    """The Taylor polynomial at step h, each component summed by Horner's rule in loop form."""
+    ends = []
+    for yi, row in zip(y, coef):
+        v = row[-1]
+        for ck in row[-2::-1]:
+            v = ck + h * v
+        ends.append(yi + h * v)
+    return np.array(ends)
 
 
 def jacobian(p, y):
@@ -272,10 +262,18 @@ class TestIntegrate:
 
 class TestDenseOutput:
     def test_interpolant_weights_sum_to_solution_weights(self):
-        # at the right step edge the interpolant must reproduce the
-        # accepted endpoint, i.e. row sums equal the solution weights
-        b = np.array([sim._B1, 0.0, sim._B3, sim._B4, sim._B5, sim._B6, 0.0])
-        assert np.abs(sim._P.sum(axis=1) - b).max() <= 1e-15
+        # at s = 1 a Taylor row sums to the step's own unclamped end (its
+        # Horner sum), and a Hermite row to the stored end, up to rounding
+        traj, attempts = record_attempts(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
+        ends = {att[1]: (att[0], att[4]) for att in attempts}  # the last attempt is accepted
+        kinds = set()
+        for i in range(len(traj.t) - 1):
+            kind, end = ends[tuple(traj.y[i])]
+            kinds.add(kind)
+            terms = np.column_stack([traj.y[i], traj._dense[i]])
+            want = end if kind == "taylor" else traj.y[i + 1]
+            assert np.abs(terms.sum(axis=1) - want).max() <= 8e-16 * np.abs(terms).sum(axis=1).max()
+        assert kinds == {"taylor", "rodas4"}
 
     def test_start_is_bitwise_initial_state(self, demo_traj):
         assert tuple(demo_traj.at(0.0)) == (0.0, 0.0, 0.0, 0.0)
@@ -368,19 +366,19 @@ class TestMaximum:
 
 @pytest.fixture(scope="module")
 def window_cases(demo_traj):
-    """Trajectory and windows by kind of dense row: DOPRI5, RODAS4 Hermite, rebuilt samples."""
+    """Trajectory and windows by kind of dense row: Taylor, RODAS4 Hermite, rebuilt samples."""
     overshoot = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
     stiff_from = len(overshoot.t) - 1 - overshoot.stats["stiff_steps"]
     samples = Trajectory.from_samples(DEMO, demo_traj.t[:300], demo_traj.y[:300])
     return {
-        "dopri5": (demo_traj, extremum_windows(demo_traj, range(2000, 2100))),
+        "taylor": (demo_traj, extremum_windows(demo_traj, range(600, 700))),
         "rodas4": (overshoot, extremum_windows(overshoot, range(stiff_from + 50, stiff_from + 150))),
         "samples": (samples, extremum_windows(samples, range(100, 200)) + [(0.0, samples.t[-1])]),
     }
 
 
 class TestWindowedExtrema:
-    @pytest.mark.parametrize("kind", ["dopri5", "rodas4", "samples"])
+    @pytest.mark.parametrize("kind", ["taylor", "rodas4", "samples"])
     @pytest.mark.parametrize("name", sim.OBSERVABLES)
     def test_matches_brute_force_grid(self, window_cases, kind, name):
         traj, windows = window_cases[kind]
@@ -444,33 +442,58 @@ class TestFixedStepOrder:
         assert min(slopes) >= 4.0
 
 
-class TestFusedStep:
-    @pytest.mark.parametrize("case", _step_cases(), ids=lambda c: c[0])
-    def test_accepted_steps_match_loop_form_bitwise(self, case, monkeypatch):
-        # DOPRI5 steps must match the loop form bit for bit; RODAS4 steps
-        # match a loop form with a generic pivoted solve to rounding, and
-        # their dense rows are exactly the Hermite rows of their ends
-        name, p, x0, horizon = case
-        attempts = []
-        dp54, rodas4 = sim._dp54_step, sim._rodas4_step
+def record_attempts(p, x0, horizon, alter=None):
+    """Integrate, recording every attempted step as (kind, y, h, start, end).
 
-        def spy(a, y, k1, h):
-            attempts.append((False, y, h))
-            return dp54(a, y, k1, h)
+    kind is "taylor" or "rodas4", start the Taylor coefficients or the
+    field at y, end the step's unclamped end state.  alter(kind, y, end),
+    if given, returns the end state the integrator sees instead.
+    """
+    attempts = []
+    taylor_step, rodas4_step = sim._taylor_step, sim._rodas4_step
 
-        def spy_rodas(a, y, f0, h):
-            attempts.append((True, y, h))
-            return rodas4(a, y, f0, h)
+    def record(kind, y, h, start, step):
+        end, err = step
+        attempts.append((kind, y, h, start, end))
+        return (alter(kind, y, end) if alter else end), err
 
-        monkeypatch.setattr(sim, "_dp54_step", spy)
-        monkeypatch.setattr(sim, "_rodas4_step", spy_rodas)
+    def spy_taylor(y, c, h):
+        return record("taylor", y, h, c, taylor_step(y, c, h))
+
+    def spy_rodas4(a, y, f0, h):
+        return record("rodas4", y, h, f0, rodas4_step(a, y, f0, h))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_taylor_step", spy_taylor)
+        mp.setattr(sim, "_rodas4_step", spy_rodas4)
         traj = integrate(p, x0, horizon)
-        monkeypatch.undo()
+    return traj, attempts
 
-        # every attempt from one state gets the same tuple; the last is accepted
-        accepted = [
-            att for att, nxt in zip(attempts, attempts[1:] + [(None,) * 3]) if nxt[1] is not att[1]
-        ]
+
+@pytest.fixture(scope="module", params=_step_cases(), ids=lambda c: c[0])
+def recorded(request):
+    """A case, its trajectory, every attempt and the accepted ones.
+
+    Every attempt from one state gets the same tuple, and the last one
+    is accepted.
+    """
+    name, p, x0, horizon = request.param
+    traj, attempts = record_attempts(p, x0, horizon)
+    accepted = [
+        att for att, nxt in zip(attempts, attempts[1:] + [(None,) * 5]) if nxt[1] is not att[1]
+    ]
+    return name, p, horizon, traj, attempts, accepted
+
+
+class TestFusedStep:
+    """The written-out Taylor step against its loop form, and the counters."""
+
+    def test_accepted_steps_match_loop_form_bitwise(self, recorded):
+        # Taylor steps match the loop-form recurrence and Horner sums bit
+        # for bit; RODAS4 steps match a loop form with a generic pivoted
+        # solve to rounding, and their dense rows are exactly the Hermite
+        # rows of their ends
+        name, p, horizon, traj, _, accepted = recorded
         m = len(traj.t) - 1
         assert len(accepted) == m
         a = p.as_tuple()
@@ -478,13 +501,13 @@ class TestFusedStep:
         def f(v):
             return field(a, *v)
 
-        rosenbrock = np.array([att[0] for att in accepted])
-        assert rosenbrock.any() == (name in ("overshoot", "stiff"))
-        hs, stages, clamped = [], [], 0
-        for i, (stiff, y, h) in enumerate(accepted):
+        rosenbrock = np.array([att[0] == "rodas4" for att in accepted])
+        # fuzz4 ends with a2*x4 near 320: stiff, and its trial passes at t = 14
+        assert rosenbrock.any() == (name in ("overshoot", "stiff", "fuzz4"))
+        for i, (kind, y, h, _, _) in enumerate(accepted):
             assert np.array(y).tobytes() == traj.y[i].tobytes()
             assert traj.t[i + 1] == (horizon if i == m - 1 else traj.t[i] + h)
-            if stiff:
+            if kind == "rodas4":
                 y1, _ = reference_rodas4_step(f, lambda v: jacobian(p, v), y, h)
                 dev = np.abs(np.maximum(y1, 0.0) - traj.y[i + 1]).max()
                 assert dev <= 1e-13 * np.abs(y1).max()
@@ -492,91 +515,91 @@ class TestFusedStep:
                 row = sim._hermite(h, dy, np.array(f(traj.y[i])), np.array(f(traj.y[i + 1])))
                 assert row.tobytes() == traj._dense[i].tobytes()
                 continue
-            y5, kk = reference_dp54_step(f, y, h, f(y))
-            if min(y5) < 0.0:
-                clamped += 1
+            coef = reference_taylor(a, y)
+            end = reference_taylor_end(y, coef, h)
+            assert np.where(end < 0.0, 0.0, end).tobytes() == traj.y[i + 1].tobytes()
+            row = coef * np.float64(h) ** np.arange(1, 7)
+            assert row.tobytes() == traj._dense[i].tobytes()
+
+    def test_every_attempt_expands_at_its_state(self, recorded):
+        _, p, _, _, attempts, _ = recorded
+        for kind, y, _, start, _ in attempts:
+            if kind == "taylor":
+                want = reference_taylor(p.as_tuple(), y)
+                assert np.array(start).reshape(6, 4).T.tobytes() == want.tobytes()
             else:
-                assert np.array(y5).tobytes() == traj.y[i + 1].tobytes()
-            hs.append(h)
-            stages.append(kk)
-        if stages:
-            dense = np.array(hs)[:, None, None] * np.einsum("msj,sp->mjp", np.array(stages), sim._P)
-            assert dense.tobytes() == traj._dense[~rosenbrock].tobytes()
+                assert start == field(p.as_tuple(), *y)
 
-        # the counters are exact: six evaluations per DOPRI5 attempt and
-        # one more after each clamp, five per RODAS4 attempt and one more
-        # at each accepted RODAS4 state, two to start
+    def test_nfev_is_exact(self, recorded):
+        # six per Taylor expansion, made at every state a Taylor step or
+        # a trial starts from; five per RODAS4 attempt, trials included;
+        # one at each accepted RODAS4 state
+        _, _, _, traj, attempts, accepted = recorded
         st = traj.stats
-        assert st["accepted"] == m
+        taylor = sum(att[0] == "taylor" for att in accepted)
+        rodas4 = sum(att[0] == "rodas4" for att in attempts)
+        assert st["nfev"] == 6 * (taylor + st["switches"]) + 5 * rodas4 + st["stiff_steps"]
+        assert st["accepted"] == len(accepted)
+        assert st["stiff_steps"] == len(accepted) - taylor
+        # a failed trial is followed by the Taylor step from the same
+        # state and counts as no rejection; trials run on a small share
+        # of the Taylor steps
+        failed_trials = sum(
+            u[0] == "rodas4" and v[0] == "taylor" and u[1] is v[1]
+            for u, v in zip(attempts, attempts[1:])
+        )
+        assert failed_trials <= taylor / sim._TRIAL_GAP + 1
         rejected = st["rejected_error"] + st["rejected_orthant"] + st["rejected_nonfinite"]
-        assert m + rejected == len(attempts)
-        tried = sum(att[0] for att in attempts)
-        evaluations = 6 * (len(attempts) - tried) + 5 * tried + rosenbrock.sum() + clamped
-        assert st["nfev"] == 2 + evaluations
-        assert st["stiff_steps"] == rosenbrock.sum()
-        # the switch is one way, so the RODAS4 steps come last; a switch
-        # after the last step has no attempt to show it
-        changes = sum(u[0] != v[0] for u, v in zip(attempts, attempts[1:]))
-        assert changes <= st["switches"] <= 1
-        assert not rosenbrock[: m - rosenbrock.sum()].any()
+        assert len(accepted) + rejected + failed_trials == len(attempts)
+        # the switch is one way, so the RODAS4 steps come last
+        assert all(att[0] == "rodas4" for att in accepted[taylor:])
+        assert st["switches"] == int(taylor < len(accepted))
 
-    def test_rejections_and_clamp_are_handled_and_counted(self, monkeypatch):
+    def test_rejections_and_clamp_are_handled_and_counted(self):
         # the first three attempts are made non-finite, outside the
         # orthant, and undershooting by less than abs_tol, in that order
-        fused = sim._dp54_step
-        attempts = []
-        forced = {1: math.nan, 2: -1e-9, 3: -0.5e-10}
+        forced = [math.nan, -1e-9, -0.5e-10]
 
-        def spy(a, y, k1, h):
-            attempts.append((y, k1, h))
-            y5, k7, kk, err = fused(a, y, k1, h)
-            if len(attempts) in forced:
-                y5 = (y5[0], forced[len(attempts)], y5[2], y5[3])
-            return y5, k7, kk, err
+        def alter(kind, y, end):
+            return (end[0], forced.pop(0), end[2], end[3]) if forced else end
 
-        monkeypatch.setattr(sim, "_dp54_step", spy)
-        traj = integrate(DEMO, State.zero(), 1.0)
-        monkeypatch.undo()
-
+        traj, attempts = record_attempts(DEMO, State.zero(), 1.0, alter)
         st = traj.stats
         assert (st["rejected_nonfinite"], st["rejected_orthant"]) == (1, 1)
         h1, h2, h3 = (att[2] for att in attempts[:3])
         assert (h2, h3) == (h1 * 0.2, h2 * 0.5)
         assert traj.y[1][1] == 0.0 and not math.copysign(1.0, traj.y[1][1]) < 0.0
-        # after a clamp the next step starts from the field at the clamped
-        # state, not from the FSAL stage
-        assert attempts[3][1] == field(DEMO.as_tuple(), *traj.y[1])
-        assert st["nfev"] == 2 + 6 * len(attempts) + 1
+        # after a clamp the next step expands at the clamped state
+        assert attempts[3][1] == tuple(traj.y[1])
+        assert attempts[3][3] == sim._taylor(DEMO.as_tuple(), tuple(traj.y[1]))
+        assert all(att[0] == "taylor" for att in attempts)
+        assert st["nfev"] == 6 * st["accepted"]
 
-    def test_rosenbrock_rejections_and_clamp(self, monkeypatch):
-        # the same three faults forced on the first RODAS4 attempts of the
-        # stiff set; the clamped state's field starts the next step and
-        # ends its Hermite row, at no extra evaluation
-        rodas4 = sim._rodas4_step
-        attempts = []
-        forced = {1: math.nan, 2: -1e-9, 3: -0.5e-10}
+    def test_rosenbrock_rejections_and_clamp(self):
+        # the same three faults forced on the first attempts after the
+        # switch on the stiff set; the clamped state's field starts the
+        # next step and ends its Hermite row, at no extra evaluation
+        plain = integrate(STIFF, State.zero(), 3.0)
+        i = len(plain.t) - plain.stats["stiff_steps"]  # the state after the switching step
+        target = tuple(plain.y[i])
+        forced = [math.nan, -1e-9, -0.5e-10]
 
-        def spy(a, y, f0, h):
-            attempts.append((y, f0, h))
-            y1, err = rodas4(a, y, f0, h)
-            if len(attempts) in forced:
-                y1 = (y1[0], y1[1], y1[2], forced[len(attempts)])
-            return y1, err
+        def alter(kind, y, end):
+            if y == target and forced:
+                return (end[0], end[1], end[2], forced.pop(0))
+            return end
 
-        monkeypatch.setattr(sim, "_rodas4_step", spy)
-        traj = integrate(STIFF, State.zero(), 3.0)
-        monkeypatch.undo()
-
+        traj, attempts = record_attempts(STIFF, State.zero(), 3.0, alter)
         st = traj.stats
         assert (st["rejected_nonfinite"], st["rejected_orthant"]) == (1, 1)
-        h1, h2, h3 = (att[2] for att in attempts[:3])
+        k = next(n for n, att in enumerate(attempts) if att[1] == target)
+        (_, _, h1, f0, _), (_, _, h2, _, _), (_, _, h3, _, _) = attempts[k : k + 3]
         assert (h2, h3) == (h1 * 0.2, h2 * 0.5)
-        i = next(k for k in range(len(traj.t)) if tuple(traj.y[k]) == attempts[0][0])
         assert traj.t[i + 1] == traj.t[i] + h3
         assert traj.y[i + 1][3] == 0.0 and not math.copysign(1.0, traj.y[i + 1][3]) < 0.0
         f1 = field(STIFF.as_tuple(), *traj.y[i + 1])
-        assert attempts[3][1] == f1
-        row = sim._hermite(h3, traj.y[i + 1] - traj.y[i], np.array(attempts[0][1]), np.array(f1))
+        assert attempts[k + 3][3] == f1
+        row = sim._hermite(h3, traj.y[i + 1] - traj.y[i], np.array(f0), np.array(f1))
         assert row.tobytes() == traj._dense[i].tobytes()
 
 
@@ -605,6 +628,10 @@ class TestRosenbrock:
         st = integrate(STIFF, State.zero(), 3.0).stats
         assert st["stiff_steps"] > 0 and st["switches"] == 1
         assert st["accepted"] <= 3000
+
+    def test_stiff_switches_within_600_taylor_steps(self):
+        st = integrate(STIFF, State.zero(), 3.0).stats
+        assert st["switches"] == 1 and st["accepted"] - st["stiff_steps"] <= 600
 
     def test_switch_is_one_way(self):
         overshoot = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0).stats
@@ -639,8 +666,6 @@ class TestStats:
             "switches",
         }
         assert st["accepted"] == len(demo_traj.t) - 1
-        rejected = st["rejected_error"] + st["rejected_orthant"] + st["rejected_nonfinite"]
-        assert st["nfev"] >= 6 * (st["accepted"] + rejected)
 
     def test_read_only(self, demo_traj):
         with pytest.raises(TypeError):
