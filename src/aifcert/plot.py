@@ -104,7 +104,8 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str) -> list[str]:
 
 
 def _polyline(frame: _Frame, ts, vs, color: str, dashed: bool = False) -> str:
-    pts = " ".join(f"{frame.x(t):.2f},{frame.y(v):.2f}" for t, v in zip(ts, vs))
+    xy = np.column_stack((frame.x(ts), frame.y(vs))).ravel().tolist()
+    pts = ("%.2f,%.2f " * len(ts) % tuple(xy))[:-1]
     dash = ' stroke-dasharray="7 4"' if dashed else ""
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>'

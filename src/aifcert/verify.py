@@ -16,8 +16,10 @@ level, and its window [start+T0, end], lies inside one of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -315,102 +317,93 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     )
 
 
-def _propositions_eval(p: Params):
-    """Grid evidence for the scalar facts behind the certificate.
+# Levels of the grid facts and of the fixed-point residual, and the facts in record order
+_GRID = np.geomspace(1e-3, 1e6, 40)
+_RES_GRID = np.geomspace(1e-3, 1e6, 20)
+_CHUNK = 1024  # rate sets per array pass, which bounds the memory of a large fuzz count
+_FACTS = ("tau decreasing", "tau above psi1", "ell4 increasing", "ell4 below K/8", "L*ell4 increasing",
+          "tau limit", "ell4 supremum", "fixed-point residual", "threshold residual")
 
-    Returns (ok, margin, location, detail).  Margins are normalized;
-    the location is the level L at which the worst margin occurs.
+
+def _propositions(sets):
+    """(holds, margin, location) of each fact (columns) for each rate set (rows).
+
+    Margins are normalized, a location is the level of its margin; all
+    levels of all the sets go through one tau and one ell4 call.
     """
+    cols = np.array([q.as_tuple() for q in sets]).T[:, :, None]
+    p = SimpleNamespace(**{f"alpha{k + 1}": cols[k] for k in range(8)})
     fp = FixedPointConstants.from_params(p)
     dc = DerivedConstants.from_params(p)
-    grid = np.geomspace(1e-3, 1e6, 40)
-    taus = np.array([tau(p, float(L)) for L in grid])
-    l4s = np.array([ell4(p, float(L), float(tv)) for L, tv in zip(grid, taus)])
+    L_probe = np.maximum(1e9, 1e7 * p.alpha1 * fp.psi1)
+    L_star = np.array([[solve_L_star(q)] for q in sets])
+    # columns: the 40 grid levels, the 20 residual levels, then 1e9, L_probe and L*
+    columns = np.broadcast_to(np.r_[_GRID, _RES_GRID, 1e9], (len(sets), 61))
+    levels = np.hstack([columns, L_probe, L_star])
+    taus = tau(p, levels)
+    l4s = ell4(p, levels, taus)
+    facts = []  # (holds, margin, location), each with a row per set
 
-    worst = (math.inf, None)  # margin, location
-    ok = True
-    notes = []
+    def first(arg, m, at):
+        j = arg(m, axis=1)[:, None]
+        return np.take_along_axis(m, j, axis=1), at[j]
 
-    def record(cond, margin, loc, label):
-        nonlocal ok, worst
-        if margin < worst[0]:
-            worst = (margin, loc)
-        if not cond:
-            ok = False
-            notes.append(f"{label} failed (margin {margin:.3g})")
-
-    # strict monotonicity along the grid
-    d_tau = (taus[:-1] - taus[1:]) / taus[:-1]
-    j = int(np.argmin(d_tau))
-    record(d_tau[j] > 0.0, float(d_tau[j]), float(grid[j]), "tau decreasing")
-
-    floor = (taus - fp.psi1) / taus
-    j = int(np.argmin(floor))
-    record(floor[j] > 0.0, float(floor[j]), float(grid[j]), "tau above psi1")
-
-    d_l4 = (l4s[1:] - l4s[:-1]) / l4s[1:]
-    j = int(np.argmin(d_l4))
-    record(d_l4[j] > 0.0, float(d_l4[j]), float(grid[j]), "ell4 increasing")
-
-    sup = (dc.K / 8.0 - l4s) / (dc.K / 8.0)
-    j = int(np.argmin(sup))
-    record(sup[j] > 0.0, float(sup[j]), float(grid[j]), "ell4 below K/8")
-
-    lel4 = grid * l4s
-    d_lel4 = (lel4[1:] - lel4[:-1]) / lel4[1:]
-    j = int(np.argmin(d_lel4))
-    record(d_lel4[j] > 0.0, float(d_lel4[j]), float(grid[j]), "L*ell4 increasing")
+    # strict monotonicity along the grid, and the floors
+    t, e = taus[:, :40], l4s[:, :40]
+    le = _GRID * e
+    for m in (
+        (t[:, :-1] - t[:, 1:]) / t[:, :-1],
+        (t - fp.psi1) / t,
+        (e[:, 1:] - e[:, :-1]) / e[:, 1:],
+        (dc.K / 8.0 - e) / (dc.K / 8.0),
+        (le[:, 1:] - le[:, :-1]) / le[:, 1:],
+    ):
+        worst, at = first(np.argmin, m, _GRID)
+        facts.append((worst > 0.0, worst, at))
 
     # limits at large L
-    t_lim = abs(tau(p, 1e9) - fp.psi1)
-    record(t_lim <= 1e-6, float(1e-6 - t_lim), 1e9, "tau limit")
-    L_probe = max(1e9, 1e7 * p.alpha1 * fp.psi1)
-    sup_gap = dc.K / 8.0 - ell4(p, L_probe, tau(p, L_probe))
-    sup_tol = 1e-6 * max(1.0, dc.K / 8.0)
-    record(sup_gap <= sup_tol, float(sup_tol - sup_gap), L_probe, "ell4 supremum")
+    t_lim = np.abs(taus[:, 60:61] - fp.psi1)
+    facts.append((t_lim <= 1e-6, 1e-6 - t_lim, levels[:, 60:61]))
+    sup_gap = dc.K / 8.0 - l4s[:, 61:62]
+    sup_tol = 1e-6 * np.maximum(1.0, dc.K / 8.0)
+    facts.append((sup_gap <= sup_tol, sup_tol - sup_gap, L_probe))
 
-    # fixed-point residual of the waiting time
-    res_grid = np.geomspace(1e-3, 1e6, 20)
-    res_worst, res_loc = -math.inf, None
-    for L in res_grid:
-        tv = tau(p, float(L))
-        r = abs(tv - (fp.psi1 + fp.psi2 / (L + p.alpha1 * tv))) / tv
-        if r > res_worst:
-            res_worst, res_loc = r, float(L)
-    record(res_worst <= 1e-12, float(1e-12 - res_worst) / 1e-12, res_loc, "fixed-point residual")
+    # fixed-point residual of the waiting time, worst at its first maximum
+    tv = taus[:, 40:60]
+    r = np.abs(tv - (fp.psi1 + fp.psi2 / (_RES_GRID + p.alpha1 * tv))) / tv
+    worst, at = first(np.argmax, r, _RES_GRID)
+    facts.append((worst <= 1e-12, (1e-12 - worst) / 1e-12, at))
 
     # threshold equation is bracket-solvable and its root is admissible
-    L_star = solve_L_star(p)
-    res = abs(L_star * ell4(p, L_star, tau(p, L_star)) - dc.theta)
-    record(res <= 1e-12 * dc.theta, float(1e-12 * dc.theta - res) / dc.theta, L_star, "threshold residual")
-
-    detail = "all grid and limit facts hold" if ok else "; ".join(notes)
-    return ok, worst[0], worst[1], detail
+    res = np.abs(L_star * l4s[:, 62:63] - dc.theta)
+    facts.append((res <= 1e-12 * dc.theta, (1e-12 * dc.theta - res) / dc.theta, L_star))
+    return [np.hstack(column) for column in zip(*facts)]
 
 
 def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> CheckResult:
     """Scalar facts about tau, ell4, L*ell4 and the threshold equation.
 
-    With fuzz_count > 0 the same evaluation also runs over that many
-    random parameter sets (log-uniform in FORMULA_FUZZ_RANGE) and the
-    worst outcome is folded into this single record.
+    The facts (_FACTS) are checked on a 40-level grid, a 20-level
+    residual grid, at large levels and at L*.  With fuzz_count > 0 they
+    are also checked on that many random parameter sets (log-uniform in
+    FORMULA_FUZZ_RANGE), every level of _CHUNK sets in one array pass, and
+    the worst outcome is folded into this record: the first worst margin
+    in draw order, and how many fuzzed sets fail.
     """
-    if fuzz_count < 0:
-        raise ValueError(f"fuzz must be >= 0, got {fuzz_count!r}")
-    ok, margin, loc, detail = _propositions_eval(p)
+    if type(fuzz_count) is not int or fuzz_count < 0:
+        raise ValueError(f"fuzz must be a non-negative integer, got {fuzz_count!r}")
+    rng = np.random.default_rng(fuzz_seed) if fuzz_count > 0 else None  # seed read only for fuzz
+    sets = itertools.chain([p], (random_params(rng, *FORMULA_FUZZ_RANGE) for _ in range(fuzz_count)))
+    chunks = iter(lambda: list(itertools.islice(sets, _CHUNK)), [])  # until sets run out
+    holds, margins, locs = (np.vstack(c) for c in zip(*map(_propositions, chunks)))
+    k = int(np.argmin(margins))
+    notes = [f"{f} failed (margin {m:.3g})" for f, h, m in zip(_FACTS, holds[0], margins[0]) if not h]
+    detail = "; ".join(notes) or "all grid and limit facts hold"
     if fuzz_count > 0:
-        rng = np.random.default_rng(fuzz_seed)
-        fails = 0
-        for _ in range(int(fuzz_count)):
-            fp = random_params(rng, *FORMULA_FUZZ_RANGE)
-            f_ok, f_margin, f_loc, _ = _propositions_eval(fp)
-            if f_margin < margin:
-                margin, loc = f_margin, f_loc
-            if not f_ok:
-                fails += 1
-        ok = ok and fails == 0
+        fails = np.sum(~holds[1:].all(axis=1))
         detail += f"; fuzz x{fuzz_count} (seed {fuzz_seed}): {fails} failure(s)"
-    return CheckResult("propositions", PASS if ok else FAIL, margin, loc, detail)
+    status = PASS if holds.all() else FAIL
+    return CheckResult("propositions", status, float(margins.flat[k]), float(locs.flat[k]), detail)
 
 
 def build_report(

@@ -12,6 +12,7 @@ from conftest import DEMO
 
 from aifcert import BoundCertificate, State, build_report, integrate
 from aifcert.cli import main
+from aifcert.plot import _Frame, _polyline
 
 SUMMARY = "T0 / M1 / M2 / M3 / M4 = 1.3936 / 3.1436 / 31.4364 / 31.4364 / 63.2062"
 
@@ -253,6 +254,30 @@ class TestPlot:
         )
         assert main(["plot", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "states.svg").exists()
+
+
+def polyline_loop(frame, ts, vs, color, dashed=False):
+    """Reference for plot._polyline: one f-string per point."""
+    pts = " ".join(f"{frame.x(t):.2f},{frame.y(v):.2f}" for t, v in zip(ts, vs))
+    dash = ' stroke-dasharray="7 4"' if dashed else ""
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>'
+
+
+class TestPolyline:
+    def test_demo_matches_loop_form(self, demo_traj):
+        ts = np.linspace(demo_traj.t[0], demo_traj.t[-1], 2001)
+        ys = demo_traj.at(ts)
+        frame = _Frame(float(ts[0]), float(ts[-1]), 0.0, float(ys.max()) * 1.06)
+        for i, dashed in enumerate((False, True, False, True)):
+            got = _polyline(frame, ts, ys[:, i], "#1f77b4", dashed)
+            assert got == polyline_loop(frame, ts, ys[:, i], "#1f77b4", dashed)
+
+    def test_outside_the_frame_matches_loop_form(self):
+        rng = np.random.default_rng(7)
+        ts = rng.uniform(-20.0, 80.0, 500)
+        vs = np.concatenate([rng.uniform(-50.0, 50.0, 497), [-0.0, 1e300, -1e-300]])
+        frame = _Frame(0.0, 60.0, 0.0, 1.0)
+        assert _polyline(frame, ts, vs, "#d62728") == polyline_loop(frame, ts, vs, "#d62728")
 
 
 class TestEntryPoint:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import DEMO, log_uniform
 from sampling import window_grid
 
 import aifcert.verify
+import propositions_loop
 from aifcert import (
     Excursion,
     Params,
@@ -30,7 +32,13 @@ from aifcert import (
     tau,
 )
 from aifcert.model import DerivedConstants
-from aifcert.verify import SIMULATION_FUZZ_RANGE, random_params, random_state
+from aifcert.verify import (
+    FORMULA_FUZZ_RANGE,
+    SIMULATION_FUZZ_RANGE,
+    random_params,
+    random_state,
+)
+from propositions_loop import check_propositions_loop
 
 CHECK_NAMES = {
     "global_bounds",
@@ -271,7 +279,7 @@ class TestPropositions:
 
     def test_tau_not_decreasing_fails(self, monkeypatch):
         # tau held constant above L = 10 breaks its strict decrease
-        monkeypatch.setattr(aifcert.verify, "tau", lambda p, L: tau(p, min(L, 10.0)))
+        monkeypatch.setattr(aifcert.verify, "tau", lambda p, L: tau(p, np.minimum(L, 10.0)))
         res = check_propositions(DEMO)
         assert res.status == "fail"
         assert "tau decreasing failed" in res.detail
@@ -280,6 +288,60 @@ class TestPropositions:
     def test_negative_fuzz_count_rejected(self):
         with pytest.raises(ValueError, match="fuzz"):
             check_propositions(DEMO, fuzz_count=-3)
+
+    @pytest.mark.parametrize("count", [0.9, 2.5, True, math.nan])
+    def test_fuzz_count_must_be_an_int(self, count):
+        with pytest.raises(ValueError, match="fuzz"):
+            check_propositions(DEMO, fuzz_count=count)
+
+    @pytest.mark.parametrize("seed", [0, 31, 1729])
+    @pytest.mark.parametrize("fuzz", [0, 7, 50, 100])
+    @pytest.mark.parametrize("rates", ["demo", "unit"])
+    def test_matches_loop_form_bitwise(self, rates, fuzz, seed):
+        p = DEMO if rates == "demo" else Params.from_sequence([1.0] * 8)
+        res = check_propositions(p, fuzz_count=fuzz, fuzz_seed=seed)
+        assert _bitwise(res) == _bitwise(check_propositions_loop(p, fuzz, seed))
+
+    @pytest.mark.parametrize("fuzz", [0, 7])
+    @pytest.mark.parametrize("bounds", [FORMULA_FUZZ_RANGE, SIMULATION_FUZZ_RANGE])
+    def test_drawn_sets_match_loop_form_bitwise(self, bounds, fuzz):
+        rng = np.random.default_rng(2024)
+        for seed in range(25):
+            p = random_params(rng, *bounds)
+            res = check_propositions(p, fuzz_count=fuzz, fuzz_seed=seed)
+            assert _bitwise(res) == _bitwise(check_propositions_loop(p, fuzz, seed))
+
+    @pytest.mark.parametrize("chunk", [1, 4, 50])
+    def test_chunked_passes_match_loop_form_bitwise(self, monkeypatch, chunk):
+        # 51 rate sets in passes of at most `chunk`: the fold runs across passes
+        monkeypatch.setattr(aifcert.verify, "_CHUNK", chunk)
+        res = check_propositions(DEMO, fuzz_count=50, fuzz_seed=1729)
+        assert _bitwise(res) == _bitwise(check_propositions_loop(DEMO, 50, 1729))
+
+    def test_some_fuzzed_sets_failing_fails(self, monkeypatch):
+        # tau held constant above L = 10 only for the sets with alpha4 < 0.05;
+        # the demo rates (alpha4 = 1) keep theirs
+        def flat(p, L):
+            return tau(p, np.where(p.alpha4 < 0.05, np.minimum(L, 10.0), L))
+
+        monkeypatch.setattr(aifcert.verify, "tau", flat)
+        monkeypatch.setattr(propositions_loop, "tau", flat)
+        res = check_propositions(DEMO, fuzz_count=50, fuzz_seed=1729)
+        ref = check_propositions_loop(DEMO, 50, 1729)
+        failures = r"fuzz x50 \(seed 1729\): (\d+) failure\(s\)$"
+        k = int(re.search(failures, res.detail).group(1))
+        assert res.detail.startswith("all grid and limit facts hold; ")
+        assert 0 < k == int(re.search(failures, ref.detail).group(1))
+        assert res.status == "fail"
+        assert _bitwise(res) == _bitwise(ref)
+
+
+def _bitwise(res):
+    """A CheckResult's fields, its floats by their exact bits."""
+    def bits(x):
+        return None if x is None else float(x).hex()
+
+    return res.name, res.status, bits(res.margin), bits(res.location), res.detail
 
 
 class TestReport:
