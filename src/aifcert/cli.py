@@ -151,7 +151,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, path)
     print(f"steps = {len(traj.t) - 1}")
-    print(", ".join(f"max x{i} = {traj.maximum(f'x{i}')[0]:.4f}" for i in range(1, 5)))
+    tops = traj.extrema([("max", f"x{i}", None, None) for i in range(1, 5)])
+    print(", ".join(f"max x{i} = {top:.4f}" for i, (top, _) in enumerate(tops, 1)))
     print(f"wrote {path}")
     return 0
 

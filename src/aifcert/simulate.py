@@ -4,9 +4,10 @@ The default step is a Taylor step of order 6.  The system's only
 nonlinearity is p = x1*x4, so the solution's Taylor coefficients at a
 state follow from one Cauchy product per order (_taylor); the step's
 length is chosen from those coefficients so that the last term stays
-within the tolerance, and the polynomial itself is the step's dense
-output.  Strong annihilation makes the system stiff, and the explicit
-step is then held at its stability limit.  A trial RODAS4 step, an
+within the tolerance, which leaves no error test to make after the
+step, and the polynomial itself is the step's dense output.  Strong
+annihilation makes the system stiff, and the explicit step is then held
+at its stability limit.  A trial RODAS4 step, an
 L-stable order-4(3) Rosenbrock method with the analytic Jacobian, at
 eight times the Taylor step detects this, and RODAS4 takes over for the
 rest of the span; its steps keep cubic Hermite rows built from the
@@ -17,8 +18,9 @@ level): steps whose Bernstein hull excludes the level are skipped, the
 rest cut into monotone pieces at the roots of their derivatives and
 each crossing solved by a bracketed Newton iteration, so crossings are
 exact to rounding and a pair of crossings inside one step is not
-missed.  Extrema over a time window are searched on the same
-polynomials (Trajectory.maximum and minimum, _extremum).
+missed.  Extrema over time windows are searched on the same
+polynomials, any number of windows and observables in one search
+(Trajectory.extrema, _extremum).
 
 The state space is tiny (four components), so both steps are written
 out component by component on plain floats; accepted states and
@@ -29,6 +31,7 @@ at the end.
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -193,38 +196,60 @@ class Trajectory:
         np.maximum(vals, 0.0, out=vals)
         return vals[0] if scalar else vals
 
+    def extrema(self, queries):
+        """Extrema of observables on the interpolant over windows, from one search.
+
+        A query is (sense, observable, start, end): "max" or "min", an
+        observable as in first_hitting, and a window, None meaning an end
+        of the span.  Returns (value, time) per query, exact to rounding
+        (_extremum); p (degree 12) is searched apart from the others.
+        Like at, a minimum reads a dip below 0 as 0: local error, or a
+        Hermite piece of from_samples between sparse rows, where 0 says
+        nothing about the rows themselves.
+        """
+        polys = {}  # (sense, observable) -> (coefficients, node values), negated for "min"
+        groups = {}  # degree -> (number, sense, _extremum query) of its queries
+        for k, (sense, name, start, end) in enumerate(queries):
+            if (sense, name) not in polys:
+                if sense not in ("max", "min"):
+                    raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+                c, node = _coefficients(self, name), _coefficients(self, name, True)[0]
+                polys[sense, name] = (c, node) if sense == "max" else (-c, -node)
+            c, node = polys[sense, name]
+            groups.setdefault(len(c), []).append((k, sense, (c, node, start, end)))
+        found = [None] * len(queries)
+        for group in groups.values():
+            for (k, sense, _), (top, time) in zip(group, _extremum(self, [q for _, _, q in group])):
+                found[k] = (max(-top, 0.0), time) if sense == "min" else (top, time)
+        return found
+
     def maximum(self, observable: str, start: float | None = None, end: float | None = None):
         """Largest value of an observable on the interpolant over [start, end], and its time.
 
-        Observables are named as in first_hitting, and the window defaults
-        to the whole span.  The search is exact to rounding (_extremum).
+        The one-query case of extrema; the window defaults to the whole span.
         """
-        return _extremum(self, lambda n: _coefficients(self, observable, n), start, end)
+        return self.extrema([("max", observable, start, end)])[0]
 
     def minimum(self, observable: str, start: float | None = None, end: float | None = None):
         """Smallest value of an observable on the interpolant over [start, end], and its time.
 
-        Like at, it reads a polynomial that dips below 0 as 0: by about
-        the local error on an integrated trajectory, or by a cubic
-        Hermite piece of from_samples dipping between sparse rows, where
-        a minimum of 0 says nothing about the rows themselves.
+        The one-query case of extrema, which reads a dip below 0 as 0.
         """
-        top, where = _extremum(self, lambda n: -_coefficients(self, observable, n), start, end)
-        return max(-top, 0.0), where
+        return self.extrema([("min", observable, start, end)])[0]
 
     def W_rate_maximum(self, gamma: float):
         """Largest dW/dt = alpha8*x1*(K - x4) on the interpolant where W > gamma.
 
         Returns (value, time), or None if W never exceeds gamma.
         """
-        def rate(nodes):
-            gap = -_coefficients(self, "x4", nodes)
+        def rate(steps):
+            gap = -_coefficients(self, "x4")[:, steps]
             gap[0] += DerivedConstants.from_params(self.params).K
-            return self.params.alpha8 * _product(_coefficients(self, "x1", nodes), gap)
+            return self.params.alpha8 * _product(_coefficients(self, "x1")[:, steps], gap)
 
         above = _coefficients(self, "W")
         above[0] -= gamma
-        return _extremum(self, rate, where=above)
+        return _extremum(self, [(rate, None, None, None)], where=above)[0]
 
     @classmethod
     def from_samples(cls, params, t, y):
@@ -493,7 +518,10 @@ def integrate(
             y_end, (e1, e2, e3, e4) = _taylor_step(y, c, h_use)
         v1, v2, v3, v4 = y_end
         finite = isfinite(v1) and isfinite(v2) and isfinite(v3) and isfinite(v4)
-        if finite:
+        # a Taylor step's length holds this norm at 0.9**6: h_use <= h, and
+        # the denominators only grow from those h was chosen with
+        err = 0.0
+        if finite and (stiff or trial):
             # accepted states lie in the orthant, so |y_i| = y_i here
             sq = (
                 (e1 / (abs_tol + rel_tol * (y1 if y1 > abs(v1) else abs(v1)))) ** 2
@@ -512,7 +540,6 @@ def integrate(
             h = h_use * 0.2
             continue
         if err > 1.0:
-            # only RODAS4 gets here: a Taylor step's length keeps err <= 0.9**6
             rejected_error += 1
             h = h_use * max(0.2, 0.9 * err**-0.25)
             continue
@@ -591,7 +618,8 @@ def _coefficients(traj: Trajectory, name: str, nodes: bool = False) -> np.ndarra
     (degree + 1, steps): the components and W have degree 6, p = x1*x4
     degree 12.  Row 0 is the observable at the step's left node.
     With nodes=True the result is the observable at every node, as a
-    (1, nodes) array, computed with the same operations as row 0.
+    (1, nodes) array, computed with the same operations as row 0 (for a
+    component, a view of the stored states that must not be written).
     """
     if name not in OBSERVABLES:
         raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLES}")
@@ -602,7 +630,7 @@ def _coefficients(traj: Trajectory, name: str, nodes: bool = False) -> np.ndarra
         return dc.W(*(_coefficients(traj, n, nodes) for n in ("x2", "x3", "x4")))
     i = OBSERVABLES.index(name)
     if nodes:
-        return traj.y[None, :, i].copy()
+        return traj.y[None, :, i]
     c = np.empty((7, len(traj.t) - 1))
     c[0] = traj.y[:-1, i]
     c[1:] = traj._dense[:, i, :].T
@@ -623,6 +651,10 @@ _TO_BERNSTEIN = {
                  for k in range(d + 1)])
     for d in range(1, 13)
 }
+
+
+# k in row k - 1: the factors that take a polynomial's coefficients to its derivative's
+_RANKS = np.arange(1.0, 13.0)[:, None]
 
 
 def _hull(coef: np.ndarray):
@@ -650,9 +682,10 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
     down to a linear polynomial (and only where the derivative's hull
     straddles 0), cut [0, 1] into monotone pieces; a piece whose ends lie
     on opposite sides holds exactly one root, and a Newton iteration kept
-    inside the shrinking bracket takes it to rounding.  Zero leading
-    coefficients (the cubic Hermite pieces of from_samples) need no
-    special case.
+    inside the shrinking bracket takes it to rounding.  Each root is kept
+    from the step where it first settles, so no column's roots depend on
+    the other columns of the call.  Zero leading coefficients (the cubic
+    Hermite pieces of from_samples) need no special case.
     """
     c = coef.copy()
     c[0] -= level
@@ -661,7 +694,7 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
         if d == 1:
             r = -c[0] / c[1]
             return np.where((r >= 0.0) & (r <= 1.0), r, pad)[None]
-        slope = c[1:] * np.arange(1.0, d + 1)[:, None]
+        slope = c[1:] * _RANKS[:d]
         knots = np.ones((d + 1, m))
         knots[0] = 0.0
         lo, hi = _hull(slope)
@@ -675,16 +708,26 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
         a, b, ga, gb = knots[k, j], knots[k + 1, j], fa[k, j], fb[k, j]
         a_below = ga < 0.0
         s = a + (b - a) * (ga / (ga - gb))  # start from the secant
+        roots = np.full((d, m), pad)
         for _ in range(100):
             g = _horner(c, s)
             right = (g < 0.0) == a_below  # still on a's side: the root is right of s
             a, b = np.where(right, s, a), np.where(right, b, s)
             newton = s - g / _horner(slope, s)
             s, prev = np.where((newton >= a) & (newton <= b), newton, 0.5 * (a + b)), s
-            if not (np.abs(s - prev) > 1e-15).any():
+            # near rounding Newton can step between neighbouring floats, so
+            # a root leaves the iteration where it first settles
+            moving = np.abs(s - prev) > 1e-15
+            n = np.count_nonzero(moving)
+            if not n:
                 break
-    roots = np.full((d, m), pad)
-    roots[k, j] = s
+            if n < moving.size:
+                settled = ~moving
+                roots[k[settled], j[settled]] = s[settled]
+                k, j, s, a, b, c, slope, a_below = (
+                    x[..., moving] for x in (k, j, s, a, b, c, slope, a_below)
+                )
+        roots[k, j] = s
     return np.sort(roots, axis=0)
 
 
@@ -695,64 +738,96 @@ def _cut(coef: np.ndarray, level: float):
     return cuts, _horner(coef, 0.5 * (cuts[:-1] + cuts[1:]))
 
 
-def _extremum(traj: Trajectory, poly, start=None, end=None, where=None):
-    """Largest value of per-step polynomials on [start, end] (default the span), and its time.
+def _extremum(traj: Trajectory, queries, where=None):
+    """Largest value of per-step polynomials on a window, and its time, for each query.
 
-    ``poly(nodes)`` gives the polynomials as _coefficients(traj, name,
-    nodes) does.  With ``where`` (laid out as poly(False)) only stretches
-    where it is > 0 count, and None is returned if there are none.  The
-    candidates are the ends of the stretches that count, cut to the
-    window, and the roots of the derivative inside them, searched only in
-    steps whose left value plus positive coefficients beats the best end.
+    A query is (coef, node, start, end): polynomials of one degree as
+    _coefficients(traj, name) gives them, their node values (row 0 of
+    _coefficients(traj, name, True)) and a window, None meaning an end of
+    the span.  With ``where`` (laid out as coef), the one query's coef is
+    a function giving the polynomials of the steps passed to it, only
+    stretches where ``where`` > 0 count, and the answer is None if none
+    does.  The candidates are the ends of the stretches that count, cut
+    to the window, and the derivative's roots inside them, searched only
+    in steps whose left value plus positive coefficients beats the
+    query's best end.  All queries' columns go through one filter and one
+    root search; roots settle one by one (_unit_roots), so no answer
+    depends on the other queries.
     """
     t = traj.t
-    start, end = t[0] if start is None else float(start), t[-1] if end is None else float(end)
-    if not (t[0] - 1e-12 <= start <= end + 1e-12 and end <= t[-1] + 1e-12):
-        raise ValueError(f"window [{start!r}, {end!r}] is not inside [{t[0]!r}, {t[-1]!r}]")
-    first = min(max(int(np.searchsorted(t, start, "right")) - 1, 0), len(t) - 2)
-    stop = min(max(int(np.searchsorted(t, end, "left")), first + 1), len(t) - 1)
-    steps = np.arange(first, stop)
+    starts = [t[0] if q[2] is None else float(q[2]) for q in queries]
+    ends = [t[-1] if q[3] is None else float(q[3]) for q in queries]
+    firsts = np.searchsorted(t, starts, "right").tolist()
+    stops = np.searchsorted(t, ends, "left").tolist()
+    windows = []  # per query: steps [first, stop) and where the window starts and ends in them
+    edges = [0]  # query q owns the columns edges[q]:edges[q + 1]
+    for start, end, first, stop in zip(starts, ends, firsts, stops):
+        if not (t[0] - 1e-12 <= start <= end + 1e-12 and end <= t[-1] + 1e-12):
+            raise ValueError(f"window [{start!r}, {end!r}] is not inside [{t[0]!r}, {t[-1]!r}]")
+        first = min(max(first - 1, 0), len(t) - 2)
+        stop = min(max(stop, first + 1), len(t) - 1)
+        lo = min(max((start - t[first]) / (t[first + 1] - t[first]), 0.0), 1.0)
+        hi = min(max((end - t[stop - 1]) / (t[stop] - t[stop - 1]), 0.0), 1.0)
+        windows.append((first, stop, lo, hi))
+        edges.append(edges[-1] + stop - first)
+    steps = np.concatenate([np.arange(first, stop) for first, stop, _, _ in windows])
     lo, hi = np.zeros(steps.size), np.ones(steps.size)
-    lo[0] = min(max((start - t[first]) / (t[first + 1] - t[first]), 0.0), 1.0)
-    hi[-1] = min(max((end - t[stop - 1]) / (t[stop] - t[stop - 1]), 0.0), 1.0)
     if where is None:
-        c, node = poly(False)[:, first:stop], poly(True)[0]
-        # the window's ends and the nodes inside it
-        v = node[first : stop + 1].copy()
-        v[0] = _horner(c[:, 0], lo[0])
-        if hi[-1] < 1.0:
-            v[-1] = _horner(c[:, -1], hi[-1])
-        j = int(np.argmax(v))
-        best, j_best, live = v[j], min(j, steps.size - 1), True
-        s_best = lo[0] if j == 0 else hi[-1] if j == steps.size else 0.0
+        parts = [q[0][:, first:stop] for q, (first, stop, _, _) in zip(queries, windows)]
+        c = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        # each query's best node or window end, also spread over its columns
+        best, s_best, col, beat = [], [], [], np.empty(steps.size)
+        for q, (first, stop, w0, w1), e0, e1 in zip(queries, windows, edges, edges[1:]):
+            lo[e0], hi[e1 - 1] = w0, w1
+            v = q[1][first : stop + 1].copy()  # the node values
+            v[0] = _horner(c[:, e0], w0)
+            if w1 < 1.0:
+                v[-1] = _horner(c[:, e1 - 1], w1)
+            j = int(np.argmax(v))
+            best.append(v[j])
+            s_best.append(w0 if j == 0 else w1 if j == e1 - e0 else 0.0)
+            col.append(e0 + min(j, e1 - e0 - 1))
+            beat[e0:e1] = v[j]
     else:
+        first, stop, lo[0], hi[-1] = windows[0]
         meet = _hull(where[:, first:stop])[1] > 0.0
         if not meet.any():
-            return None
+            return [None]
         steps, lo, hi = steps[meet], lo[meet], hi[meet]
         cuts, mid = _cut(where[:, steps], 0.0)
         cuts = np.clip(cuts, lo, hi)
         keep = (mid > 0.0) & (cuts[1:] > cuts[:-1])
         if not keep.any():
-            return None
-        c, live = poly(False)[:, steps], keep.any(axis=0)
-        ends = np.vstack([keep, keep[-1:]]) | np.vstack([keep[:1], keep])
-        v = np.where(ends, _horner(c, cuts), -np.inf)
+            return [None]
+        c, edges = queries[0][0](steps), [0, steps.size]
+        rims = np.vstack([keep, keep[-1:]]) | np.vstack([keep[:1], keep])  # cuts that end a stretch
+        v = np.where(rims, _horner(c, cuts), -np.inf)
         k, j = np.unravel_index(int(np.argmax(v)), v.shape)
-        best, s_best, j_best = v[k, j], cuts[k, j], j
-    cand = np.flatnonzero((sum(np.maximum(c[1:], 0.0), c[0]) > best) & live)
+        best, s_best, col = [v[k, j]], [cuts[k, j]], [j]
+        beat = np.where(keep.any(axis=0), best[0], np.inf)  # no stretch that counts: no candidate
+    # each column's left value plus its positive coefficients, summed in row order
+    bound = np.maximum(c, 0.0)
+    bound[0] = c[0]
+    cand = np.flatnonzero(bound.sum(axis=0) > beat)
     if cand.size:
         c = c[:, cand]
-        s = _unit_roots(c[1:] * np.arange(1.0, len(c))[:, None], 0.0, 0.0)
+        s = _unit_roots(c[1:] * _RANKS[: len(c) - 1], 0.0, 0.0)
         ok = (s >= lo[cand]) & (s <= hi[cand])
-        ok &= where is None or _horner(where[:, steps[cand]], s) > 0.0
+        if where is not None:
+            ok &= _horner(where[:, steps[cand]], s) > 0.0
         v = np.where(ok, _horner(c, s), -np.inf)
-        k, q = np.unravel_index(int(np.argmax(v)), v.shape)
-        if v[k, q] > best:
-            best, s_best, j_best = v[k, q], s[k, q], cand[q]
-    step = steps[j_best]
-    time = t[step + 1] if s_best == 1.0 else t[step] + (t[step + 1] - t[step]) * s_best
-    return float(best), float(time)
+        # cand is sorted, so each query's candidates are one run of columns
+        split = np.searchsorted(cand, edges).tolist()
+        for q, (a, b) in enumerate(zip(split, split[1:])):
+            if a < b:
+                k, j = divmod(int(np.argmax(v[:, a:b])), b - a)
+                if v[k, a + j] > best[q]:
+                    best[q], s_best[q], col[q] = v[k, a + j], s[k, a + j], cand[a + j]
+    found = []
+    for value, s_at, step in zip(best, s_best, steps[col].tolist()):
+        time = t[step + 1] if s_at == 1.0 else t[step] + (t[step + 1] - t[step]) * s_at
+        found.append((float(value), float(time)))
+    return found
 
 
 def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.ndarray:
@@ -852,11 +927,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def read_trajectory_csv(path, params: Params) -> Trajectory:
     """Load a trajectory CSV written by write_trajectory_csv."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="") as fh, warnings.catch_warnings():
         header = fh.readline().strip()
         if header != "t,x1,x2,x3,x4":
             raise ValueError(f"unexpected CSV header {header!r}")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # reported below
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"trajectory CSV {path} has no data rows")
     if data.shape[1] != 5:
         raise ValueError(f"expected 5 columns, got {data.shape[1]}")
     return Trajectory.from_samples(params, data[:, 0], data[:, 1:])

@@ -6,17 +6,19 @@ location where the margin is attained, and a human-readable detail line.
 ``build_report`` assembles the five named checks exactly once each.
 
 Every check quantifies over what its claim quantifies over: the
-interpolant, through the exact windowed extrema of Trajectory.maximum
-and Trajectory.minimum (the lemma reads the polynomial of p = x1*x4,
-since xdot1 = alpha1 - alpha2*p), or a closed form.  Nothing here
-samples or differences the trajectory.  The lemma and the cascade read
-one set of excursions, those above L_used: an excursion above any higher
-level, and its window [start+T0, end], lies inside one of them.
+interpolant, through the exact windowed extrema of Trajectory.extrema
+(the lemma reads the polynomial of p = x1*x4, since
+xdot1 = alpha1 - alpha2*p), or a closed form.  Nothing here samples or
+differences the trajectory.  A check asks for all the extrema it needs
+in one batched search: global_bounds for the four components, the
+cascade for the four stages of an excursion, the lemma for the windows
+of every qualifying excursion.  The lemma and the cascade read one set
+of excursions, those above L_used: an excursion above any higher level,
+and its window [start+T0, end], lies inside one of them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -144,8 +146,8 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     worst_loc = float(traj.t[0])
     fail_loc = None
     parts = []
-    for i, M in enumerate(bounds):
-        top, t_top = traj.maximum(f"x{i + 1}")
+    tops = traj.extrema([("max", f"x{i + 1}", None, None) for i in range(4)])
+    for i, (M, (top, t_top)) in enumerate(zip(bounds, tops)):
         margin = (M - top) / M
         parts.append(f"x{i + 1} max {top:.6g} vs M{i + 1} {M:.6g}")
         if margin < worst_margin:
@@ -180,15 +182,18 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     """
     L_used, T0 = cert.L_used, cert.T0
 
-    x1max = traj.maximum("x1")[0]
-    if x1max <= L_used:
-        return CheckResult(
-            "excursion_lemma",
-            PASS,
-            None,
-            None,
-            f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}",
-        )
+    # a node above L_used settles that x1 exceeds it; only otherwise is
+    # the exact maximum needed, to decide and to report it
+    if traj.y[:, 0].max() <= L_used:
+        x1max = traj.maximum("x1")[0]
+        if x1max <= L_used:
+            return CheckResult(
+                "excursion_lemma",
+                PASS,
+                None,
+                None,
+                f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}",
+            )
 
     excs, qualifying = _long_excursions(traj, cert)
     if not qualifying:
@@ -202,8 +207,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
             f"(longest {longest:.6g})",
         )
     worst_margin, worst_loc = math.inf, None
-    for exc in qualifying:
-        low, t_low = traj.minimum("p", exc.start + T0, exc.end)
+    for low, t_low in traj.extrema([("min", "p", e.start + T0, e.end) for e in qualifying]):
         margin = (p.alpha2 * low - p.alpha1 - _STRICT_NEG * p.alpha1) / p.alpha1
         if margin < worst_margin:
             worst_margin, worst_loc = margin, t_low
@@ -258,17 +262,19 @@ def check_cascade_lower_bounds(
     s = excursion.start
     U_eff = window_upper(p, max(L, float(traj.at(s)[0])), T_w)
     delta4 = math.log(2.0) / (p.alpha8 * U_eff)
-    top, t_top = traj.maximum("x1", s, s + T_w)
-    stages = [("x1<=window", (U_eff - top) / U_eff, t_top)]  # (label, margin, location)
-    for label, name, a, b, floor in (
-        ("x2>=ell2", "x2", dc.delta2, dur, ell2(p, L)),
-        ("x3>=ell3", "x3", dc.delta2 + dc.delta3, dur, ell3(p, L)),
+    # (label, sense, observable, window start and end after s, bound); empty windows drop out
+    windows = [w for w in (
+        ("x1<=window", "max", "x1", 0.0, T_w, U_eff),
+        ("x2>=ell2", "min", "x2", dc.delta2, dur, ell2(p, L)),
+        ("x3>=ell3", "min", "x3", dc.delta2 + dc.delta3, dur, ell3(p, L)),
         # ell4 with the effective window bound
-        ("x4>=ell4", "x4", dc.delta2 + dc.delta3 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
-    ):
-        if a <= b:
-            low, t_low = traj.minimum(name, s + a, s + b)
-            stages.append((label, (low - floor) / floor, t_low))
+        ("x4>=ell4", "min", "x4", dc.delta2 + dc.delta3 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
+    ) if w[3] <= w[4]]
+    found = traj.extrema([(sense, name, s + a, s + b) for _, sense, name, a, b, _ in windows])
+    stages = [  # (label, margin, location)
+        (label, (bound - v if sense == "max" else v - bound) / bound, at)
+        for (label, sense, _, _, _, bound), (v, at) in zip(windows, found)
+    ]
 
     worst = min(stages, key=lambda st: st[1])
     detail = "; ".join(f"{label} margin {m:.3g}" for label, m, _ in stages)
@@ -325,20 +331,22 @@ _FACTS = ("tau decreasing", "tau above psi1", "ell4 increasing", "ell4 below K/8
           "tau limit", "ell4 supremum", "fixed-point residual", "threshold residual")
 
 
-def _propositions(sets):
+def _propositions(rates: np.ndarray):
     """(holds, margin, location) of each fact (columns) for each rate set (rows).
 
-    Margins are normalized, a location is the level of its margin; all
-    levels of all the sets go through one tau and one ell4 call.
+    ``rates`` holds one set's alpha1..alpha8 per row.  Margins are
+    normalized, a location is the level of its margin; all levels of all
+    the sets go through one tau and one ell4 call.
     """
-    cols = np.array([q.as_tuple() for q in sets]).T[:, :, None]
-    p = SimpleNamespace(**{f"alpha{k + 1}": cols[k] for k in range(8)})
+    names = [f"alpha{k + 1}" for k in range(8)]
+    p = SimpleNamespace(**dict(zip(names, rates.T[:, :, None])))
     fp = FixedPointConstants.from_params(p)
     dc = DerivedConstants.from_params(p)
     L_probe = np.maximum(1e9, 1e7 * p.alpha1 * fp.psi1)
+    sets = [SimpleNamespace(**dict(zip(names, row))) for row in rates.tolist()]
     L_star = np.array([[solve_L_star(q)] for q in sets])
     # columns: the 40 grid levels, the 20 residual levels, then 1e9, L_probe and L*
-    columns = np.broadcast_to(np.r_[_GRID, _RES_GRID, 1e9], (len(sets), 61))
+    columns = np.broadcast_to(np.r_[_GRID, _RES_GRID, 1e9], (len(rates), 61))
     levels = np.hstack([columns, L_probe, L_star])
     taus = tau(p, levels)
     l4s = ell4(p, levels, taus)
@@ -386,16 +394,20 @@ def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> Ch
     The facts (_FACTS) are checked on a 40-level grid, a 20-level
     residual grid, at large levels and at L*.  With fuzz_count > 0 they
     are also checked on that many random parameter sets (log-uniform in
-    FORMULA_FUZZ_RANGE), every level of _CHUNK sets in one array pass, and
-    the worst outcome is folded into this record: the first worst margin
-    in draw order, and how many fuzzed sets fail.
+    FORMULA_FUZZ_RANGE, drawn as random_params draws them, in one call),
+    every level of _CHUNK sets in one array pass, and the worst outcome
+    is folded into this record: the first worst margin in draw order,
+    and how many fuzzed sets fail.
     """
     if type(fuzz_count) is not int or fuzz_count < 0:
         raise ValueError(f"fuzz must be a non-negative integer, got {fuzz_count!r}")
-    rng = np.random.default_rng(fuzz_seed) if fuzz_count > 0 else None  # seed read only for fuzz
-    sets = itertools.chain([p], (random_params(rng, *FORMULA_FUZZ_RANGE) for _ in range(fuzz_count)))
-    chunks = iter(lambda: list(itertools.islice(sets, _CHUNK)), [])  # until sets run out
-    holds, margins, locs = (np.vstack(c) for c in zip(*map(_propositions, chunks)))
+    rates = np.array([p.as_tuple()])
+    if fuzz_count > 0:  # the seed is read only for fuzz
+        lo, hi = (math.log(b) for b in FORMULA_FUZZ_RANGE)
+        draws = np.random.default_rng(fuzz_seed).uniform(lo, hi, (fuzz_count, 8))
+        rates = np.vstack([rates, np.exp(draws)])
+    passes = [_propositions(rates[k : k + _CHUNK]) for k in range(0, len(rates), _CHUNK)]
+    holds, margins, locs = (np.vstack(c) for c in zip(*passes))
     k = int(np.argmin(margins))
     notes = [f"{f} failed (margin {m:.3g})" for f, h, m in zip(_FACTS, holds[0], margins[0]) if not h]
     detail = "; ".join(notes) or "all grid and limit facts hold"

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,19 @@ class TestPlot:
         )
         assert main(["plot", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "states.svg").exists()
+
+
+class TestHeaderOnlyCsv:
+    @pytest.mark.parametrize("command", ["plot", "verify"])
+    def test_exits_2_naming_the_file_without_warning(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,x1,x2,x3,x4\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trajectory_csv": str(path)}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: trajectory CSV {path} has no data rows\n"
 
 
 def polyline_loop(frame, ts, vs, color, dashed=False):

@@ -1,6 +1,7 @@
 """Integrator, dense output, events, excursions, CSV round-trips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,40 @@ class TestWindowedExtrema:
             assert sign * top - near.max() <= 1e-8 * max(1.0, abs(top))
 
 
+    @pytest.mark.parametrize("kind", ["taylor", "rodas4", "samples"])
+    def test_batch_matches_one_query_searches_bitwise(self, window_cases, kind):
+        # every observable, both senses, every window and the whole span in
+        # one call, interleaved: each answer is the one-query answer bit for bit
+        traj, windows = window_cases[kind]
+        queries = [
+            (sense, name, a, b)
+            for (a, b) in windows + [(None, None)]
+            for name in sim.OBSERVABLES
+            for sense in ("max", "min")
+        ]
+        queries = queries[::2] + queries[1::2]
+        found = traj.extrema(queries)
+        assert len(found) == len(queries)
+        for (sense, name, a, b), (value, time) in zip(queries, found):
+            search = traj.maximum if sense == "max" else traj.minimum
+            want = search(name, a, b)
+            assert (value.hex(), time.hex()) == (want[0].hex(), want[1].hex())
+
+    def test_extrema_rejects_unknown_sense(self, demo_traj):
+        with pytest.raises(ValueError, match="sense"):
+            demo_traj.extrema([("top", "x1", None, None)])
+
+    def test_roots_do_not_depend_on_batch_mates(self, demo_traj):
+        # near rounding Newton can step between two neighbouring floats, so
+        # a root that kept iterating while other columns of the call had not
+        # settled could come out an ulp away from its one-column value
+        coef = np.hstack([sim._coefficients(demo_traj, n) for n in ("x1", "x2", "x3", "x4", "W")])
+        slope = coef[1:] * np.arange(1.0, 7)[:, None]
+        together = sim._unit_roots(slope, 0.0, 0.0)
+        for j in range(slope.shape[1]):
+            alone = sim._unit_roots(slope[:, j : j + 1], 0.0, 0.0)
+            assert alone[:, 0].tobytes() == together[:, j].tobytes(), j
+
     @pytest.mark.parametrize("quantile", [0.3, 0.6, 0.9])
     def test_rate_maximum_only_where_W_above_gamma(self, window_cases, quantile):
         # gamma inside W's range, so the stretches above it begin and end
@@ -520,6 +555,23 @@ class TestFusedStep:
             assert np.where(end < 0.0, 0.0, end).tobytes() == traj.y[i + 1].tobytes()
             row = coef * np.float64(h) ** np.arange(1, 7)
             assert row.tobytes() == traj._dense[i].tobytes()
+
+    def test_taylor_step_length_bounds_the_error_norm(self, recorded):
+        # integrate takes no error norm after a Taylor step; recomputed in
+        # loop form, with the end state in the denominators, it stays at
+        # or below the 0.9**6 that the step length is chosen for, up to
+        # the rounding of that length (a few ulps), far from the limit 1
+        _, _, _, _, _, accepted = recorded
+        norms = []
+        for kind, y, h, coef, end in accepted:
+            if kind != "taylor":
+                continue
+            sq = 0.0
+            for i in range(4):
+                err = coef[20 + i] * (h * h * h) ** 2
+                sq += (err / (1e-10 + 1e-8 * max(y[i], abs(end[i])))) ** 2
+            norms.append(math.sqrt(sq / 4.0))
+        assert norms and max(norms) <= 0.9**6 * (1.0 + 1e-13)
 
     def test_every_attempt_expands_at_its_state(self, recorded):
         _, p, _, _, attempts, _ = recorded
@@ -819,6 +871,16 @@ class TestCsvRoundTrip:
         path.write_text("time,a,b,c,d\n0,0,0,0,0\n")
         with pytest.raises(ValueError):
             read_trajectory_csv(path, DEMO)
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_rejected_without_warning(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,x1,x2,x3,x4\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                read_trajectory_csv(path, DEMO)
+        assert str(info.value) == f"trajectory CSV {path} has no data rows"
 
 
 class TestFromSamples:

@@ -11,6 +11,7 @@ import pytest
 from conftest import DEMO, log_uniform
 from sampling import window_grid
 
+import aifcert.simulate
 import aifcert.verify
 import propositions_loop
 from aifcert import (
@@ -77,6 +78,34 @@ class TestGlobalBounds:
             assert res.status == "pass", (p, x0, res.detail)
 
 
+def count_searches(monkeypatch):
+    """Spy on simulate._extremum: the number of queries of each search, in call order."""
+    calls = []
+    search = aifcert.simulate._extremum
+
+    def spy(traj, queries, where=None):
+        calls.append(len(queries))
+        return search(traj, queries, where)
+
+    monkeypatch.setattr(aifcert.simulate, "_extremum", spy)
+    return calls
+
+
+class TestOneSearchPerCheck:
+    def test_global_bounds_is_one_search(self, demo_traj, monkeypatch):
+        cert = certificate(DEMO, State.zero())
+        calls = count_searches(monkeypatch)
+        assert check_global_bounds(demo_traj, cert).status == "pass"
+        assert calls == [4]
+
+    def test_cascade_record_is_one_search(self, demo_traj, monkeypatch):
+        e = next(e for e in excursions_above(demo_traj, 0.2) if e.duration >= tau(DEMO, 0.2))
+        calls = count_searches(monkeypatch)
+        res = check_cascade_lower_bounds(demo_traj, DEMO, 0.2, e)
+        assert res.status == "pass" and res.detail.count("margin") == 4
+        assert calls == [4]
+
+
 class TestExcursionLemma:
     def test_vacuous_from_origin(self, demo_traj):
         cert = certificate(DEMO, State.zero())
@@ -124,6 +153,39 @@ class TestExcursionLemma:
         assert res.margin < -0.05
         assert e.start + 1.0 <= res.location <= e.end
 
+
+    def test_every_qualifying_window_in_one_search(self, monkeypatch):
+        # x1 = 1 + 0.7*sin(pi*(t - 0.5)/2.5) is above L_used = 1 on
+        # (0.5, 3) and (5.5, 8), both longer than T0 = 1: the minima of p
+        # on both windows come from one search and equal the one-window minima
+        t = np.arange(0.0, 9.01, 0.25)
+        x1 = 1.0 + 0.7 * np.sin(np.pi * (t - 0.5) / 2.5)
+        y = np.column_stack([x1, np.full(t.size, 0.3), np.full(t.size, 0.3), 0.3 + 0.2 * np.cos(t)])
+        traj = Trajectory.from_samples(DEMO, t, y)
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), L_used=1.0, T0=1.0)
+        windows = [(e.start + 1.0, e.end) for e in excursions_above(traj, 1.0) if e.duration >= 1.0]
+        assert len(windows) == 2
+        one_window = [traj.minimum("p", a, b) for a, b in windows]
+        calls = count_searches(monkeypatch)
+        seen = []
+        extrema = Trajectory.extrema
+
+        def spy(self, queries):
+            found = extrema(self, queries)
+            seen.append((queries, found))
+            return found
+
+        monkeypatch.setattr(Trajectory, "extrema", spy)
+        res = check_excursion_lemma(traj, DEMO, cert)
+        (queries, found), = [(q, f) for q, f in seen if q[0][1] == "p"]
+        assert [(a, b) for _, _, a, b in queries] == windows
+        assert [(v.hex(), w.hex()) for v, w in found] == [(v.hex(), w.hex()) for v, w in one_window]
+        assert calls == [2]  # both windows; a node above L_used needs no search for max x1
+        a1, a2 = DEMO.alpha1, DEMO.alpha2
+        margins = [(a2 * low - a1 - 1e-9 * a1) / a1 for low, _ in one_window]
+        k = int(np.argmin(margins))
+        assert (res.margin, res.location) == (margins[k], one_window[k][1])
+        assert res.detail.startswith("2 qualifying excursion(s)")
 
     def test_margin_is_exact_minimum_of_product(self):
         # the margin is that of xdot1 < -1e-9*alpha1 at the smallest x1*x4
@@ -310,6 +372,16 @@ class TestPropositions:
             p = random_params(rng, *bounds)
             res = check_propositions(p, fuzz_count=fuzz, fuzz_seed=seed)
             assert _bitwise(res) == _bitwise(check_propositions_loop(p, fuzz, seed))
+
+    def test_one_draw_call_is_the_random_params_stream(self):
+        # check_propositions draws every fuzzed set in one call; the rates
+        # are those of random_params called once per set, bit for bit
+        lo, hi = FORMULA_FUZZ_RANGE
+        for seed in (0, 7, 1729):
+            rng = np.random.default_rng(seed)
+            one_by_one = np.array([random_params(rng, lo, hi).as_tuple() for _ in range(60)])
+            draws = np.random.default_rng(seed).uniform(math.log(lo), math.log(hi), (60, 8))
+            assert np.exp(draws).tobytes() == one_by_one.tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 4, 50])
     def test_chunked_passes_match_loop_form_bitwise(self, monkeypatch, chunk):
