@@ -23,9 +23,9 @@ polynomials, any number of windows and observables in one search
 (Trajectory.extrema, _extremum).
 
 The state space is tiny (four components), so both steps are written
-out component by component on plain floats; accepted states and
-coefficients go into flat float buffers that become numpy arrays once,
-at the end.
+out component by component on plain floats; accepted times and states
+go into flat float buffers that become numpy arrays once, at the end,
+and the Trajectory constructor derives every dense row from them.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ _POWERS = np.arange(1, 7)
 
 OBSERVABLES = ("x1", "x2", "x3", "x4", "p", "W")
 
-# Spacing of the uniform grid that trajectory CSVs hold besides the step nodes.
-_CSV_STEP = 0.01
-
 
 class IntegrationError(RuntimeError):
     """Integration could not continue; carries the last valid time."""
@@ -135,32 +132,40 @@ class Excursion:
 
 
 class Trajectory:
-    """Integration output: samples plus per-step interpolation data.
+    """Integration output: the step nodes, and the dense rows they fix.
 
     ``t`` holds the accepted step times (strictly increasing, starting
-    at 0 with the initial state), ``y`` the states at those times, and
-    the dense coefficients let ``at`` evaluate the solution anywhere in
-    between: each step keeps a polynomial of degree 6 in s in [0, 1],
-    the Taylor step's own polynomial or a cubic Hermite piece padded
-    with zeros.  Instances are immutable after construction and carry
-    the inputs that produced them.
+    at 0 with the initial state x0 = y[0]), ``y`` the states at those
+    times, and the dense rows let ``at`` evaluate the solution anywhere
+    in between: each step keeps a polynomial of degree 6 in s in [0, 1],
+    for the first ``taylor_steps`` steps the Taylor polynomial at the
+    left node, for the others a cubic Hermite piece padded with zeros.
+    Only the constructor builds rows.  Instances are immutable after
+    construction and carry the inputs that produced them.
 
     ``stats`` counts what the integrator did: accepted steps, rejected
     attempts by reason (error, orthant, non-finite; a failed stiffness
-    trial is not a rejection), field evaluations ``nfev`` (6 per Taylor
-    expansion, 5 per RODAS4 attempt including trials, 1 per accepted
-    RODAS4 state), accepted RODAS4 steps (``stiff_steps``) and switches
-    to RODAS4 (0 or 1; there is no switch back).  It is empty for
-    trajectories rebuilt from samples.
+    trial is not a rejection), its own field evaluations ``nfev`` (6 per
+    Taylor expansion, 5 per RODAS4 attempt including trials, 1 per
+    accepted RODAS4 state), accepted RODAS4 steps (``stiff_steps``) and
+    switches to RODAS4 (0 or 1; there is no switch back).  It is empty
+    for trajectories rebuilt from samples.
     """
 
-    def __init__(self, params, x0, t, y, dense, error_estimate, stats=None):
+    def __init__(self, params, t, y, taylor_steps=0, error_estimate=None, stats=None):
         self.params = params
-        self.x0 = x0
+        self.x0 = State.from_sequence(y[0])
         self.t = t
         self.y = y
-        self._dense = dense  # (n-1, 4 components, powers 1 to 6 of s)
-        self.error_estimate = error_estimate
+        self.taylor_steps = m = taylor_steps
+        a = params.as_tuple()
+        h = np.diff(t)
+        self._dense = dense = np.empty((len(h), 4, 6))  # (steps, components, powers 1 to 6 of s)
+        dense[:m] = np.array(_taylor(a, tuple(y[:m].T))).reshape(6, 4, m).transpose(2, 1, 0)
+        dense[:m] *= h[:m, None, None] ** _POWERS
+        f = np.stack(field(a, *y[m:].T), axis=-1)
+        dense[m:] = _hermite(h[m:, None], np.diff(y[m:], axis=0), f[:-1], f[1:])
+        self.error_estimate = np.zeros(4) if error_estimate is None else error_estimate
         self.stats = MappingProxyType(dict(stats or {}))
 
     @property
@@ -252,12 +257,12 @@ class Trajectory:
         return _extremum(self, [(rate, None, None, None)], where=above)[0]
 
     @classmethod
-    def from_samples(cls, params, t, y):
+    def from_samples(cls, params, t, y, taylor_steps=0):
         """Rebuild a trajectory from plain samples (e.g. a CSV round trip).
 
-        Interpolation uses cubic Hermite pieces with analytic
-        derivatives from the vector field, which keeps dense queries
-        meaningful between the given rows.
+        Samples are validated, then built like any trajectory; with
+        taylor_steps = 0 every step is a cubic Hermite piece, which keeps
+        dense queries meaningful between the given rows.
         """
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -271,11 +276,13 @@ class Trajectory:
             raise ValueError("samples must be finite")
         if (y < -1e-9).any():
             raise ValueError("sample states must lie in the orthant (tolerance 1e-9)")
-        y = np.maximum(y, 0.0)
-        f = np.stack(field(params.as_tuple(), *y.T), axis=-1)
-        dense = _hermite(np.diff(t)[:, None], np.diff(y, axis=0), f[:-1], f[1:])
-        x0 = State.from_clamped(y[0])
-        return cls(params, x0, t, y, dense, np.zeros(4))
+        if not (type(taylor_steps) is int and 0 <= taylor_steps < t.size):
+            raise ValueError(f"taylor_steps must be in [0, {t.size - 1}], got {taylor_steps!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = cls(params, t, np.maximum(y, 0.0), taylor_steps)
+        if not np.isfinite(traj._dense).all():
+            raise ValueError("rebuilt dense rows are not finite")
+        return traj
 
 
 def _hermite(h, dy, f0, f1):
@@ -474,9 +481,7 @@ def integrate(
 
     ts = array("d", [0.0])
     ys = array("d", y)
-    coefs = array("d")  # 24 per Taylor step
-    ends = array("d")  # field at both ends, 8 per RODAS4 step
-    hs = array("d")
+    taylor_steps = 0
     acc1 = acc2 = acc3 = acc4 = 0.0
     rejected_error = rejected_orthant = rejected_nonfinite = 0
     nfev = 0
@@ -502,7 +507,7 @@ def integrate(
         if h < 1e-13 * max(1.0, abs(t)):
             msg = f"step size underflow at rel_tol {rel_tol!r}, abs_tol {abs_tol!r}"
             raise IntegrationError(msg, t)
-        if len(hs) >= 5_000_000:
+        if len(ts) > 5_000_000:
             raise IntegrationError("step budget exhausted", t)
         trial = not stiff and wait == 0 and h * (a2 * y4 + a8 * y1 + a46) > _TRIAL_GATE
         h_try = _TRIAL_LENGTH * h if trial else h
@@ -555,41 +560,28 @@ def integrate(
         stiff = stiff or trial
         if stiff:
             # the field at the new state is the next step's first stage
-            # and the slope at the right end of the Hermite row
-            f1 = field(a, *y_end)
+            f0 = field(a, *y_end)
             nfev += 1
-            ends.extend(f0)
-            ends.extend(f1)
-            f0 = f1
             h = h_use * (10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err**-0.25)))
         else:
-            coefs.extend(c)
+            taylor_steps += 1
             c = None
             wait = max(wait - 1, 0)
         t = horizon if last else t + h_use
         y = y_end
         ts.append(t)
         ys.extend(y_end)
-        hs.append(h_use)
         acc1 += abs(e1)
         acc2 += abs(e2)
         acc3 += abs(e3)
         acc4 += abs(e4)
 
-    h_arr = np.frombuffer(hs)
-    y_arr = np.frombuffer(ys).reshape(-1, 4)
-    m = len(coefs) // 24  # the Taylor steps, all before the RODAS4 ones
-    dense = np.frombuffer(coefs).reshape(-1, 6, 4).transpose(0, 2, 1)
-    dense = dense * h_arr[:m, None, None] ** _POWERS
-    if m < len(hs):
-        f = np.frombuffer(ends).reshape(-1, 2, 4)
-        hermite = _hermite(h_arr[m:, None], np.diff(y_arr[m:], axis=0), f[:, 0], f[:, 1])
-        dense = np.concatenate([dense, hermite])
-    stats = dict(accepted=len(hs), rejected_error=rejected_error, rejected_orthant=rejected_orthant,
-                 rejected_nonfinite=rejected_nonfinite, nfev=nfev, stiff_steps=len(hs) - m,
-                 switches=int(stiff))
+    stats = dict(accepted=len(ts) - 1, rejected_error=rejected_error,
+                 rejected_orthant=rejected_orthant, rejected_nonfinite=rejected_nonfinite,
+                 nfev=nfev, stiff_steps=len(ts) - 1 - taylor_steps, switches=int(stiff))
     error_estimate = np.array([acc1, acc2, acc3, acc4])
-    return Trajectory(p, x0, np.frombuffer(ts), y_arr, dense, error_estimate, stats)
+    y_arr = np.frombuffer(ys).reshape(-1, 4)
+    return Trajectory(p, np.frombuffer(ts), y_arr, taylor_steps, error_estimate, stats)
 
 
 def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
@@ -907,17 +899,14 @@ def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write `t,x1,x2,x3,x4` rows at the step nodes plus a uniform grid, _CSV_STEP apart.
+    """Write the step nodes as `t,x1,x2,x3,x4` rows after a `# taylor_steps=<m>` line.
 
     Full double precision (17 significant digits) and LF line endings,
     so files round-trip bit-exactly across platforms.
     """
-    grid = np.arange(traj.t[0], traj.t[-1] + 0.5 * _CSV_STEP, _CSV_STEP)
-    grid = grid[grid <= traj.t[-1]]
-    ts = np.union1d(traj.t, grid)
-    table = np.column_stack([ts, traj.at(ts)])
+    table = np.column_stack([traj.t, traj.y])
     with open(path, "w", newline="\n") as fh:
-        fh.write("t,x1,x2,x3,x4\n")
+        fh.write(f"t,x1,x2,x3,x4\n# taylor_steps={traj.taylor_steps}\n")
         # one formatting call per block of rows keeps the text small in memory
         row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
         for k in range(0, len(table), 512):
@@ -926,15 +915,27 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path, params: Params) -> Trajectory:
-    """Load a trajectory CSV written by write_trajectory_csv."""
+    """Load a trajectory CSV written by write_trajectory_csv: its nodes give back its rows.
+
+    Without the `# taylor_steps=<m>` line (a hand-written file) every step
+    is a cubic Hermite piece.  Faults raise a ValueError naming the file.
+    """
+    where = f"trajectory CSV {path}"
     with open(path, "r", newline="") as fh, warnings.catch_warnings():
-        header = fh.readline().strip()
-        if header != "t,x1,x2,x3,x4":
-            raise ValueError(f"unexpected CSV header {header!r}")
+        header, second = fh.readline().strip(), fh.readline()  # second: taylor_steps or a row
+        key, _, m = second.partition("=")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # reported below
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        raise ValueError(f"trajectory CSV {path} has no data rows")
-    if data.shape[1] != 5:
-        raise ValueError(f"expected 5 columns, got {data.shape[1]}")
-    return Trajectory.from_samples(params, data[:, 0], data[:, 1:])
+        try:
+            if header != "t,x1,x2,x3,x4":
+                raise ValueError(f"unexpected header {header!r}")
+            m = m.strip() if key.strip() == "# taylor_steps" else "0"
+            if not m.lstrip("-").isdecimal():
+                raise ValueError(f"taylor_steps {m!r} is not an integer")
+            data = np.loadtxt([second, *fh], delimiter=",", ndmin=2)
+            if data.size:
+                if data.shape[1] != 5:
+                    raise ValueError(f"expected 5 columns, got {data.shape[1]}")
+                return Trajectory.from_samples(params, data[:, 0], data[:, 1:], int(m))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    raise ValueError(f"{where} has no data rows")

@@ -168,7 +168,8 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     return CheckResult("global_bounds", PASS, worst_margin, worst_loc, "; ".join(parts))
 
 
-def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
+def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate,
+                          excs: list[Excursion] | None = None) -> CheckResult:
     """After the waiting time, species 1 is strictly decreasing.
 
     For every level L >= L_used and every excursion above L that lasts
@@ -178,7 +179,8 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     the excursions above L_used covers every level.  Both claims follow
     from the exact minimum of p = x1*x4 on each window, because
     xdot1 = alpha1 - alpha2*p.  If no excursion lasts T0 the check
-    passes vacuously and says so.
+    passes vacuously and says so.  ``excs`` are the excursions above
+    L_used, found here unless given.
     """
     L_used, T0 = cert.L_used, cert.T0
 
@@ -195,7 +197,8 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
                 f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}",
             )
 
-    excs, qualifying = _long_excursions(traj, cert)
+    excs = excursions_above(traj, L_used) if excs is None else excs
+    qualifying = [e for e in excs if e.duration >= T0]
     if not qualifying:
         longest = max((e.duration for e in excs), default=0.0)
         return CheckResult(
@@ -442,25 +445,20 @@ def build_report(
     if traj is None:
         traj = integrate(p, x0, horizon, rel_tol, abs_tol)
 
+    excs = excursions_above(traj, cert.L_used)  # one set for the lemma and the cascade
     checks = [
         check_global_bounds(traj, cert),
-        check_excursion_lemma(traj, p, cert),
-        _cascade_record(traj, p, cert),
+        check_excursion_lemma(traj, p, cert, excs),
+        _cascade_record(traj, p, cert, excs),
         check_W_decrease(traj, p, cert),
         check_propositions(p, fuzz_count=fuzz_count, fuzz_seed=fuzz_seed),
     ]
     return VerificationReport(tuple(checks), p, x0, cert)
 
 
-def _long_excursions(traj: Trajectory, cert: BoundCertificate):
-    """The excursions above L_used, and those of them that last T0."""
-    excs = excursions_above(traj, cert.L_used)
-    return excs, [e for e in excs if e.duration >= cert.T0]
-
-
-def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
-    """One aggregated cascade record over the certificate-level excursions."""
-    excs, qualifying = _long_excursions(traj, cert)
+def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate, excs) -> CheckResult:
+    """One aggregated cascade record over excs, the excursions above L_used."""
+    qualifying = [e for e in excs if e.duration >= cert.T0]
     if not qualifying:
         longest = max((e.duration for e in excs), default=0.0)
         return CheckResult(

@@ -118,6 +118,10 @@ class TestIntegrationFailure:
         assert list(tmp_path.iterdir()) == [cfg]
 
 
+def first_data_row(path):
+    return next(line for line in path.read_text().splitlines()[1:] if not line.startswith("#"))
+
+
 class TestSimulate:
     def test_summary_prints_interpolant_maxima(self, tmp_path, capsys):
         # node maxima would print max x1 = 0.7652; the interpolant peaks
@@ -148,7 +152,7 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"horizon": 5.0, "seed": None, "fuzz": None, "x0": None}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        first = (tmp_path / "trajectory.csv").read_text().splitlines()[1]
+        first = first_data_row(tmp_path / "trajectory.csv")
         assert first.split(",") == ["0", "0", "0", "0", "0"]
 
     def test_custom_initial_state(self, tmp_path, capsys):
@@ -156,7 +160,7 @@ class TestSimulate:
             ["simulate", "--x0", "1,0,0,0.5", "--horizon", "5", "--out", str(tmp_path)]
         )
         assert code == 0
-        first = (tmp_path / "trajectory.csv").read_text().splitlines()[1]
+        first = first_data_row(tmp_path / "trajectory.csv")
         assert first.split(",") == ["0", "1", "0", "0", "0.5"]
 
 
@@ -196,11 +200,12 @@ class TestVerify:
             json.dumps({"trajectory_csv": str(tmp_path / "trajectory.csv")})
         )
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        from_csv = json.loads((tmp_path / "report.json").read_text())
-        direct = build_report(DEMO, State.zero(), horizon=30.0)
-        assert [c["status"] for c in from_csv["checks"]] == [
-            c.status for c in direct.checks
-        ]
+        direct = tmp_path / "direct"
+        assert main(["verify", "--horizon", "30", "--out", str(direct)]) == 0
+        from_csv = (tmp_path / "report.json").read_bytes()
+        assert from_csv == (direct / "report.json").read_bytes()
+        want = build_report(DEMO, State.zero(), horizon=30.0).to_json()
+        assert json.loads(from_csv) == json.loads(json.dumps(want))
 
     def test_readme_example_matches_output(self, tmp_path, capsys):
         # each "[..]" line of the README's verify example is a line of the
@@ -254,7 +259,10 @@ class TestPlot:
             json.dumps({"trajectory_csv": str(tmp_path / "trajectory.csv")})
         )
         assert main(["plot", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "states.svg").exists()
+        direct = tmp_path / "direct"
+        assert main(["plot", "--horizon", "20", "--out", str(direct)]) == 0
+        for name in ("states.svg", "x1_bound.svg"):
+            assert (tmp_path / name).read_bytes() == (direct / name).read_bytes()
 
 
 class TestHeaderOnlyCsv:
@@ -268,6 +276,39 @@ class TestHeaderOnlyCsv:
             warnings.simplefilter("error")
             assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: trajectory CSV {path} has no data rows\n"
+
+    @pytest.mark.parametrize("command", ["plot", "verify"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x1,x2,x3,x4\n0,0,0,0,0\n", "need at least two samples"),
+            ("t,x1,x2,x3,x4\n0,0,0,0\n1,0,0,0\n", "expected 5 columns, got 4"),
+            ("t,x1,x2,x3,x4\n0,0,0,0,0\n1,0,0,0\n", "the number of columns changed"),
+            ("time,a,b,c,d\n0,0,0,0,0\n1,0,0,0,0\n", "unexpected header 'time,a,b,c,d'"),
+            ("t,x1,x2,x3,x4\n# taylor_steps=one\n0,0,0,0,0\n1,0,0,0,0\n",
+             "taylor_steps 'one' is not an integer"),
+            ("t,x1,x2,x3,x4\n# taylor_steps=2\n0,0,0,0,0\n1,0,0,0,0\n",
+             "taylor_steps must be in [0, 1], got 2"),
+            ("t,x1,x2,x3,x4\n# taylor_steps=-1\n0,0,0,0,0\n1,0,0,0,0\n",
+             "taylor_steps must be in [0, 1], got -1"),
+            ("t,x1,x2,x3,x4\n0,1e200,0,0,1e200\n1,1e200,0,0,1e200\n",
+             "rebuilt dense rows are not finite"),
+            ("t,x1,x2,x3,x4\n# taylor_steps=1\n0,1e200,0,0,1e200\n1,1e200,0,0,1e200\n",
+             "rebuilt dense rows are not finite"),
+        ],
+        ids=["one-row", "four-columns", "ragged", "bad-header", "taylor-not-int",
+             "taylor-too-many", "taylor-negative", "hermite-overflow", "taylor-overflow"],
+    )
+    def test_malformed_exits_2_naming_the_file(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trajectory_csv": str(path)}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trajectory CSV {path}: ") and message in err
 
 
 def polyline_loop(frame, ts, vs, color, dashed=False):

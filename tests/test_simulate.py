@@ -15,6 +15,7 @@ from aifcert import (
     Params,
     State,
     Trajectory,
+    build_report,
     excursions_above,
     field,
     first_hitting,
@@ -527,7 +528,8 @@ class TestFusedStep:
         # Taylor steps match the loop-form recurrence and Horner sums bit
         # for bit; RODAS4 steps match a loop form with a generic pivoted
         # solve to rounding, and their dense rows are exactly the Hermite
-        # rows of their ends
+        # rows of their ends; both rows scale by t[i+1] - t[i], which the
+        # nodes fix, not by the step the integrator took
         name, p, horizon, traj, _, accepted = recorded
         m = len(traj.t) - 1
         assert len(accepted) == m
@@ -539,11 +541,12 @@ class TestFusedStep:
         rosenbrock = np.array([att[0] == "rodas4" for att in accepted])
         # fuzz4 ends with a2*x4 near 320: stiff, and its trial passes at t = 14
         assert rosenbrock.any() == (name in ("overshoot", "stiff", "fuzz4"))
-        for i, (kind, y, h, _, _) in enumerate(accepted):
+        for i, (kind, y, h_use, _, _) in enumerate(accepted):
             assert np.array(y).tobytes() == traj.y[i].tobytes()
-            assert traj.t[i + 1] == (horizon if i == m - 1 else traj.t[i] + h)
+            assert traj.t[i + 1] == (horizon if i == m - 1 else traj.t[i] + h_use)
+            h = traj.t[i + 1] - traj.t[i]
             if kind == "rodas4":
-                y1, _ = reference_rodas4_step(f, lambda v: jacobian(p, v), y, h)
+                y1, _ = reference_rodas4_step(f, lambda v: jacobian(p, v), y, h_use)
                 dev = np.abs(np.maximum(y1, 0.0) - traj.y[i + 1]).max()
                 assert dev <= 1e-13 * np.abs(y1).max()
                 dy = traj.y[i + 1] - traj.y[i]
@@ -551,7 +554,7 @@ class TestFusedStep:
                 assert row.tobytes() == traj._dense[i].tobytes()
                 continue
             coef = reference_taylor(a, y)
-            end = reference_taylor_end(y, coef, h)
+            end = reference_taylor_end(y, coef, h_use)
             assert np.where(end < 0.0, 0.0, end).tobytes() == traj.y[i + 1].tobytes()
             row = coef * np.float64(h) ** np.arange(1, 7)
             assert row.tobytes() == traj._dense[i].tobytes()
@@ -651,7 +654,8 @@ class TestFusedStep:
         assert traj.y[i + 1][3] == 0.0 and not math.copysign(1.0, traj.y[i + 1][3]) < 0.0
         f1 = field(STIFF.as_tuple(), *traj.y[i + 1])
         assert attempts[k + 3][3] == f1
-        row = sim._hermite(h3, traj.y[i + 1] - traj.y[i], np.array(f0), np.array(f1))
+        h = traj.t[i + 1] - traj.t[i]
+        row = sim._hermite(h, traj.y[i + 1] - traj.y[i], np.array(f0), np.array(f1))
         assert row.tobytes() == traj._dense[i].tobytes()
 
 
@@ -844,12 +848,12 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().split("\n")
-        assert lines[0] == "t,x1,x2,x3,x4"
-        # all node times present and numbers round-trip losslessly
-        t_col = np.array([float(l.split(",")[0]) for l in lines[1:] if l])
-        assert np.diff(t_col).min() > 0.0
-        assert set(demo_traj.t).issubset(set(t_col))
-        assert np.diff(t_col).max() <= 0.01 + 1e-9
+        assert lines[:2] == ["t,x1,x2,x3,x4", f"# taylor_steps={demo_traj.taylor_steps}"]
+        assert lines[-1] == ""
+        # the data rows are the step nodes, and numbers round-trip losslessly
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[2:-1]])
+        assert data[:, 0].tobytes() == demo_traj.t.tobytes()
+        assert data[:, 1:].tobytes() == demo_traj.y.tobytes()
 
     def test_values_round_trip_bitwise(self, demo_traj, tmp_path):
         path = tmp_path / "traj.csv"
@@ -865,6 +869,40 @@ class TestCsvRoundTrip:
         back = read_trajectory_csv(path, DEMO)
         grid = np.linspace(0.0, 100.0, 999)
         assert np.abs(back.at(grid) - demo_traj.at(grid)).max() <= 1e-6
+
+    @pytest.mark.parametrize(
+        "p, x0, horizon, switches",
+        [(DEMO, (0.0, 0.0, 0.0, 0.0), 100.0, 0), (DEMO, (10.0, 0.0, 0.0, 0.0), 30.0, 1),
+         (STIFF, (0.0, 0.0, 0.0, 0.0), 3.0, 1)],
+        ids=["demo", "overshoot", "stiff"],
+    )
+    def test_round_trip_is_exact(self, tmp_path, p, x0, horizon, switches):
+        # Taylor steps only, a switch to RODAS4, and RODAS4 for most of the span
+        traj = integrate(p, x0, horizon)
+        assert traj.stats["switches"] == switches
+        assert traj.taylor_steps == traj.stats["accepted"] - traj.stats["stiff_steps"]
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path, p)
+        assert back.taylor_steps == traj.taylor_steps
+        for name in ("t", "y", "_dense"):
+            assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
+        assert back.x0 == traj.x0
+        report = build_report(p, x0, horizon=horizon, traj=traj).to_json()
+        assert build_report(p, x0, horizon=horizon, traj=back).to_json() == report
+
+    def test_without_taylor_line_reads_as_samples(self, tmp_path):
+        traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().split("\n")
+        assert lines.pop(1).startswith("# taylor_steps=")
+        path.write_text("\n".join(lines))
+        back = read_trajectory_csv(path, DEMO)
+        want = Trajectory.from_samples(DEMO, traj.t, traj.y)
+        assert back.taylor_steps == want.taylor_steps == 0
+        for name in ("t", "y", "_dense"):
+            assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -105,6 +105,24 @@ class TestOneSearchPerCheck:
         assert res.status == "pass" and res.detail.count("margin") == 4
         assert calls == [4]
 
+    @pytest.mark.parametrize(
+        "x0, horizon", [((0.0, 0.0, 0.0, 0.0), 100.0), ((10.0, 0.0, 0.0, 0.0), 30.0)],
+        ids=["demo", "overshoot"],
+    )
+    def test_one_excursion_set_per_report(self, monkeypatch, x0, horizon):
+        # the lemma and the cascade read the same excursions above L_used
+        traj = integrate(DEMO, x0, horizon)
+        calls = []
+        find = aifcert.verify.excursions_above
+
+        def spy(traj, level):
+            calls.append(level)
+            return find(traj, level)
+
+        monkeypatch.setattr(aifcert.verify, "excursions_above", spy)
+        report = build_report(DEMO, x0, horizon=horizon, traj=traj)
+        assert calls == [report.certificate.L_used]
+
 
 class TestExcursionLemma:
     def test_vacuous_from_origin(self, demo_traj):
