@@ -151,10 +151,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
     path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, path)
     print(f"steps = {len(traj.t) - 1}")
-    tops = traj.extrema([("max", f"x{i}", None, None) for i in range(1, 5)])
-    print(", ".join(f"max x{i} = {top:.4f}" for i, (top, _) in enumerate(tops, 1)))
+    print(", ".join(f"max x{i} = {top:.4f}" for i, (top, _) in enumerate(traj.maxima, 1)))
     print(f"wrote {path}")
     return 0
+
+
+def _read_csv(cfg: RunConfig):
+    """The trajectory in cfg.trajectory_csv, its Taylor rows checked against its nodes."""
+    traj = read_trajectory_csv(cfg.trajectory_csv, cfg.params)
+    try:
+        traj.check_taylor_rows(cfg.abs_tol)
+    except ValueError as exc:
+        raise ValueError(f"trajectory CSV {cfg.trajectory_csv}: {exc}") from None
+    return traj
 
 
 _STATUS_TAGS = {"pass": "PASS", "fail": "FAIL", "not-applicable": "N/A "}
@@ -167,7 +176,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             cert = BoundCertificate.from_json(json.load(fh))
     traj = None
     if cfg.trajectory_csv is not None:
-        traj = read_trajectory_csv(cfg.trajectory_csv, cfg.params)
+        traj = _read_csv(cfg)
     report = build_report(
         cfg.params,
         cfg.x0,
@@ -196,7 +205,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_plot(cfg: RunConfig) -> int:
     if cfg.trajectory_csv is not None:
-        traj = read_trajectory_csv(cfg.trajectory_csv, cfg.params)
+        traj = _read_csv(cfg)
     else:
         traj = integrate(cfg.params, cfg.x0, cfg.horizon, cfg.rel_tol, cfg.abs_tol)
     cert = certificate(cfg.params, cfg.x0, cfg.L0)

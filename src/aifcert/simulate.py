@@ -9,8 +9,9 @@ step, and the polynomial itself is the step's dense output.  Strong
 annihilation makes the system stiff, and the explicit step is then held
 at its stability limit.  A trial RODAS4 step, an
 L-stable order-4(3) Rosenbrock method with the analytic Jacobian, at
-eight times the Taylor step detects this, and RODAS4 takes over for the
-rest of the span; its steps keep cubic Hermite rows built from the
+eight times the Taylor step detects this, and RODAS4 takes over until
+its own steps are short enough for the Taylor step again, which then
+takes the run back; RODAS4 steps keep cubic Hermite rows built from the
 states and fields at their ends.  Trajectories can be evaluated
 anywhere in the covered span without re-running the integration.
 Events are the real roots of the per-step polynomials (minus the
@@ -34,6 +35,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -92,8 +94,11 @@ _RC61, _RC62, _RC63, _RC64, _RC65 = (
 # h*(a2*x4 + a8*x1 + a4 + a6) on the trace of -J exceeds _TRIAL_GATE,
 # one RODAS4 step _TRIAL_LENGTH times longer than the Taylor step is
 # tried.  If it passes its error and orthant tests it is accepted, and
-# RODAS4 takes every step for the rest of the span; if not, the next
-# _TRIAL_GAP Taylor steps try none.
+# RODAS4 takes the steps that follow; if not, the next _TRIAL_GAP Taylor
+# steps try none.  The same gate hands the run back: once the step that
+# RODAS4 proposes next, times the bound at its new state, falls below
+# _TRIAL_GATE, the Taylor step takes over, and again _TRIAL_GAP Taylor
+# steps come before the next trial, so the methods cannot alternate.
 _TRIAL_GATE = 3.0
 _TRIAL_LENGTH = 8.0
 _TRIAL_GAP = 16
@@ -138,33 +143,41 @@ class Trajectory:
     at 0 with the initial state x0 = y[0]), ``y`` the states at those
     times, and the dense rows let ``at`` evaluate the solution anywhere
     in between: each step keeps a polynomial of degree 6 in s in [0, 1],
-    for the first ``taylor_steps`` steps the Taylor polynomial at the
-    left node, for the others a cubic Hermite piece padded with zeros.
-    Only the constructor builds rows.  Instances are immutable after
-    construction and carry the inputs that produced them.
+    for the steps of ``taylor_runs`` (half-open (start, stop) step index
+    pairs, increasing; ``taylor_steps`` of them in all) the Taylor
+    polynomial at the left node, for the others a cubic Hermite piece
+    padded with zeros.  Only the constructor builds rows, one array pass
+    per run.  Instances are immutable after construction and carry the
+    inputs that produced them.
 
     ``stats`` counts what the integrator did: accepted steps, rejected
     attempts by reason (error, orthant, non-finite; a failed stiffness
     trial is not a rejection), its own field evaluations ``nfev`` (6 per
     Taylor expansion, 5 per RODAS4 attempt including trials, 1 per
-    accepted RODAS4 state), accepted RODAS4 steps (``stiff_steps``) and
-    switches to RODAS4 (0 or 1; there is no switch back).  It is empty
-    for trajectories rebuilt from samples.
+    accepted RODAS4 state), accepted RODAS4 steps (``stiff_steps``),
+    switches to RODAS4 (``switches``, the passed trials) and hand-backs
+    to the Taylor step (``switches_back``).  It is empty for trajectories
+    rebuilt from samples.
     """
 
-    def __init__(self, params, t, y, taylor_steps=0, error_estimate=None, stats=None):
+    def __init__(self, params, t, y, taylor_runs=(), error_estimate=None, stats=None):
         self.params = params
         self.x0 = State.from_sequence(y[0])
         self.t = t
         self.y = y
-        self.taylor_steps = m = taylor_steps
+        self.taylor_runs = taylor_runs = tuple(taylor_runs)
+        self.taylor_steps = sum(j - i for i, j in taylor_runs)
         a = params.as_tuple()
         h = np.diff(t)
         self._dense = dense = np.empty((len(h), 4, 6))  # (steps, components, powers 1 to 6 of s)
-        dense[:m] = np.array(_taylor(a, tuple(y[:m].T))).reshape(6, 4, m).transpose(2, 1, 0)
-        dense[:m] *= h[:m, None, None] ** _POWERS
-        f = np.stack(field(a, *y[m:].T), axis=-1)
-        dense[m:] = _hermite(h[m:, None], np.diff(y[m:], axis=0), f[:-1], f[1:])
+        for i, j in taylor_runs:
+            dense[i:j] = np.array(_taylor(a, tuple(y[i:j].T))).reshape(6, 4, j - i).transpose(2, 1, 0)
+            dense[i:j] *= h[i:j, None, None] ** _POWERS
+        bounds = [0, *(k for run in taylor_runs for k in run), len(h)]
+        for i, j in zip(bounds[::2], bounds[1::2]):  # the RODAS4 runs
+            if i < j:
+                f = np.stack(field(a, *y[i : j + 1].T), axis=-1)
+                dense[i:j] = _hermite(h[i:j, None], np.diff(y[i : j + 1], axis=0), f[:-1], f[1:])
         self.error_estimate = np.zeros(4) if error_estimate is None else error_estimate
         self.stats = MappingProxyType(dict(stats or {}))
 
@@ -228,6 +241,15 @@ class Trajectory:
                 found[k] = (max(-top, 0.0), time) if sense == "min" else (top, time)
         return found
 
+    @cached_property
+    def maxima(self):
+        """(value, time) of the interpolant's maximum of x1 to x4 over the span.
+
+        Found by one extrema search on first use and kept, so the checks
+        and commands that all need them share that search.
+        """
+        return self.extrema([("max", f"x{i}", None, None) for i in range(1, 5)])
+
     def maximum(self, observable: str, start: float | None = None, end: float | None = None):
         """Largest value of an observable on the interpolant over [start, end], and its time.
 
@@ -257,12 +279,15 @@ class Trajectory:
         return _extremum(self, [(rate, None, None, None)], where=above)[0]
 
     @classmethod
-    def from_samples(cls, params, t, y, taylor_steps=0):
+    def from_samples(cls, params, t, y, taylor_runs=()):
         """Rebuild a trajectory from plain samples (e.g. a CSV round trip).
 
-        Samples are validated, then built like any trajectory; with
-        taylor_steps = 0 every step is a cubic Hermite piece, which keeps
-        dense queries meaningful between the given rows.
+        Samples are validated, then built like any trajectory: the steps
+        of ``taylor_runs`` (half-open (start, stop) pairs, increasing and
+        apart) as Taylor rows, every other step as a cubic Hermite piece,
+        which keeps dense queries meaningful between the given rows.
+        Whether a Taylor row reaches its right node is not checked here
+        (check_taylor_rows does).
         """
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -276,13 +301,38 @@ class Trajectory:
             raise ValueError("samples must be finite")
         if (y < -1e-9).any():
             raise ValueError("sample states must lie in the orthant (tolerance 1e-9)")
-        if not (type(taylor_steps) is int and 0 <= taylor_steps < t.size):
-            raise ValueError(f"taylor_steps must be in [0, {t.size - 1}], got {taylor_steps!r}")
+        bounds = [k for i, j in taylor_runs for k in (i, j)]
+        for k in bounds:
+            if not (type(k) is int and 0 <= k < t.size):
+                raise ValueError(f"taylor_steps must be in [0, {t.size - 1}], got {k!r}")
+        if any(k >= n for k, n in zip(bounds, bounds[1:])):
+            raise ValueError(f"taylor runs must be increasing and apart, got {taylor_runs!r}")
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = cls(params, t, np.maximum(y, 0.0), taylor_steps)
+            traj = cls(params, t, np.maximum(y, 0.0), taylor_runs)
         if not np.isfinite(traj._dense).all():
             raise ValueError("rebuilt dense rows are not finite")
         return traj
+
+    def check_taylor_rows(self, abs_tol: float = 1e-10) -> None:
+        """Raise a ValueError, naming the step, if a Taylor row misses its right node.
+
+        An integrated Taylor row ends at its right node to rounding: it
+        must do so within 1e-12 of the sum of the magnitudes of its terms
+        and of both nodes.  Where the node is 0 the integrator may have
+        clamped an undershoot of at most abs_tol, the integration's
+        tolerance, so the row may also end that much further below.  This
+        catches a file whose nodes were edited, or whose Taylor runs name
+        steps that were not Taylor steps.
+        """
+        for i, j in self.taylor_runs:
+            rows, left, right = self._dense[i:j], self.y[i:j], self.y[i + 1 : j + 1]
+            miss = left + rows.sum(axis=-1) - right
+            tol = 1e-12 * (np.abs(left) + np.abs(rows).sum(axis=-1) + np.abs(right))
+            bad = (miss > tol) | (miss < np.where(right == 0.0, -abs_tol, 0.0) - tol)
+            if bad.any():
+                k, n = np.argwhere(bad)[0]
+                raise ValueError(f"the Taylor row of step {i + k} misses its right node "
+                                 f"(t={self.t[i + k + 1]!r}, x{n + 1}) by {miss[k, n]:.3g}")
 
 
 def _hermite(h, dy, f0, f1):
@@ -450,7 +500,8 @@ def integrate(
     Steps are Taylor steps of order 6 until a trial RODAS4 step finds
     that an implicit step eight times longer is as accurate (see
     _TRIAL_GATE); from then on they are RODAS4 steps, with cubic Hermite
-    dense rows.  Once stiff, a trajectory stays stiff.  The error
+    dense rows, until the step RODAS4 proposes is one the Taylor step
+    can take, and the Taylor step takes the run back.  The error
     estimate is the Taylor polynomial's last term or RODAS4's embedded
     difference, held below abs_tol + rel_tol * |component| in RMS norm;
     a Taylor step's length is chosen from its coefficients so that the
@@ -481,7 +532,7 @@ def integrate(
 
     ts = array("d", [0.0])
     ys = array("d", y)
-    taylor_steps = 0
+    edges = []  # the step indices at which the method changes
     acc1 = acc2 = acc3 = acc4 = 0.0
     rejected_error = rejected_orthant = rejected_nonfinite = 0
     nfev = 0
@@ -557,14 +608,21 @@ def integrate(
         if v1 < 0.0 or v2 < 0.0 or v3 < 0.0 or v4 < 0.0:
             # undershoot within abs_tol: clamp, and restart from there
             y_end = (max(v1, 0.0), max(v2, 0.0), max(v3, 0.0), max(v4, 0.0))
-        stiff = stiff or trial
+        if trial:
+            stiff = True
+            edges.append(len(ts) - 1)
         if stiff:
             # the field at the new state is the next step's first stage
             f0 = field(a, *y_end)
             nfev += 1
             h = h_use * (10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err**-0.25)))
+            if not last and h * (a2 * y_end[3] + a8 * y_end[0] + a46) < _TRIAL_GATE:
+                # the next step is one the Taylor step can take: hand the run back
+                stiff = False
+                c = None
+                wait = _TRIAL_GAP
+                edges.append(len(ts))
         else:
-            taylor_steps += 1
             c = None
             wait = max(wait - 1, 0)
         t = horizon if last else t + h_use
@@ -576,12 +634,18 @@ def integrate(
         acc3 += abs(e3)
         acc4 += abs(e4)
 
-    stats = dict(accepted=len(ts) - 1, rejected_error=rejected_error,
+    # edges alternate: a switch to RODAS4, a hand-back, ...; the Taylor runs lie between
+    n = len(ts) - 1
+    bounds = [0, *edges, n]
+    runs = tuple((i, j) for i, j in zip(bounds[::2], bounds[1::2]) if i < j)
+    taylor_steps = sum(j - i for i, j in runs)
+    stats = dict(accepted=n, rejected_error=rejected_error,
                  rejected_orthant=rejected_orthant, rejected_nonfinite=rejected_nonfinite,
-                 nfev=nfev, stiff_steps=len(ts) - 1 - taylor_steps, switches=int(stiff))
+                 nfev=nfev, stiff_steps=n - taylor_steps, switches=(len(edges) + 1) // 2,
+                 switches_back=len(edges) // 2)
     error_estimate = np.array([acc1, acc2, acc3, acc4])
     y_arr = np.frombuffer(ys).reshape(-1, 4)
-    return Trajectory(p, np.frombuffer(ts), y_arr, taylor_steps, error_estimate, stats)
+    return Trajectory(p, np.frombuffer(ts), y_arr, runs, error_estimate, stats)
 
 
 def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
@@ -899,14 +963,16 @@ def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write the step nodes as `t,x1,x2,x3,x4` rows after a `# taylor_steps=<m>` line.
+    """Write the step nodes as `t,x1,x2,x3,x4` rows after a `# taylor_steps=` line.
 
-    Full double precision (17 significant digits) and LF line endings,
-    so files round-trip bit-exactly across platforms.
+    The line lists the Taylor runs as `start:stop` pairs (`0:262,308:678`,
+    empty for none).  Full double precision (17 significant digits) and
+    LF line endings, so files round-trip bit-exactly across platforms.
     """
+    line = ",".join(f"{i}:{j}" for i, j in traj.taylor_runs)
     table = np.column_stack([traj.t, traj.y])
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"t,x1,x2,x3,x4\n# taylor_steps={traj.taylor_steps}\n")
+        fh.write(f"t,x1,x2,x3,x4\n# taylor_steps={line}\n")
         # one formatting call per block of rows keeps the text small in memory
         row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
         for k in range(0, len(table), 512):
@@ -917,8 +983,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path, params: Params) -> Trajectory:
     """Load a trajectory CSV written by write_trajectory_csv: its nodes give back its rows.
 
-    Without the `# taylor_steps=<m>` line (a hand-written file) every step
-    is a cubic Hermite piece.  Faults raise a ValueError naming the file.
+    A line `# taylor_steps=<m>` (the format before Taylor runs were
+    written) reads as the run `0:m`.  Without the line (a hand-written
+    file) every step is a cubic Hermite piece.  The line is taken as
+    given: Trajectory.check_taylor_rows tells whether the nodes bear it
+    out.  Faults raise a ValueError naming the file.
     """
     where = f"trajectory CSV {path}"
     with open(path, "r", newline="") as fh, warnings.catch_warnings():
@@ -928,14 +997,18 @@ def read_trajectory_csv(path, params: Params) -> Trajectory:
         try:
             if header != "t,x1,x2,x3,x4":
                 raise ValueError(f"unexpected header {header!r}")
-            m = m.strip() if key.strip() == "# taylor_steps" else "0"
-            if not m.lstrip("-").isdecimal():
-                raise ValueError(f"taylor_steps {m!r} is not an integer")
+            m = m.strip() if key.strip() == "# taylor_steps" else ""
+            if m.lstrip("-").isdecimal():  # a Taylor step count: the run 0:m
+                m = "" if m == "0" else f"0:{m}"
+            pairs = [r.split(":") for r in m.split(",")] if m else []
+            if not all(len(r) == 2 and all(k.lstrip("-").isdecimal() for k in r) for r in pairs):
+                raise ValueError(f"taylor_steps {m!r} is not an integer or a list of start:stop runs")
+            runs = [(int(i), int(j)) for i, j in pairs]
             data = np.loadtxt([second, *fh], delimiter=",", ndmin=2)
             if data.size:
                 if data.shape[1] != 5:
                     raise ValueError(f"expected 5 columns, got {data.shape[1]}")
-                return Trajectory.from_samples(params, data[:, 0], data[:, 1:], int(m))
+                return Trajectory.from_samples(params, data[:, 0], data[:, 1:], runs)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     raise ValueError(f"{where} has no data rows")

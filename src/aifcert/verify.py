@@ -146,8 +146,7 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     worst_loc = float(traj.t[0])
     fail_loc = None
     parts = []
-    tops = traj.extrema([("max", f"x{i + 1}", None, None) for i in range(4)])
-    for i, (M, (top, t_top)) in enumerate(zip(bounds, tops)):
+    for i, (M, (top, t_top)) in enumerate(zip(bounds, traj.maxima)):
         margin = (M - top) / M
         parts.append(f"x{i + 1} max {top:.6g} vs M{i + 1} {M:.6g}")
         if margin < worst_margin:
@@ -187,7 +186,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate,
     # a node above L_used settles that x1 exceeds it; only otherwise is
     # the exact maximum needed, to decide and to report it
     if traj.y[:, 0].max() <= L_used:
-        x1max = traj.maximum("x1")[0]
+        x1max = traj.maxima[0][0]
         if x1max <= L_used:
             return CheckResult(
                 "excursion_lemma",

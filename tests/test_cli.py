@@ -11,7 +11,7 @@ import pytest
 
 from conftest import DEMO
 
-from aifcert import BoundCertificate, State, build_report, integrate
+from aifcert import BoundCertificate, State, build_report, integrate, write_trajectory_csv
 from aifcert.cli import main
 from aifcert.plot import _Frame, _polyline
 
@@ -265,6 +265,14 @@ class TestPlot:
             assert (tmp_path / name).read_bytes() == (direct / name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def overshoot_csv_lines(tmp_path_factory):
+    """The CSV of the run from x0 = (10, 0, 0, 0) at horizon 30, one switch, as lines."""
+    path = tmp_path_factory.mktemp("overshoot") / "trajectory.csv"
+    write_trajectory_csv(integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0), path)
+    return path.read_text().split("\n")
+
+
 class TestHeaderOnlyCsv:
     @pytest.mark.parametrize("command", ["plot", "verify"])
     def test_exits_2_naming_the_file_without_warning(self, tmp_path, capsys, command):
@@ -309,6 +317,32 @@ class TestHeaderOnlyCsv:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: trajectory CSV {path}: ") and message in err
+
+    @pytest.mark.parametrize("command", ["plot", "verify"])
+    @pytest.mark.parametrize("tamper", ["raised-run", "raised-count", "edited-node"])
+    def test_exits_2_naming_the_file_and_step(self, tmp_path, capsys, overshoot_csv_lines,
+                                               command, tamper):
+        # RODAS4 steps passed off as Taylor steps (in either form of the
+        # line), or a node inside the Taylor run nudged by 1e-6 relative:
+        # a Taylor row misses its node
+        lines = list(overshoot_csv_lines)
+        assert lines[1] == "# taylor_steps=0:528"
+        if tamper == "raised-run":
+            lines[1], step = "# taylor_steps=0:838", 528
+        elif tamper == "raised-count":
+            lines[1], step = "# taylor_steps=838", 528
+        else:
+            row = lines[2 + 100].split(",")
+            row[1] = repr(float(row[1]) * (1.0 + 1e-6))
+            lines[2 + 100], step = ",".join(row), 99
+        path = tmp_path / "tampered.csv"
+        path.write_text("\n".join(lines))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trajectory_csv": str(path), "x0": [10, 0, 0, 0]}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trajectory CSV {path}: the Taylor row of step {step} ")
+        assert "misses its right node" in err
 
 
 def polyline_loop(frame, ts, vs, color, dashed=False):

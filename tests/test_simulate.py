@@ -1,5 +1,6 @@
 """Integrator, dense output, events, excursions, CSV round-trips."""
 
+import itertools
 import math
 import warnings
 
@@ -606,9 +607,41 @@ class TestFusedStep:
         assert failed_trials <= taylor / sim._TRIAL_GAP + 1
         rejected = st["rejected_error"] + st["rejected_orthant"] + st["rejected_nonfinite"]
         assert len(accepted) + rejected + failed_trials == len(attempts)
-        # the switch is one way, so the RODAS4 steps come last
-        assert all(att[0] == "rodas4" for att in accepted[taylor:])
-        assert st["switches"] == int(taylor < len(accepted))
+        # the Taylor runs are those of the accepted steps; a passed trial
+        # opens each RODAS4 run, and a hand-back closes each one but the last
+        runs, k = [], 0
+        for kind, group in itertools.groupby(att[0] for att in accepted):
+            n = len(list(group))
+            runs.append((kind, k, k + n))
+            k += n
+        assert traj.taylor_runs == tuple((i, j) for kind, i, j in runs if kind == "taylor")
+        rodas4_runs = sum(kind == "rodas4" for kind, _, _ in runs)
+        assert st["switches"] == rodas4_runs
+        assert st["switches_back"] == rodas4_runs - (runs[-1][0] == "rodas4")
+
+    def test_hand_backs_follow_the_trial_gate(self, recorded):
+        # after every accepted RODAS4 step but the last, the next step
+        # that its controller proposes decides: the run goes back to the
+        # Taylor step iff that step times the trace bound at the new state
+        # is below _TRIAL_GATE; the Taylor run that follows a hand-back
+        # takes _TRIAL_GAP steps before a trial can end it
+        _, p, _, traj, _, accepted = recorded
+        a = p.as_tuple()
+        _, a2, _, a4, _, a6, _, a8 = a
+        gates = []
+        for i, (kind, y, h_use, f0, end) in enumerate(accepted[:-1]):
+            if kind != "rodas4":
+                continue
+            _, err = sim._rodas4_step(a, y, f0, h_use)
+            scale = [1e-10 + 1e-8 * max(y[k], abs(end[k])) for k in range(4)]
+            norm = math.sqrt(sum((e / s) ** 2 for e, s in zip(err, scale)) / 4.0)
+            h = h_use * (10.0 if norm == 0.0 else min(10.0, max(0.2, 0.9 * norm**-0.25)))
+            x1, _, _, x4 = traj.y[i + 1]
+            gates.append(h * (a2 * x4 + a8 * x1 + a4 + a6) < sim._TRIAL_GATE)
+            assert gates[-1] == (accepted[i + 1][0] == "taylor")
+        assert sum(gates) == traj.stats["switches_back"]
+        for i, j in traj.taylor_runs:
+            assert i == 0 or j - i >= sim._TRIAL_GAP or j == len(traj.t) - 1
 
     def test_rejections_and_clamp_are_handled_and_counted(self):
         # the first three attempts are made non-finite, outside the
@@ -635,7 +668,7 @@ class TestFusedStep:
         # switch on the stiff set; the clamped state's field starts the
         # next step and ends its Hermite row, at no extra evaluation
         plain = integrate(STIFF, State.zero(), 3.0)
-        i = len(plain.t) - plain.stats["stiff_steps"]  # the state after the switching step
+        i = plain.taylor_runs[0][1] + 1  # the state after the first switching step
         target = tuple(plain.y[i])
         forced = [math.nan, -1e-9, -0.5e-10]
 
@@ -673,31 +706,43 @@ class TestRosenbrock:
         traj = integrate(STIFF, State.zero(), 3.0)
         ref = radau_reference(STIFF, (0.0, 0.0, 0.0, 0.0), 3.0)
         grid = np.linspace(0.0, 3.0, 2001)
-        # the RODAS4 steps come last; over half the grid falls inside them
-        t_switch = traj.t[-1 - traj.stats["stiff_steps"]]
-        assert np.sum((grid > t_switch) & ~np.isin(grid, traj.t)) > 1000
+        # over half the grid falls inside RODAS4 steps
+        rodas4 = np.ones(len(traj.t) - 1, dtype=bool)
+        for i, j in traj.taylor_runs:
+            rodas4[i:j] = False
+        step = np.clip(np.searchsorted(traj.t, grid, side="right") - 1, 0, len(traj.t) - 2)
+        assert np.sum(rodas4[step] & ~np.isin(grid, traj.t)) > 1000
         want = ref.sol(grid).T
         err = np.abs(traj.at(grid) - want).max(axis=0)
         assert (err <= 1e-6 * np.abs(want).max(axis=0)).all()
 
-    def test_stiff_switches_once_and_saves_steps(self):
+    def test_stiff_hands_back_once_and_saves_steps(self):
+        # RODAS4 from the first trial until the annihilation front has
+        # passed, Taylor steps again, then RODAS4 for the rest of the span
         st = integrate(STIFF, State.zero(), 3.0).stats
-        assert st["stiff_steps"] > 0 and st["switches"] == 1
+        assert st["stiff_steps"] > 0 and (st["switches"], st["switches_back"]) == (2, 1)
         assert st["accepted"] <= 3000
 
     def test_stiff_switches_within_600_taylor_steps(self):
-        st = integrate(STIFF, State.zero(), 3.0).stats
-        assert st["switches"] == 1 and st["accepted"] - st["stiff_steps"] <= 600
+        traj = integrate(STIFF, State.zero(), 3.0)
+        (first, switch), *_ = traj.taylor_runs
+        assert first == 0 and switch <= 600
 
-    def test_switch_is_one_way(self):
-        overshoot = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0).stats
-        assert overshoot["stiff_steps"] > 0 and overshoot["switches"] == 1
+    def test_overshoot_never_hands_back(self):
+        st = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0).stats
+        assert st["stiff_steps"] > 0 and (st["switches"], st["switches_back"]) == (1, 0)
+
+    def test_rodas4_steps_only_after_a_passed_trial(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = random_params(rng, 1e-2, 1e2)
-            st = integrate(p, random_state(rng, 20.0), 20.0).stats
-            assert st["switches"] <= 1
-            assert st["stiff_steps"] == 0 or st["switches"] == 1
+            traj = integrate(p, random_state(rng, 20.0), 20.0)
+            st = traj.stats
+            assert (st["stiff_steps"] == 0) == (st["switches"] == 0)
+            assert st["switches"] - 1 <= st["switches_back"] <= st["switches"]
+            # a Taylor run after a hand-back lasts _TRIAL_GAP steps or reaches the horizon
+            for i, j in traj.taylor_runs:
+                assert i == 0 or j - i >= sim._TRIAL_GAP or j == len(traj.t) - 1
 
     @pytest.mark.parametrize(
         "rel_tol, abs_tol",
@@ -706,7 +751,7 @@ class TestRosenbrock:
     def test_demo_never_switches(self, rel_tol, abs_tol):
         horizon = 100.0 if rel_tol == 1e-8 else 10.0
         st = integrate(DEMO, State.zero(), horizon, rel_tol, abs_tol).stats
-        assert (st["stiff_steps"], st["switches"]) == (0, 0)
+        assert (st["stiff_steps"], st["switches"], st["switches_back"]) == (0, 0, 0)
 
 
 class TestStats:
@@ -720,6 +765,7 @@ class TestStats:
             "nfev",
             "stiff_steps",
             "switches",
+            "switches_back",
         }
         assert st["accepted"] == len(demo_traj.t) - 1
 
@@ -848,7 +894,7 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().split("\n")
-        assert lines[:2] == ["t,x1,x2,x3,x4", f"# taylor_steps={demo_traj.taylor_steps}"]
+        assert lines[:2] == ["t,x1,x2,x3,x4", f"# taylor_steps=0:{demo_traj.taylor_steps}"]
         assert lines[-1] == ""
         # the data rows are the step nodes, and numbers round-trip losslessly
         data = np.array([[float(v) for v in line.split(",")] for line in lines[2:-1]])
@@ -873,23 +919,47 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize(
         "p, x0, horizon, switches",
         [(DEMO, (0.0, 0.0, 0.0, 0.0), 100.0, 0), (DEMO, (10.0, 0.0, 0.0, 0.0), 30.0, 1),
-         (STIFF, (0.0, 0.0, 0.0, 0.0), 3.0, 1)],
+         (STIFF, (0.0, 0.0, 0.0, 0.0), 3.0, 2)],
         ids=["demo", "overshoot", "stiff"],
     )
     def test_round_trip_is_exact(self, tmp_path, p, x0, horizon, switches):
-        # Taylor steps only, a switch to RODAS4, and RODAS4 for most of the span
+        # Taylor steps only, a switch to RODAS4, and RODAS4 runs between Taylor runs
         traj = integrate(p, x0, horizon)
         assert traj.stats["switches"] == switches
         assert traj.taylor_steps == traj.stats["accepted"] - traj.stats["stiff_steps"]
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         back = read_trajectory_csv(path, p)
-        assert back.taylor_steps == traj.taylor_steps
+        assert (back.taylor_runs, back.taylor_steps) == (traj.taylor_runs, traj.taylor_steps)
         for name in ("t", "y", "_dense"):
             assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
         assert back.x0 == traj.x0
         report = build_report(p, x0, horizon=horizon, traj=traj).to_json()
         assert build_report(p, x0, horizon=horizon, traj=back).to_json() == report
+
+    def test_runs_line(self, tmp_path):
+        # the Taylor runs as start:stop pairs: one run up to a switch, and
+        # two runs around the RODAS4 stretch of a run that hands back
+        path = tmp_path / "traj.csv"
+        for p, x0, horizon, line in ((DEMO, (10.0, 0.0, 0.0, 0.0), 30.0, "0:528"),
+                                     (STIFF, (0.0, 0.0, 0.0, 0.0), 3.0, "0:262,308:678")):
+            write_trajectory_csv(integrate(p, x0, horizon), path)
+            assert path.read_text().split("\n")[1] == f"# taylor_steps={line}"
+
+    @pytest.mark.parametrize("count, runs", [("528", ((0, 528),)), ("0", ())])
+    def test_step_count_line_reads_as_one_run(self, tmp_path, count, runs):
+        # a file written before runs were written carries the Taylor step
+        # count m, and reads as the run 0:m, bit for bit; 0 means none
+        traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().split("\n")
+        lines[1] = f"# taylor_steps={count}"
+        path.write_text("\n".join(lines))
+        back = read_trajectory_csv(path, DEMO)
+        want = Trajectory.from_samples(DEMO, traj.t, traj.y, runs)
+        assert back.taylor_runs == runs
+        assert back._dense.tobytes() == want._dense.tobytes()
 
     def test_without_taylor_line_reads_as_samples(self, tmp_path):
         traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
@@ -922,6 +992,25 @@ class TestCsvRoundTrip:
 
 
 class TestFromSamples:
+    def test_runs_must_be_increasing_and_apart(self, demo_traj):
+        t, y = demo_traj.t[:10], demo_traj.y[:10]
+        assert Trajectory.from_samples(DEMO, t, y, [(0, 3), (5, 9)]).taylor_steps == 7
+        for runs in ([(0, 0)], [(3, 2)], [(0, 3), (3, 5)], [(5, 7), (0, 3)]):
+            with pytest.raises(ValueError, match="increasing and apart"):
+                Trajectory.from_samples(DEMO, t, y, runs)
+        for runs in ([(0, 10)], [(-1, 3)], [(0, 3.0)]):
+            with pytest.raises(ValueError, match=r"taylor_steps must be in \[0, 9\]"):
+                Trajectory.from_samples(DEMO, t, y, runs)
+
+    def test_rows_are_not_checked_against_nodes(self):
+        # a node edited by 1e-6 relative still reads; check_taylor_rows tells
+        traj = integrate(DEMO, State.zero(), 5.0)
+        y = traj.y.copy()
+        y[10, 0] *= 1.0 + 1e-6
+        back = Trajectory.from_samples(DEMO, traj.t, y, traj.taylor_runs)
+        with pytest.raises(ValueError, match="Taylor row of step 9 misses its right node"):
+            back.check_taylor_rows()
+
     def test_hermite_rebuild_accuracy(self):
         traj = integrate(DEMO, State.zero(), 20.0)
         t = np.arange(0.0, 20.0 + 1e-12, 0.05)
@@ -936,3 +1025,47 @@ class TestFromSamples:
             first_hitting(rebuilt, "x1", 0.5) - first_hitting(demo_traj, "x1", 0.5)
         ) <= 1e-6
         assert len(excursions_above(rebuilt, 0.2)) == 13
+
+
+class TestCheckTaylorRows:
+    @staticmethod
+    def undershooting_step(depth):
+        """A Taylor step whose x4 ends depth below 0, and its clamped end node."""
+        p = Params.from_sequence((3.3, 5.4, 0.4, 1.2, 0.8, 5.6, 0.16, 2.5))
+        y0 = (0.0, 0.057, 0.0, 0.032)
+        c = sim._taylor(p.as_tuple(), y0)
+        lo, hi = 0.0, 0.62  # x4 ends above 0 at lo, below -depth at hi
+        for _ in range(200):
+            h = 0.5 * (lo + hi)
+            end = np.array(sim._taylor_step(y0, c, h)[0])
+            if -1.5 * depth <= end[3] <= -0.5 * depth:
+                break
+            lo, hi = (h, hi) if end[3] > -depth else (lo, h)
+        assert -1.5 * depth <= end[3] <= -0.5 * depth and (end[:3] > 0.0).all()
+        return p, [0.0, h], y0, end
+
+    @pytest.mark.parametrize("traj", ["demo", "overshoot", "stiff"])
+    def test_integrated_rows_pass(self, traj, demo_traj):
+        cases = {"demo": lambda: demo_traj,
+                 "overshoot": lambda: integrate(DEMO, State.from_sequence([10.0, 0, 0, 0]), 30.0),
+                 "stiff": lambda: integrate(STIFF, State.zero(), 3.0)}
+        cases[traj]().check_taylor_rows()
+
+    def test_a_clamped_undershoot_may_reach_abs_tol(self):
+        # the integrator clamps an undershoot of at most abs_tol to 0: the
+        # row may end that far below a zero node, and no further
+        p, t, y0, end = self.undershooting_step(5e-11)
+        traj = Trajectory.from_samples(p, t, [y0, np.maximum(end, 0.0)], [(0, 1)])
+        traj.check_taylor_rows(1e-10)
+        with pytest.raises(ValueError, match=r"Taylor row of step 0 misses its right node \(t=.*, x4\)"):
+            traj.check_taylor_rows(1e-11)
+
+    def test_any_other_miss_is_named(self):
+        # beyond rounding, a row must end at its node: x1 off by 1e-9
+        # relative, or x2 replaced by 0 (not a clamp: the row ends above)
+        p, t, y0, end = self.undershooting_step(5e-11)
+        clamped = np.maximum(end, 0.0)
+        for node, n in ((clamped * [1.0 + 1e-9, 1.0, 1.0, 1.0], 1), (clamped * [1.0, 0.0, 1.0, 1.0], 2)):
+            traj = Trajectory.from_samples(p, t, [y0, node], [(0, 1)])
+            with pytest.raises(ValueError, match=rf"Taylor row of step 0 misses its right node \(t=.*, x{n}\)"):
+                traj.check_taylor_rows(1.0)

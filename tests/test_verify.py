@@ -93,10 +93,14 @@ def count_searches(monkeypatch):
 
 class TestOneSearchPerCheck:
     def test_global_bounds_is_one_search(self, demo_traj, monkeypatch):
+        # a trajectory of its own: the shared one may have found its maxima
+        traj = Trajectory(DEMO, demo_traj.t, demo_traj.y, demo_traj.taylor_runs)
         cert = certificate(DEMO, State.zero())
         calls = count_searches(monkeypatch)
-        assert check_global_bounds(demo_traj, cert).status == "pass"
+        assert check_global_bounds(traj, cert).status == "pass"
         assert calls == [4]
+        assert check_global_bounds(traj, cert).status == "pass"
+        assert calls == [4]  # the maxima are kept
 
     def test_cascade_record_is_one_search(self, demo_traj, monkeypatch):
         e = next(e for e in excursions_above(demo_traj, 0.2) if e.duration >= tau(DEMO, 0.2))
@@ -122,6 +126,31 @@ class TestOneSearchPerCheck:
         monkeypatch.setattr(aifcert.verify, "excursions_above", spy)
         report = build_report(DEMO, x0, horizon=horizon, traj=traj)
         assert calls == [report.certificate.L_used]
+
+    @pytest.mark.parametrize(
+        "x0, horizon", [((0.0, 0.0, 0.0, 0.0), 100.0), ((10.0, 0.0, 0.0, 0.0), 30.0)],
+        ids=["demo", "overshoot"],
+    )
+    def test_one_x1_maximum_per_report(self, monkeypatch, x0, horizon):
+        # global_bounds' search answers the lemma's max x1 too (the demo's
+        # nodes stay below L_used, so its lemma needs it), and the lemma
+        # record equals the one a fresh trajectory gives on its own
+        traj = integrate(DEMO, x0, horizon)
+        x1 = aifcert.simulate._coefficients(traj, "x1")
+        searched = []
+        search = aifcert.simulate._extremum
+
+        def spy(traj, queries, where=None):
+            searched.extend(q for q in queries if isinstance(q[0], np.ndarray) and q[2:] == (None, None)
+                            and np.array_equal(q[0], x1))
+            return search(traj, queries, where)
+
+        monkeypatch.setattr(aifcert.simulate, "_extremum", spy)
+        report = build_report(DEMO, x0, horizon=horizon, traj=traj)
+        assert len(searched) == 1
+        monkeypatch.undo()
+        fresh = integrate(DEMO, x0, horizon)
+        assert check_excursion_lemma(fresh, DEMO, report.certificate) == report.checks[1]
 
 
 class TestExcursionLemma:
