@@ -34,7 +34,7 @@ __all__ = [
 
 
 class CertificateError(ValueError):
-    """Raised when a requested level is below the admissible threshold."""
+    """Raised when a requested level is not finite or is below the admissible threshold."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,9 @@ def certificate(p: Params, x0: State, L_override: float | None = None) -> BoundC
     L_star = solve_L_star(p)
     if L_override is not None:
         L_used = float(L_override)
-        if not math.isfinite(L_used) or L_used < L_star:
+        if not math.isfinite(L_used):
+            raise CertificateError(f"override level must be finite, got {L_used!r}")
+        if L_used < L_star:
             raise CertificateError(
                 f"override level {L_used!r} is below the admissible threshold {L_star!r}"
             )

@@ -173,7 +173,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     cert = None
     if cfg.certificate_json is not None:
         with open(cfg.certificate_json, "r") as fh:
-            cert = BoundCertificate.from_json(json.load(fh))
+            try:
+                cert = BoundCertificate.from_json(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"certificate JSON {cfg.certificate_json}: {exc}") from None
     traj = None
     if cfg.trajectory_csv is not None:
         traj = _read_csv(cfg)

@@ -19,9 +19,10 @@ level): steps whose Bernstein hull excludes the level are skipped, the
 rest cut into monotone pieces at the roots of their derivatives and
 each crossing solved by a bracketed Newton iteration, so crossings are
 exact to rounding and a pair of crossings inside one step is not
-missed.  Extrema over time windows are searched on the same
-polynomials, any number of windows and observables in one search
-(Trajectory.extrema, _extremum).
+missed.  They bound the stretches at or above a level (_stretches): the
+excursions of x1, and the stretches of W above gamma.  Extrema over
+time windows are searched on the same polynomials, any number of
+windows and observables in one search (Trajectory.extrema, _extremum).
 
 The state space is tiny (four components), so both steps are written
 out component by component on plain floats; accepted times and states
@@ -180,6 +181,7 @@ class Trajectory:
                 dense[i:j] = _hermite(h[i:j, None], np.diff(y[i : j + 1], axis=0), f[:-1], f[1:])
         self.error_estimate = np.zeros(4) if error_estimate is None else error_estimate
         self.stats = MappingProxyType(dict(stats or {}))
+        self._excursions = {}  # level -> excursions, kept by excursions_above like maxima
 
     @property
     def t0(self) -> float:
@@ -265,18 +267,24 @@ class Trajectory:
         return self.extrema([("min", observable, start, end)])[0]
 
     def W_rate_maximum(self, gamma: float):
-        """Largest dW/dt = alpha8*x1*(K - x4) on the interpolant where W > gamma.
+        """Largest dW/dt = alpha8*x1*(K - x4) on the interpolant where W >= gamma.
 
-        Returns (value, time), or None if W never exceeds gamma.
+        W's stretches at or above gamma (_stretches) are the windows of one
+        search.  Returns (value, time), or None if W never rises to gamma.
         """
-        def rate(steps):
-            gap = -_coefficients(self, "x4")[:, steps]
-            gap[0] += DerivedConstants.from_params(self.params).K
-            return self.params.alpha8 * _product(_coefficients(self, "x1")[:, steps], gap)
+        windows = [(a, b) for a, b in _stretches(self, "W", gamma) if a < b]
+        if not windows:
+            return None
+        K = DerivedConstants.from_params(self.params).K
 
-        above = _coefficients(self, "W")
-        above[0] -= gamma
-        return _extremum(self, [(rate, None, None, None)], where=above)[0]
+        def rate(nodes):
+            gap = -_coefficients(self, "x4", nodes)
+            gap[0] += K
+            return self.params.alpha8 * _product(_coefficients(self, "x1", nodes), gap)
+
+        c, node = rate(False), rate(True)[0]
+        found = _extremum(self, [(c, node, a, b) for a, b in windows])
+        return max(found, key=lambda f: f[0])
 
     @classmethod
     def from_samples(cls, params, t, y, taylor_runs=()):
@@ -787,28 +795,18 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
     return np.sort(roots, axis=0)
 
 
-def _cut(coef: np.ndarray, level: float):
-    """Cuts of [0, 1] at the roots of coef - level (padded with 1), and midpoint values."""
-    m = coef.shape[1]
-    cuts = np.concatenate([np.zeros((1, m)), _unit_roots(coef, level, 1.0), np.ones((1, m))])
-    return cuts, _horner(coef, 0.5 * (cuts[:-1] + cuts[1:]))
-
-
-def _extremum(traj: Trajectory, queries, where=None):
+def _extremum(traj: Trajectory, queries):
     """Largest value of per-step polynomials on a window, and its time, for each query.
 
     A query is (coef, node, start, end): polynomials of one degree as
     _coefficients(traj, name) gives them, their node values (row 0 of
     _coefficients(traj, name, True)) and a window, None meaning an end of
-    the span.  With ``where`` (laid out as coef), the one query's coef is
-    a function giving the polynomials of the steps passed to it, only
-    stretches where ``where`` > 0 count, and the answer is None if none
-    does.  The candidates are the ends of the stretches that count, cut
-    to the window, and the derivative's roots inside them, searched only
-    in steps whose left value plus positive coefficients beats the
-    query's best end.  All queries' columns go through one filter and one
-    root search; roots settle one by one (_unit_roots), so no answer
-    depends on the other queries.
+    the span.  The candidates are the window's ends, the nodes inside it
+    and the derivative's roots, searched only in steps whose left value
+    plus positive coefficients beats the query's best node or end.  All
+    queries' columns go through one filter and one root search; roots
+    settle one by one (_unit_roots), so no answer depends on the other
+    queries.
     """
     t = traj.t
     starts = [t[0] if q[2] is None else float(q[2]) for q in queries]
@@ -828,39 +826,21 @@ def _extremum(traj: Trajectory, queries, where=None):
         edges.append(edges[-1] + stop - first)
     steps = np.concatenate([np.arange(first, stop) for first, stop, _, _ in windows])
     lo, hi = np.zeros(steps.size), np.ones(steps.size)
-    if where is None:
-        parts = [q[0][:, first:stop] for q, (first, stop, _, _) in zip(queries, windows)]
-        c = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        # each query's best node or window end, also spread over its columns
-        best, s_best, col, beat = [], [], [], np.empty(steps.size)
-        for q, (first, stop, w0, w1), e0, e1 in zip(queries, windows, edges, edges[1:]):
-            lo[e0], hi[e1 - 1] = w0, w1
-            v = q[1][first : stop + 1].copy()  # the node values
-            v[0] = _horner(c[:, e0], w0)
-            if w1 < 1.0:
-                v[-1] = _horner(c[:, e1 - 1], w1)
-            j = int(np.argmax(v))
-            best.append(v[j])
-            s_best.append(w0 if j == 0 else w1 if j == e1 - e0 else 0.0)
-            col.append(e0 + min(j, e1 - e0 - 1))
-            beat[e0:e1] = v[j]
-    else:
-        first, stop, lo[0], hi[-1] = windows[0]
-        meet = _hull(where[:, first:stop])[1] > 0.0
-        if not meet.any():
-            return [None]
-        steps, lo, hi = steps[meet], lo[meet], hi[meet]
-        cuts, mid = _cut(where[:, steps], 0.0)
-        cuts = np.clip(cuts, lo, hi)
-        keep = (mid > 0.0) & (cuts[1:] > cuts[:-1])
-        if not keep.any():
-            return [None]
-        c, edges = queries[0][0](steps), [0, steps.size]
-        rims = np.vstack([keep, keep[-1:]]) | np.vstack([keep[:1], keep])  # cuts that end a stretch
-        v = np.where(rims, _horner(c, cuts), -np.inf)
-        k, j = np.unravel_index(int(np.argmax(v)), v.shape)
-        best, s_best, col = [v[k, j]], [cuts[k, j]], [j]
-        beat = np.where(keep.any(axis=0), best[0], np.inf)  # no stretch that counts: no candidate
+    parts = [q[0][:, first:stop] for q, (first, stop, _, _) in zip(queries, windows)]
+    c = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    # each query's best node or window end, also spread over its columns
+    best, s_best, col, beat = [], [], [], np.empty(steps.size)
+    for q, (first, stop, w0, w1), e0, e1 in zip(queries, windows, edges, edges[1:]):
+        lo[e0], hi[e1 - 1] = w0, w1
+        v = q[1][first : stop + 1].copy()  # the node values
+        v[0] = _horner(c[:, e0], w0)
+        if w1 < 1.0:
+            v[-1] = _horner(c[:, e1 - 1], w1)
+        j = int(np.argmax(v))
+        best.append(v[j])
+        s_best.append(w0 if j == 0 else w1 if j == e1 - e0 else 0.0)
+        col.append(e0 + min(j, e1 - e0 - 1))
+        beat[e0:e1] = v[j]
     # each column's left value plus its positive coefficients, summed in row order
     bound = np.maximum(c, 0.0)
     bound[0] = c[0]
@@ -869,8 +849,6 @@ def _extremum(traj: Trajectory, queries, where=None):
         c = c[:, cand]
         s = _unit_roots(c[1:] * _RANKS[: len(c) - 1], 0.0, 0.0)
         ok = (s >= lo[cand]) & (s <= hi[cand])
-        if where is not None:
-            ok &= _horner(where[:, steps[cand]], s) > 0.0
         v = np.where(ok, _horner(c, s), -np.inf)
         # cand is sorted, so each query's candidates are one run of columns
         split = np.searchsorted(cand, edges).tolist()
@@ -904,8 +882,9 @@ def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.
     cand = np.flatnonzero((lo <= level) & (level <= hi))
     inner_t, inner_key = np.empty(0), np.empty(0, dtype=np.intp)
     if cand.size:
-        cuts, mid = _cut(coef[:, cand], level)
-        side = mid >= level
+        c, m = coef[:, cand], cand.size
+        cuts = np.concatenate([np.zeros((1, m)), _unit_roots(c, level, 1.0), np.ones((1, m))])
+        side = _horner(c, 0.5 * (cuts[:-1] + cuts[1:])) >= level
         # empty stretches (the padding at s = 1) take the side before them
         valid = cuts[1:] > cuts[:-1]
         for k in range(1, d + 1):
@@ -947,19 +926,31 @@ def first_hitting(traj: Trajectory, observable: str, level: float, direction: st
     return float(times[int(start)]) if times.size > start else None
 
 
-def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
-    """Maximal intervals with x1 >= level, by start time."""
-    level = float(level)
-    if not math.isfinite(level) or level <= 0.0:
-        raise ValueError(f"level must be finite and > 0, got {level!r}")
-    start = bool(traj.y[0, 0] >= level)
-    coef = _coefficients(traj, "x1")
+def _stretches(traj: Trajectory, observable: str, level: float) -> list[tuple[float, float]]:
+    """Maximal (start, end) stretches with the observable at or above level, by start.
+
+    A stretch at or above the level at t0 starts there, and one still
+    at or above it at the end runs to the horizon; every other end is a
+    crossing (_crossings), exact to rounding.
+    """
+    coef = _coefficients(traj, observable)
+    start = bool(coef[0, 0] >= level)
     ends = _crossings(traj, coef, *_hull(coef), level, start).tolist()
     if start:
         ends.insert(0, traj.t0)
     if len(ends) % 2:
         ends.append(float(traj.t[-1]))
-    return [Excursion(level, a, b) for a, b in zip(ends[::2], ends[1::2])]
+    return list(zip(ends[::2], ends[1::2]))
+
+
+def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
+    """Maximal intervals with x1 >= level, by start time; found once per level and kept."""
+    level = float(level)
+    if not math.isfinite(level) or level <= 0.0:
+        raise ValueError(f"level must be finite and > 0, got {level!r}")
+    if level not in traj._excursions:
+        traj._excursions[level] = [Excursion(level, a, b) for a, b in _stretches(traj, "x1", level)]
+    return list(traj._excursions[level])  # a new list: the kept one stays as found
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -13,8 +13,9 @@ differences the trajectory.  A check asks for all the extrema it needs
 in one batched search: global_bounds for the four components, the
 cascade for the four stages of an excursion, the lemma for the windows
 of every qualifying excursion.  The lemma and the cascade read one set
-of excursions, those above L_used: an excursion above any higher level,
-and its window [start+T0, end], lies inside one of them.
+of excursions, those above L_used, which excursions_above finds once
+and keeps on the trajectory: an excursion above any higher level, and
+its window [start+T0, end], lies inside one of them.
 """
 
 from __future__ import annotations
@@ -167,8 +168,7 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     return CheckResult("global_bounds", PASS, worst_margin, worst_loc, "; ".join(parts))
 
 
-def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate,
-                          excs: list[Excursion] | None = None) -> CheckResult:
+def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
     """After the waiting time, species 1 is strictly decreasing.
 
     For every level L >= L_used and every excursion above L that lasts
@@ -178,8 +178,8 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate,
     the excursions above L_used covers every level.  Both claims follow
     from the exact minimum of p = x1*x4 on each window, because
     xdot1 = alpha1 - alpha2*p.  If no excursion lasts T0 the check
-    passes vacuously and says so.  ``excs`` are the excursions above
-    L_used, found here unless given.
+    passes vacuously and says so.  excursions_above keeps the excursions
+    for the cascade record.
     """
     L_used, T0 = cert.L_used, cert.T0
 
@@ -196,7 +196,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate,
                 f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}",
             )
 
-    excs = excursions_above(traj, L_used) if excs is None else excs
+    excs = excursions_above(traj, L_used)
     qualifying = [e for e in excs if e.duration >= T0]
     if not qualifying:
         longest = max((e.duration for e in excs), default=0.0)
@@ -444,19 +444,19 @@ def build_report(
     if traj is None:
         traj = integrate(p, x0, horizon, rel_tol, abs_tol)
 
-    excs = excursions_above(traj, cert.L_used)  # one set for the lemma and the cascade
     checks = [
         check_global_bounds(traj, cert),
-        check_excursion_lemma(traj, p, cert, excs),
-        _cascade_record(traj, p, cert, excs),
+        check_excursion_lemma(traj, p, cert),
+        _cascade_record(traj, p, cert),
         check_W_decrease(traj, p, cert),
         check_propositions(p, fuzz_count=fuzz_count, fuzz_seed=fuzz_seed),
     ]
     return VerificationReport(tuple(checks), p, x0, cert)
 
 
-def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate, excs) -> CheckResult:
-    """One aggregated cascade record over excs, the excursions above L_used."""
+def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
+    """One aggregated cascade record over the excursions above L_used."""
+    excs = excursions_above(traj, cert.L_used)
     qualifying = [e for e in excs if e.duration >= cert.T0]
     if not qualifying:
         longest = max((e.duration for e in excs), default=0.0)

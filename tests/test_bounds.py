@@ -195,6 +195,11 @@ class TestCertificate:
         with pytest.raises(CertificateError):
             certificate(DEMO, State.zero(), 1.0)
 
+    @pytest.mark.parametrize("level", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_override(self, level):
+        with pytest.raises(CertificateError, match=f"override level must be finite, got {level!r}$"):
+            certificate(DEMO, State.zero(), level)
+
     def test_monotone_in_initial_state(self):
         rng = np.random.default_rng(23)
         for _ in range(50):

@@ -39,6 +39,15 @@ class TestBounds:
     def test_low_override_exits_2(self, tmp_path, capsys):
         assert main(["bounds", "--L0", "0.5", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("source", ["flag-inf", "flag-nan", "config-nan"])
+    def test_non_finite_override_exits_2(self, tmp_path, capsys, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"L0": NaN}')
+        argv = ["--config", str(cfg)] if source == "config-nan" else ["--L0", source[5:]]
+        assert main(["bounds", *argv, "--out", str(tmp_path)]) == 2
+        level = "inf" if source == "flag-inf" else "nan"
+        assert capsys.readouterr().err == f"error: override level must be finite, got {level}\n"
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text('{"params": [1,30')
@@ -192,6 +201,30 @@ class TestVerify:
         assert "FAIL" in captured.out
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["all_passed"] is False
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "Expecting value: line 1 column 1 (char 0)"),
+            ("[1, 2]", "malformed certificate JSON: "),
+            (None, "could not convert string to float: 'abc'"),
+        ],
+        ids=["not-json", "list", "non-numeric"],
+    )
+    def test_malformed_certificate_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
+        if text is None:  # a written certificate with M1 edited to text
+            assert main(["bounds", "--out", str(tmp_path)]) == 0
+            obj = json.loads((tmp_path / "certificate.json").read_text())
+            text = json.dumps({**obj, "M1": "abc"})
+        path = tmp_path / "bad_cert.json"
+        path.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"certificate_json": str(path), "horizon": 2.0}))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: certificate JSON {path}: {message}")
+        assert not (tmp_path / "report.json").exists()
 
     def test_trajectory_csv_matches_in_memory(self, tmp_path, capsys):
         assert main(["simulate", "--horizon", "30", "--out", str(tmp_path)]) == 0

@@ -17,6 +17,7 @@ from aifcert import (
     State,
     Trajectory,
     build_report,
+    certificate,
     excursions_above,
     field,
     first_hitting,
@@ -466,6 +467,35 @@ class TestWindowedExtrema:
         rate_near = traj.params.alpha8 * x[:, 0] * (dc.K - x[:, 3])
         assert top - rate_near[above].max() <= 1e-7 * abs(top)
         assert observe(traj, "W", t_top) >= gamma * (1.0 - 1e-12)
+
+
+    @pytest.mark.parametrize(
+        "x0, end",
+        [((0.0, 0.0, 0.0, 60.0), 1.2037), ((1.0, 0.0, 0.0, 60.0), 0.2037), ((0.0, 0.0, 0.0, 100.0), 30.0)],
+        ids=["crossing", "top-at-crossing", "horizon"],
+    )
+    def test_rate_maximum_on_a_stretch_from_t0(self, x0, end):
+        # W0 > gamma: W's one stretch above gamma starts at t0 and ends at a
+        # crossing or at the horizon; from x1(0) = 1 the rate peaks at the
+        # crossing, from x1(0) = 0 at t0
+        x0 = State.from_sequence(x0)
+        traj = integrate(DEMO, x0, 30.0)
+        gamma = certificate(DEMO, x0).gamma
+        dc = DerivedConstants.from_params(DEMO)
+        assert dc.W(x0.x2, x0.x3, x0.x4) > gamma
+        ((a, b),) = sim._stretches(traj, "W", gamma)
+        assert a == 0.0 and b == pytest.approx(end, abs=1e-4)
+        if b < 30.0:
+            assert observe(traj, "W", b) == pytest.approx(gamma, rel=1e-12)
+        grid = np.arange(0.0, 30.0, 1e-4)
+        x = traj.at(grid)
+        above = dc.W(x[:, 1], x[:, 2], x[:, 3]) > gamma
+        assert np.array_equal(above, grid < b)  # no grid point within 1e-4 of b
+        rate = DEMO.alpha8 * x[:, 0] * (dc.K - x[:, 3])
+        top, t_top = traj.W_rate_maximum(gamma)
+        assert rate[above].max() <= top + 1e-12 * abs(top)
+        assert top - rate[above].max() <= 1e-7 * abs(top) + 1e-9
+        assert a <= t_top <= b and observe(traj, "W", t_top) >= gamma * (1.0 - 1e-12)
 
 
 class TestFixedStepOrder:

@@ -83,9 +83,9 @@ def count_searches(monkeypatch):
     calls = []
     search = aifcert.simulate._extremum
 
-    def spy(traj, queries, where=None):
+    def spy(traj, queries):
         calls.append(len(queries))
-        return search(traj, queries, where)
+        return search(traj, queries)
 
     monkeypatch.setattr(aifcert.simulate, "_extremum", spy)
     return calls
@@ -114,18 +114,39 @@ class TestOneSearchPerCheck:
         ids=["demo", "overshoot"],
     )
     def test_one_excursion_set_per_report(self, monkeypatch, x0, horizon):
-        # the lemma and the cascade read the same excursions above L_used
+        # the lemma and the cascade read the same excursions above L_used:
+        # one search for x1's stretches, whichever of them asks first
         traj = integrate(DEMO, x0, horizon)
         calls = []
-        find = aifcert.verify.excursions_above
+        find = aifcert.simulate._stretches
 
-        def spy(traj, level):
-            calls.append(level)
-            return find(traj, level)
+        def spy(traj, observable, level):
+            calls.append((observable, level))
+            return find(traj, observable, level)
 
-        monkeypatch.setattr(aifcert.verify, "excursions_above", spy)
+        monkeypatch.setattr(aifcert.simulate, "_stretches", spy)
         report = build_report(DEMO, x0, horizon=horizon, traj=traj)
-        assert calls == [report.certificate.L_used]
+        assert [c for c in calls if c[0] == "x1"] == [("x1", report.certificate.L_used)]
+
+    def test_excursions_are_found_once_per_level(self, monkeypatch):
+        traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
+        calls = []
+        find = aifcert.simulate._stretches
+
+        def spy(traj, observable, level):
+            calls.append((observable, level))
+            return find(traj, observable, level)
+
+        monkeypatch.setattr(aifcert.simulate, "_stretches", spy)
+        first = excursions_above(traj, 1.75)
+        assert calls == [("x1", 1.75)] and first
+        kept = list(first)
+        first.append(Excursion(1.75, 40.0, 50.0))
+        first[0] = Excursion(1.75, 0.0, 99.0)
+        second = excursions_above(traj, 1.75)
+        assert calls == [("x1", 1.75)]  # no second search
+        assert second == kept and second is not first
+        assert len(excursions_above(traj, 0.5)) >= 1 and calls == [("x1", 1.75), ("x1", 0.5)]
 
     @pytest.mark.parametrize(
         "x0, horizon", [((0.0, 0.0, 0.0, 0.0), 100.0), ((10.0, 0.0, 0.0, 0.0), 30.0)],
@@ -140,10 +161,9 @@ class TestOneSearchPerCheck:
         searched = []
         search = aifcert.simulate._extremum
 
-        def spy(traj, queries, where=None):
-            searched.extend(q for q in queries if isinstance(q[0], np.ndarray) and q[2:] == (None, None)
-                            and np.array_equal(q[0], x1))
-            return search(traj, queries, where)
+        def spy(traj, queries):
+            searched.extend(q for q in queries if q[2:] == (None, None) and np.array_equal(q[0], x1))
+            return search(traj, queries)
 
         monkeypatch.setattr(aifcert.simulate, "_extremum", spy)
         report = build_report(DEMO, x0, horizon=horizon, traj=traj)
@@ -329,6 +349,17 @@ class TestWDecrease:
         res = check_W_decrease(traj, DEMO, certificate(DEMO, x0))
         assert res.status == "pass"
         assert "above gamma" in res.detail
+
+    def test_decrease_from_a_start_just_above_gamma(self):
+        # W0 = 60 > gamma = 58.8: W leaves its stretch above gamma at t ~ 1.2,
+        # and the rate part is checked on that stretch, not vacuous
+        x0 = State.from_sequence([0.0, 0.0, 0.0, 60.0])
+        traj = integrate(DEMO, x0, 30.0)
+        cert = certificate(DEMO, x0)
+        assert cert.W0 > cert.gamma
+        res = check_W_decrease(traj, DEMO, cert)
+        assert res.status == "pass" and res.margin >= 0.0
+        assert f"W above gamma {cert.gamma:.6g}" in res.detail and "vacuous" not in res.detail
 
     def test_understated_funnel_level_fails(self, demo_traj):
         cert = certificate(DEMO, State.zero())
