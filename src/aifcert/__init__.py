@@ -33,10 +33,10 @@ from .simulate import (
     IntegrationError,
     Trajectory,
     excursions_above,
-    first_hitting,
     integrate,
     propagate_fixed,
     read_trajectory_csv,
+    stretches_above,
     write_trajectory_csv,
 )
 from .verify import (
@@ -78,13 +78,13 @@ __all__ = [
     "equilibrium",
     "excursions_above",
     "field",
-    "first_hitting",
     "growth_envelope",
     "integrate",
     "propagate_fixed",
     "read_trajectory_csv",
     "solve_L_star",
     "states_svg",
+    "stretches_above",
     "tau",
     "vector_field",
     "window_upper",

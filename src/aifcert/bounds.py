@@ -34,7 +34,9 @@ __all__ = [
 
 
 class CertificateError(ValueError):
-    """Raised when a requested level is not finite or is below the admissible threshold."""
+    """A certificate cannot be built or loaded: a level override that is not
+    finite or is below L*, an L* out of floating-point range, or a constant
+    that is not finite and positive (W0 may be 0)."""
 
 
 @dataclass(frozen=True)
@@ -124,21 +126,33 @@ def solve_L_star(p: Params) -> float:
     (k = K/(8*theta)), so L* is the one positive root of the quartic
     f(L) = k*L**4 - L**3 - b*L**2 - c/k.  On [L*, inf), where k*L**2 >= L + b,
     f is increasing and convex, so Newton from the Fujiwara root bound falls onto L*.
+    Raises CertificateError for rates so far apart that these constants
+    underflow or overflow and leave no such root in floating point.
     """
     dc = DerivedConstants.from_params(p)
     fp = FixedPointConstants.from_params(p)
-    k = dc.K / (8.0 * dc.theta)
-    b, c = p.alpha1 * fp.psi1, p.alpha1 * fp.psi2
-    L = 2.0 * max(1.0 / k, math.sqrt(b / k), (c / (2.0 * k * k)) ** 0.25)
-    for _ in range(200):
-        f = ((k * L - 1.0) * L - b) * L * L - c / k
-        step = f / (((4.0 * k * L - 3.0) * L - 2.0 * b) * L)
-        if not L - step < L:
-            break
-        L -= step
-    # the defining equation forces L* > 8*theta/K, so this holds with margin
-    assert L > 4.0 * p.alpha1 / (dc.K * p.alpha2)
+    try:
+        k = dc.K / (8.0 * dc.theta)
+        b, c = p.alpha1 * fp.psi1, p.alpha1 * fp.psi2
+        L = 2.0 * max(1.0 / k, math.sqrt(b / k), (c / (2.0 * k * k)) ** 0.25)
+        for _ in range(200):
+            f = ((k * L - 1.0) * L - b) * L * L - c / k
+            step = f / (((4.0 * k * L - 3.0) * L - 2.0 * b) * L)
+            if not L - step < L:
+                break
+            L -= step
+        # the defining equation forces L* > 8*theta/K, so this holds with margin
+        ok = math.isfinite(L) and L > 4.0 * p.alpha1 / (dc.K * p.alpha2)
+    except ZeroDivisionError:  # by a constant that underflowed to 0
+        ok = False
+    if not ok:
+        msg = f"the threshold L* is out of floating-point range for rates {p.as_tuple()}"
+        raise CertificateError(msg)
     return L
+
+
+# the certificate's numbers, in field order: W0 may be 0, the others must be > 0
+_CONSTANTS = ("L_star", "L_used", "T0", "M1", "M2", "M3", "M4", "gamma", "W0")
 
 
 @dataclass(frozen=True)
@@ -164,37 +178,22 @@ class BoundCertificate:
     params: Params
     x0: State
 
+    def __post_init__(self) -> None:
+        for name in _CONSTANTS:
+            v, rel = getattr(self, name), ">=" if name == "W0" else ">"
+            if not (math.isfinite(v) and (v >= 0.0 if rel == ">=" else v > 0.0)):
+                raise CertificateError(f"{name} must be finite and {rel} 0, got {v!r}")
+
     def to_json(self) -> dict:
-        return {
-            "L_star": self.L_star,
-            "L_used": self.L_used,
-            "T0": self.T0,
-            "M1": self.M1,
-            "M2": self.M2,
-            "M3": self.M3,
-            "M4": self.M4,
-            "gamma": self.gamma,
-            "W0": self.W0,
-            "params": self.params.to_json(),
-            "x0": self.x0.to_json(),
-        }
+        constants = {name: getattr(self, name) for name in _CONSTANTS}
+        return {**constants, "params": self.params.to_json(), "x0": self.x0.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundCertificate":
         try:
-            return cls(
-                L_star=float(obj["L_star"]),
-                L_used=float(obj["L_used"]),
-                T0=float(obj["T0"]),
-                M1=float(obj["M1"]),
-                M2=float(obj["M2"]),
-                M3=float(obj["M3"]),
-                M4=float(obj["M4"]),
-                gamma=float(obj["gamma"]),
-                W0=float(obj["W0"]),
-                params=Params.from_json(obj["params"]),
-                x0=State.from_json(obj["x0"]),
-            )
+            constants = {name: float(obj[name]) for name in _CONSTANTS}
+            params, x0 = Params.from_json(obj["params"]), State.from_json(obj["x0"])
+            return cls(**constants, params=params, x0=x0)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
 

@@ -19,10 +19,12 @@ level): steps whose Bernstein hull excludes the level are skipped, the
 rest cut into monotone pieces at the roots of their derivatives and
 each crossing solved by a bracketed Newton iteration, so crossings are
 exact to rounding and a pair of crossings inside one step is not
-missed.  They bound the stretches at or above a level (_stretches): the
-excursions of x1, and the stretches of W above gamma.  Extrema over
-time windows are searched on the same polynomials, any number of
-windows and observables in one search (Trajectory.extrema, _extremum).
+missed.  They bound the stretches at or above a level
+(stretches_above), the one event query: the excursions of x1, the
+stretches of W above gamma, and where a component first exceeds its
+bound.  Extrema over time windows are searched on the same polynomials,
+any number of windows and observables in one search (Trajectory.extrema,
+_extremum).
 
 The state space is tiny (four components), so both steps are written
 out component by component on plain floats; accepted times and states
@@ -49,7 +51,7 @@ __all__ = [
     "Excursion",
     "integrate",
     "propagate_fixed",
-    "first_hitting",
+    "stretches_above",
     "excursions_above",
     "write_trajectory_csv",
     "read_trajectory_csv",
@@ -148,8 +150,10 @@ class Trajectory:
     pairs, increasing; ``taylor_steps`` of them in all) the Taylor
     polynomial at the left node, for the others a cubic Hermite piece
     padded with zeros.  Only the constructor builds rows, one array pass
-    per run.  Instances are immutable after construction and carry the
-    inputs that produced them.
+    per run.  Instances carry the inputs that produced them and do not
+    change after construction, except that two answers are kept after
+    first use: ``maxima``, and per level the excursions of
+    excursions_above.
 
     ``stats`` counts what the integrator did: accepted steps, rejected
     attempts by reason (error, orthant, non-finite; a failed stiffness
@@ -219,10 +223,11 @@ class Trajectory:
     def extrema(self, queries):
         """Extrema of observables on the interpolant over windows, from one search.
 
-        A query is (sense, observable, start, end): "max" or "min", an
-        observable as in first_hitting, and a window, None meaning an end
-        of the span.  Returns (value, time) per query, exact to rounding
-        (_extremum); p (degree 12) is searched apart from the others.
+        A query is (sense, observable, start, end): "max" or "min", one
+        of OBSERVABLES (x1 to x4, p = x1*x4 and W), and a window, None
+        meaning an end of the span.  Returns (value, time) per query,
+        exact to rounding (_extremum); p (degree 12) is searched apart
+        from the others.
         Like at, a minimum reads a dip below 0 as 0: local error, or a
         Hermite piece of from_samples between sparse rows, where 0 says
         nothing about the rows themselves.
@@ -252,27 +257,14 @@ class Trajectory:
         """
         return self.extrema([("max", f"x{i}", None, None) for i in range(1, 5)])
 
-    def maximum(self, observable: str, start: float | None = None, end: float | None = None):
-        """Largest value of an observable on the interpolant over [start, end], and its time.
-
-        The one-query case of extrema; the window defaults to the whole span.
-        """
-        return self.extrema([("max", observable, start, end)])[0]
-
-    def minimum(self, observable: str, start: float | None = None, end: float | None = None):
-        """Smallest value of an observable on the interpolant over [start, end], and its time.
-
-        The one-query case of extrema, which reads a dip below 0 as 0.
-        """
-        return self.extrema([("min", observable, start, end)])[0]
-
     def W_rate_maximum(self, gamma: float):
         """Largest dW/dt = alpha8*x1*(K - x4) on the interpolant where W >= gamma.
 
-        W's stretches at or above gamma (_stretches) are the windows of one
-        search.  Returns (value, time), or None if W never rises to gamma.
+        W's stretches at or above gamma (stretches_above) are the windows
+        of one search.  Returns (value, time), or None if W never rises
+        to gamma.
         """
-        windows = [(a, b) for a, b in _stretches(self, "W", gamma) if a < b]
+        windows = [(a, b) for a, b in stretches_above(self, "W", gamma) if a < b]
         if not windows:
             return None
         K = DerivedConstants.from_params(self.params).K
@@ -864,20 +856,25 @@ def _extremum(traj: Trajectory, queries):
     return found
 
 
-def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.ndarray:
-    """Times at which the interpolant moves between < level and >= level.
+def stretches_above(traj: Trajectory, observable: str, level: float) -> list[tuple[float, float]]:
+    """Maximal (start, end) stretches with the observable at or above level, by start.
 
-    ``start`` says whether the observable is at or above the level at
-    t0.  The moves alternate, the first one leaving the start side.
-    Steps whose hull excludes the level stay on one side; the others are
-    cut at the roots of their polynomial minus level, and each stretch
-    between roots is placed by its midpoint.  A crossing on a node shared
-    by two steps counts once, because a move is recorded only where the
-    side changes.
+    A stretch at or above the level at t0 starts there, and one still at
+    or above it at the end runs to the horizon; every other end is a
+    crossing, exact to rounding.  Steps whose hull excludes the level
+    stay on one side; the others are cut at the roots of their
+    polynomial minus level, and each piece between roots is placed by its
+    midpoint.  A crossing on a node shared by two steps counts once,
+    because an end is recorded only where the side changes.
     """
+    level = float(level)
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level!r}")
+    coef = _coefficients(traj, observable)
+    lo, hi = _hull(coef)
     t = traj.t
     d = len(coef) - 1
-    first = lo > level  # side of each step's first and last stretch
+    first = lo > level  # side of each step's first and last piece
     last = first.copy()
     cand = np.flatnonzero((lo <= level) & (level <= hi))
     inner_t, inner_key = np.empty(0), np.empty(0, dtype=np.intp)
@@ -885,7 +882,7 @@ def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.
         c, m = coef[:, cand], cand.size
         cuts = np.concatenate([np.zeros((1, m)), _unit_roots(c, level, 1.0), np.ones((1, m))])
         side = _horner(c, 0.5 * (cuts[:-1] + cuts[1:])) >= level
-        # empty stretches (the padding at s = 1) take the side before them
+        # empty pieces (the padding at s = 1) take the side before them
         valid = cuts[1:] > cuts[:-1]
         for k in range(1, d + 1):
             side[k] = np.where(valid[k], side[k], side[k - 1])
@@ -894,52 +891,16 @@ def _crossings(traj: Trajectory, coef, lo, hi, level: float, start: bool) -> np.
         step = cand[j]
         inner_t = t[step] + (t[step + 1] - t[step]) * cuts[k + 1, j]
         inner_key = step * (d + 2) + k + 1
-    # moves on nodes: between one step's last stretch and the next one's first
+    # ends on nodes: between one step's last piece and the next one's first
+    start = bool(coef[0, 0] >= level)
     before = np.concatenate([[start], last[:-1]])
     nodes = np.flatnonzero(before != first)
     times = np.concatenate([t[nodes], inner_t])
-    return times[np.argsort(np.concatenate([nodes * (d + 2), inner_key]))]
-
-
-def first_hitting(traj: Trajectory, observable: str, level: float, direction: str = "from-below"):
-    """Earliest time the observable reaches the level, or None.
-
-    "from-below" is the first move from below the level to at or above
-    it, "from-above" the first move from above to at or below; a start
-    exactly on the level returns t0.  Crossings are the real roots of the
-    per-step dense-output polynomials, so they are exact to rounding and
-    no event tolerance applies.
-    """
-    if direction not in ("from-below", "from-above"):
-        raise ValueError(f"direction must be 'from-below' or 'from-above', got {direction!r}")
-    level = float(level)
-    coef = _coefficients(traj, observable)
-    lo, hi = _hull(coef)
-    if coef[0, 0] == level:
-        return traj.t0
-    if level < 0.0 or (level == 0.0 and direction == "from-below"):
-        return None  # every observable is >= 0 on the (clamped) trajectory
-    if direction == "from-above":
-        coef, lo, hi, level = -coef, -hi, -lo, -level
-    start = bool(coef[0, 0] >= level)
-    times = _crossings(traj, coef, lo, hi, level, start)
-    return float(times[int(start)]) if times.size > start else None
-
-
-def _stretches(traj: Trajectory, observable: str, level: float) -> list[tuple[float, float]]:
-    """Maximal (start, end) stretches with the observable at or above level, by start.
-
-    A stretch at or above the level at t0 starts there, and one still
-    at or above it at the end runs to the horizon; every other end is a
-    crossing (_crossings), exact to rounding.
-    """
-    coef = _coefficients(traj, observable)
-    start = bool(coef[0, 0] >= level)
-    ends = _crossings(traj, coef, *_hull(coef), level, start).tolist()
+    ends = times[np.argsort(np.concatenate([nodes * (d + 2), inner_key]))].tolist()
     if start:
         ends.insert(0, traj.t0)
     if len(ends) % 2:
-        ends.append(float(traj.t[-1]))
+        ends.append(float(t[-1]))
     return list(zip(ends[::2], ends[1::2]))
 
 
@@ -949,7 +910,7 @@ def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
     if not math.isfinite(level) or level <= 0.0:
         raise ValueError(f"level must be finite and > 0, got {level!r}")
     if level not in traj._excursions:
-        traj._excursions[level] = [Excursion(level, a, b) for a, b in _stretches(traj, "x1", level)]
+        traj._excursions[level] = [Excursion(level, a, b) for a, b in stretches_above(traj, "x1", level)]
     return list(traj._excursions[level])  # a new list: the kept one stays as found
 
 

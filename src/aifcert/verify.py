@@ -42,8 +42,8 @@ from .simulate import (
     Excursion,
     Trajectory,
     excursions_above,
-    first_hitting,
     integrate,
+    stretches_above,
 )
 
 __all__ = [
@@ -138,8 +138,10 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     """Each state component stays below its certificate bound.
 
     The comparison is against the exact maximum of the interpolant, not
-    just the step nodes; a failure is located where a component first
-    exceeds its bound by more than 1e-6 relative.
+    just the step nodes.  A failure is located at the start of the first
+    stretch where a component is at or above its bound plus 1e-6
+    relative (at t0 if it starts there), or at the maximum if rounding
+    leaves no such stretch.
     """
     _check_provenance(traj, cert)
     bounds = (cert.M1, cert.M2, cert.M3, cert.M4)
@@ -154,8 +156,8 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
             worst_margin, worst_loc = margin, t_top
         limit = M + 1e-6 * M
         if top > limit:
-            t_first = traj.t0 if traj.y[0, i] > limit else first_hitting(traj, f"x{i + 1}", limit)
-            t_first = t_top if t_first is None else t_first
+            above = stretches_above(traj, f"x{i + 1}", limit)
+            t_first = above[0][0] if above else t_top
             fail_loc = t_first if fail_loc is None else min(fail_loc, t_first)
     if fail_loc is not None:
         return CheckResult(

@@ -1,5 +1,6 @@
 """Certificate layer: waiting time, cascade floors, threshold, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -157,6 +158,23 @@ class TestThreshold:
             assert L > 4.0 * dc.theta / dc.K
             assert abs(L * ell4(p, L, tau(p, L)) - dc.theta) <= 1e-12 * dc.theta
 
+    @pytest.mark.parametrize(
+        "k, rate",
+        [
+            pytest.param(k, r, id=f"alpha{k + 1}={r:g}")
+            for k, r in [(k, 1e102 if k in (0, 3, 5, 7) else 1e-102) for k in range(8)]
+            + [(0, 1e-164), (0, 1e300)]
+        ],
+    )
+    def test_rates_beyond_floating_point_raise(self, k, rate):
+        # one rate 1e102 times too large or small leaves the quartic's root
+        # at or below 8*theta/K in floating point; alpha1 at 1e-164 or 1e300
+        # makes K/(8*theta) or its square underflow to 0
+        rates = [1.0] * 8
+        rates[k] = rate
+        with pytest.raises(CertificateError, match=r"^the threshold L\* is out of floating-point range"):
+            solve_L_star(Params.from_sequence(rates))
+
 
 class TestCertificate:
     def test_demo_golden(self):
@@ -216,6 +234,15 @@ class TestCertificate:
         cert = certificate(DEMO, State.from_sequence([0.1, 0.2, 0.3, 0.4]), 1.75)
         back = BoundCertificate.from_json(cert.to_json())
         assert back == cert
+
+    @pytest.mark.parametrize("name", ["L_star", "L_used", "T0", "M1", "M2", "M3", "M4", "gamma", "W0"])
+    def test_constants_must_be_finite_and_positive(self, name):
+        cert = certificate(DEMO, State.zero())
+        rel = ">=" if name == "W0" else ">"
+        for v in (math.nan, math.inf, -1.0) + (() if name == "W0" else (0.0,)):
+            with pytest.raises(CertificateError, match=f"^{name} must be finite and {rel} 0, got {v!r}$"):
+                dataclasses.replace(cert, **{name: v})
+        assert dataclasses.replace(cert, W0=0.0).W0 == 0.0
 
 
 class TestGrowthEnvelope:

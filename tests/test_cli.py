@@ -39,6 +39,20 @@ class TestBounds:
     def test_low_override_exits_2(self, tmp_path, capsys):
         assert main(["bounds", "--L0", "0.5", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("1,1e-102,1,1,1,1,1,1", "the threshold L* is out of floating-point range"),
+            ("1e-164,1,1,1,1,1,1,1", "the threshold L* is out of floating-point range"),
+            ("1,1,1,1e-103,1,1,1,1", "M4 must be finite and > 0, got inf"),
+        ],
+        ids=["tiny-alpha2", "tiny-alpha1", "tiny-alpha4"],
+    )
+    def test_rates_beyond_floating_point_exit_2(self, tmp_path, capsys, params, message):
+        assert main(["bounds", "--params", params, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("source", ["flag-inf", "flag-nan", "config-nan"])
     def test_non_finite_override_exits_2(self, tmp_path, capsys, source):
         cfg = tmp_path / "cfg.json"
@@ -139,7 +153,8 @@ class TestSimulate:
         line = [s for s in capsys.readouterr().out.splitlines() if s.startswith("max x1")]
         printed = [part.split(" = ")[1] for part in line[0].split(", ")]
         traj = integrate(DEMO, State.zero(), 100.0)
-        assert printed == [f"{traj.maximum(f'x{i}')[0]:.4f}" for i in range(1, 5)]
+        tops = [traj.extrema([("max", f"x{i}", None, None)])[0][0] for i in range(1, 5)]
+        assert printed == [f"{top:.4f}" for top in tops]
         assert printed[0] == "0.7653"
 
     def test_writes_csv_and_summary(self, tmp_path, capsys):
@@ -207,15 +222,19 @@ class TestVerify:
         [
             ("", "Expecting value: line 1 column 1 (char 0)"),
             ("[1, 2]", "malformed certificate JSON: "),
-            (None, "could not convert string to float: 'abc'"),
+            ({"M1": "abc"}, "could not convert string to float: 'abc'"),
+            ({"M1": float("nan")}, "M1 must be finite and > 0, got nan"),
+            ({"M1": 0}, "M1 must be finite and > 0, got 0.0"),
+            ({"T0": float("nan")}, "T0 must be finite and > 0, got nan"),
+            ({"W0": -1.0}, "W0 must be finite and >= 0, got -1.0"),
         ],
-        ids=["not-json", "list", "non-numeric"],
+        ids=["not-json", "list", "non-numeric", "nan-M1", "zero-M1", "nan-T0", "negative-W0"],
     )
     def test_malformed_certificate_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
-        if text is None:  # a written certificate with M1 edited to text
+        if isinstance(text, dict):  # a written certificate with fields edited
             assert main(["bounds", "--out", str(tmp_path)]) == 0
             obj = json.loads((tmp_path / "certificate.json").read_text())
-            text = json.dumps({**obj, "M1": "abc"})
+            text = json.dumps({**obj, **text})
         path = tmp_path / "bad_cert.json"
         path.write_text(text)
         cfg = tmp_path / "cfg.json"

@@ -20,10 +20,10 @@ from aifcert import (
     certificate,
     excursions_above,
     field,
-    first_hitting,
     integrate,
     propagate_fixed,
     read_trajectory_csv,
+    stretches_above,
     vector_field,
     write_trajectory_csv,
 )
@@ -155,12 +155,12 @@ def bump_trajectory():
     return Trajectory.from_samples(p, [0.0, 0.04], [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 120.0]])
 
 
-def brute_first_hit(traj, series, level, direction, t_end, dt=1e-5):
-    """First crossing on a uniform grid, linearly interpolated."""
+def brute_first_hit(traj, series, level, t_end, falling=False, dt=1e-5):
+    """First upward (or, if falling, downward) crossing on a uniform grid, linearly interpolated."""
     grid = np.arange(0.0, t_end, dt)
     chunks = np.array_split(grid, max(1, grid.size // 100_000))
     g = np.concatenate([series(traj.at(c)) for c in chunks]) - level
-    if direction == "from-above":
+    if falling:
         g = -g
     i = int(np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]) + 1
     return grid[i - 1] + dt * g[i - 1] / (g[i - 1] - g[i])
@@ -337,7 +337,7 @@ class TestMaximum:
     @pytest.mark.parametrize("i", range(4))
     def test_interpolant_maximum(self, overshoot, i):
         traj = overshoot
-        top, t_top = traj.maximum(f"x{i + 1}")
+        ((top, t_top),) = traj.extrema([("max", f"x{i + 1}", None, None)])
         assert top >= traj.y[:, i].max()
         assert traj.at(scan_times(traj, 0.01))[:, i].max() <= top
         grid = np.arange(max(0.0, t_top - 0.01), min(30.0, t_top + 0.01), 1e-5)
@@ -346,7 +346,7 @@ class TestMaximum:
 
     def test_bump_between_nodes(self):
         traj = bump_trajectory()
-        top, t_top = traj.maximum("x1")
+        ((top, t_top),) = traj.extrema([("max", "x1", None, None)])
         grid = np.arange(0.0, 0.04, 1e-5)
         x1 = traj.at(grid)[:, 0]
         assert top > 1.5
@@ -355,17 +355,18 @@ class TestMaximum:
         assert abs(t_top - grid[np.argmax(x1)]) <= 1e-5
 
     def test_window_ends_within_rounding_of_the_span(self, overshoot):
-        assert overshoot.maximum("x1", -5e-13, 30.0 + 5e-13) == overshoot.maximum("x1")
-        assert overshoot.minimum("x4", 30.0, 30.0 + 5e-13)[1] == 30.0
+        found = overshoot.extrema([("max", "x1", -5e-13, 30.0 + 5e-13), ("max", "x1", None, None)])
+        assert found[0] == found[1]
+        assert overshoot.extrema([("min", "x4", 30.0, 30.0 + 5e-13)])[0][1] == 30.0
         assert overshoot.W_rate_maximum(1e9) is None
 
     def test_rejects_bad_window_and_observable(self, overshoot):
         with pytest.raises(ValueError):
-            overshoot.maximum("x1", 2.0, 1.0)
+            overshoot.extrema([("max", "x1", 2.0, 1.0)])
         with pytest.raises(ValueError):
-            overshoot.minimum("p", 0.0, 31.0)
+            overshoot.extrema([("min", "p", 0.0, 31.0)])
         with pytest.raises(ValueError):
-            overshoot.maximum("x5")
+            overshoot.extrema([("max", "x5", None, None)])
 
 
 @pytest.fixture(scope="module")
@@ -390,8 +391,8 @@ class TestWindowedExtrema:
             grid = np.append(np.arange(a, b, 1e-5), b)
             vals = observe(traj, name, grid)
             scale = max(1.0, np.abs(vals).max())
-            for sign, search in ((1.0, traj.maximum), (-1.0, traj.minimum)):
-                top, t_top = search(name, a, b)
+            for sign, sense in ((1.0, "max"), (-1.0, "min")):
+                ((top, t_top),) = traj.extrema([(sense, name, a, b)])
                 assert a <= t_top <= b
                 best = vals.max() if sign > 0 else vals.min()
                 # no grid point beats the search, and the search beats the
@@ -403,9 +404,9 @@ class TestWindowedExtrema:
     @pytest.mark.parametrize("name", sim.OBSERVABLES)
     def test_whole_span_of_integrated_trajectory(self, demo_traj, name):
         traj = demo_traj
-        for sign, search in ((1.0, traj.maximum), (-1.0, traj.minimum)):
-            top, t_top = search(name)
-            assert (top, t_top) == search(name, 0.0, 100.0)
+        for sign, sense in ((1.0, "max"), (-1.0, "min")):
+            ((top, t_top),) = traj.extrema([(sense, name, None, None)])
+            assert [(top, t_top)] == traj.extrema([(sense, name, 0.0, 100.0)])
             coarse = sign * observe(traj, name, scan_times(traj, 1e-3))
             assert coarse.max() <= sign * top + 1e-13 * abs(top)
             grid = np.arange(max(0.0, t_top - 0.01), min(100.0, t_top + 0.01), 1e-5)
@@ -427,9 +428,8 @@ class TestWindowedExtrema:
         queries = queries[::2] + queries[1::2]
         found = traj.extrema(queries)
         assert len(found) == len(queries)
-        for (sense, name, a, b), (value, time) in zip(queries, found):
-            search = traj.maximum if sense == "max" else traj.minimum
-            want = search(name, a, b)
+        for query, (value, time) in zip(queries, found):
+            (want,) = traj.extrema([query])
             assert (value.hex(), time.hex()) == (want[0].hex(), want[1].hex())
 
     def test_extrema_rejects_unknown_sense(self, demo_traj):
@@ -483,7 +483,7 @@ class TestWindowedExtrema:
         gamma = certificate(DEMO, x0).gamma
         dc = DerivedConstants.from_params(DEMO)
         assert dc.W(x0.x2, x0.x3, x0.x4) > gamma
-        ((a, b),) = sim._stretches(traj, "W", gamma)
+        ((a, b),) = stretches_above(traj, "W", gamma)
         assert a == 0.0 and b == pytest.approx(end, abs=1e-4)
         if b < 30.0:
             assert observe(traj, "W", b) == pytest.approx(gamma, rel=1e-12)
@@ -808,9 +808,9 @@ class TestStats:
         assert dict(rebuilt.stats) == {}
 
 
-class TestFirstHitting:
+class TestStretchesAbove:
     def test_matches_dense_grid_oracle(self, demo_traj):
-        t_hit = first_hitting(demo_traj, "x1", 0.5)
+        t_hit = stretches_above(demo_traj, "x1", 0.5)[0][0]
         grid = np.arange(0.0, 2.0, 1e-5)
         x1 = demo_traj.at(grid)[:, 0]
         i = int(np.argmax(x1 >= 0.5))
@@ -818,41 +818,43 @@ class TestFirstHitting:
         assert abs(t_hit - t_ref) <= 1e-7
         assert abs(demo_traj.at(t_hit)[0] - 0.5) <= 1e-8
 
-    def test_level_above_range_returns_none(self, demo_traj):
-        assert first_hitting(demo_traj, "x1", 100.0) is None
+    def test_level_above_range_gives_nothing(self, demo_traj):
+        assert stretches_above(demo_traj, "x1", 100.0) == []
 
-    def test_from_above_direction(self, demo_traj):
-        up = first_hitting(demo_traj, "x1", 0.5)
-        down = first_hitting(demo_traj, "x1", 0.5, direction="from-above")
+    def test_first_stretch_ends_where_it_falls_back(self, demo_traj):
+        up, down = stretches_above(demo_traj, "x1", 0.5)[0]
         assert down > up
         assert abs(demo_traj.at(down)[0] - 0.5) <= 1e-8
 
     def test_product_observable(self, demo_traj):
-        t_hit = first_hitting(demo_traj, "p", 1.0 / 30.0)
+        t_hit = stretches_above(demo_traj, "p", 1.0 / 30.0)[0][0]
         v = demo_traj.at(t_hit)
         assert v[0] * v[3] == pytest.approx(1.0 / 30.0, abs=1e-8)
 
-    @pytest.mark.parametrize(
-        "observable, level, direction",
-        [("p", 1.0 / 30.0, "from-below"), ("p", 1.0 / 30.0, "from-above"), ("W", 2.0, "from-below")],
-    )
-    def test_product_and_aggregate_match_brute_force(self, demo_traj, observable, level, direction):
+    @pytest.mark.parametrize("observable, level", [("p", 1.0 / 30.0), ("W", 2.0)])
+    def test_product_and_aggregate_match_brute_force(self, demo_traj, observable, level):
         dc = DerivedConstants.from_params(DEMO)
         series = {
             "p": lambda v: v[:, 0] * v[:, 3],
             "W": lambda v: dc.W(v[:, 1], v[:, 2], v[:, 3]),
         }[observable]
-        t_hit = first_hitting(demo_traj, observable, level, direction)
-        t_ref = brute_first_hit(demo_traj, series, level, direction, t_hit + 0.01)
-        assert abs(t_hit - t_ref) <= 1e-7
+        start, end = stretches_above(demo_traj, observable, level)[0]
+        assert 0.0 < start < end < 100.0
+        assert abs(start - brute_first_hit(demo_traj, series, level, start + 0.01)) <= 1e-7
+        assert abs(end - brute_first_hit(demo_traj, series, level, end + 0.01, falling=True)) <= 1e-7
 
     def test_level_already_met_at_start(self):
         traj = integrate(DEMO, State.from_sequence([2.0, 0.0, 0.0, 0.0]), 5.0)
-        assert first_hitting(traj, "x1", 2.0) == 0.0
+        assert stretches_above(traj, "x1", 2.0)[0][0] == 0.0
 
     def test_unknown_observable_rejected(self, demo_traj):
         with pytest.raises(ValueError):
-            first_hitting(demo_traj, "x5", 0.5)
+            stretches_above(demo_traj, "x5", 0.5)
+
+    @pytest.mark.parametrize("level", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level_rejected(self, demo_traj, level):
+        with pytest.raises(ValueError, match="level must be finite"):
+            stretches_above(demo_traj, "x1", level)
 
 
 class TestExcursions:
@@ -1051,9 +1053,8 @@ class TestFromSamples:
     def test_events_survive_rebuild(self, demo_traj):
         t = np.arange(0.0, 100.0 + 1e-12, 0.01)
         rebuilt = Trajectory.from_samples(DEMO, t, demo_traj.at(t))
-        assert abs(
-            first_hitting(rebuilt, "x1", 0.5) - first_hitting(demo_traj, "x1", 0.5)
-        ) <= 1e-6
+        first = stretches_above(demo_traj, "x1", 0.5)[0][0]
+        assert abs(stretches_above(rebuilt, "x1", 0.5)[0][0] - first) <= 1e-6
         assert len(excursions_above(rebuilt, 0.2)) == 13
 
 

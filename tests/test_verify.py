@@ -58,14 +58,28 @@ class TestGlobalBounds:
         assert res.margin > 0.0
 
     def test_tampered_bound_fails_with_location(self, demo_traj):
-        cert = certificate(DEMO, State.zero())
-        bad = dataclasses.replace(cert, M1=cert.M1 / 10.0)
-        res = check_global_bounds(demo_traj, bad)
-        assert res.status == "fail"
-        assert res.margin < 0.0
-        assert 0.0 < res.location < 100.0
-        # reported location is a sample where the bound is exceeded
-        assert demo_traj.at(res.location)[0] > bad.M1
+        # each M_i tampered to half of max x_i: the failure is located where
+        # x_i first reaches M_i + 1e-6*M_i, or at t0 if x_i starts above it
+        overshoot = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
+        at_start = []
+        for name, traj in (("demo", demo_traj), ("overshoot", overshoot)):
+            cert = certificate(DEMO, traj.x0)
+            for i in range(1, 5):
+                M = traj.maxima[i - 1][0] / 2.0
+                res = check_global_bounds(traj, dataclasses.replace(cert, **{f"M{i}": M}))
+                assert res.status == "fail"
+                assert res.margin < 0.0
+                limit = M + 1e-6 * M
+                if traj.y[0, i - 1] > limit:
+                    assert res.location == traj.t0
+                    at_start.append((name, i))
+                    continue
+                assert traj.t0 < res.location < traj.t[-1]
+                assert traj.at(res.location)[i - 1] == pytest.approx(limit, abs=1e-8)
+                # nothing before it is above the limit, up to the crossing's rounding
+                ((top, _),) = traj.extrema([("max", f"x{i}", traj.t0, res.location)])
+                assert top <= limit + 1e-12 * limit
+        assert at_start == [("overshoot", 1)]  # M1 = 5.05 is below x1(0) = 10
 
     def test_fuzzed_systems_stay_certified(self):
         rng = np.random.default_rng(41)
@@ -118,26 +132,26 @@ class TestOneSearchPerCheck:
         # one search for x1's stretches, whichever of them asks first
         traj = integrate(DEMO, x0, horizon)
         calls = []
-        find = aifcert.simulate._stretches
+        find = aifcert.simulate.stretches_above
 
         def spy(traj, observable, level):
             calls.append((observable, level))
             return find(traj, observable, level)
 
-        monkeypatch.setattr(aifcert.simulate, "_stretches", spy)
+        monkeypatch.setattr(aifcert.simulate, "stretches_above", spy)
         report = build_report(DEMO, x0, horizon=horizon, traj=traj)
         assert [c for c in calls if c[0] == "x1"] == [("x1", report.certificate.L_used)]
 
     def test_excursions_are_found_once_per_level(self, monkeypatch):
         traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
         calls = []
-        find = aifcert.simulate._stretches
+        find = aifcert.simulate.stretches_above
 
         def spy(traj, observable, level):
             calls.append((observable, level))
             return find(traj, observable, level)
 
-        monkeypatch.setattr(aifcert.simulate, "_stretches", spy)
+        monkeypatch.setattr(aifcert.simulate, "stretches_above", spy)
         first = excursions_above(traj, 1.75)
         assert calls == [("x1", 1.75)] and first
         kept = list(first)
@@ -213,7 +227,7 @@ class TestExcursionLemma:
         cert = dataclasses.replace(certificate(DEMO, traj.x0), L_used=1.0, T0=1.0)
         (e,) = excursions_above(traj, 1.0)
         assert e.duration > 2.0
-        for L in np.geomspace(1.0, traj.maximum("x1")[0], 9)[1:]:
+        for L in np.geomspace(1.0, traj.maxima[0][0], 9)[1:]:
             assert all(f.duration < 1.0 for f in excursions_above(traj, L))
         res = check_excursion_lemma(traj, DEMO, cert)
         assert res.status == "fail"
@@ -232,7 +246,7 @@ class TestExcursionLemma:
         cert = dataclasses.replace(certificate(DEMO, traj.x0), L_used=1.0, T0=1.0)
         windows = [(e.start + 1.0, e.end) for e in excursions_above(traj, 1.0) if e.duration >= 1.0]
         assert len(windows) == 2
-        one_window = [traj.minimum("p", a, b) for a, b in windows]
+        one_window = [traj.extrema([("min", "p", a, b)])[0] for a, b in windows]
         calls = count_searches(monkeypatch)
         seen = []
         extrema = Trajectory.extrema
@@ -311,7 +325,8 @@ class TestCascadeLowerBounds:
         res = check_cascade_lower_bounds(traj, DEMO, 0.1, Excursion(0.1, s, dur), T0=T0)
         assert res.status == "fail"
         assert t_dip - 0.001 < res.location < t_dip + 0.001
-        assert res.margin == pytest.approx((traj.minimum("x2")[0] - 0.5) / 0.5, rel=1e-12)
+        ((low, _),) = traj.extrema([("min", "x2", None, None)])
+        assert res.margin == pytest.approx((low - 0.5) / 0.5, rel=1e-12)
         assert res.margin < -0.2
 
     def test_overstated_floor_fails(self, demo_traj):
