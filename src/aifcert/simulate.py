@@ -27,9 +27,10 @@ any number of windows and observables in one search (Trajectory.extrema,
 _extremum).
 
 The state space is tiny (four components), so both steps are written
-out component by component on plain floats; accepted times and states
-go into flat float buffers that become numpy arrays once, at the end,
-and the Trajectory constructor derives every dense row from them.
+out component by component on plain floats, RODAS4's six stage solves
+included; accepted times and states go into flat float buffers that
+become numpy arrays once, at the end, and the Trajectory constructor
+derives every dense row from them.
 """
 
 from __future__ import annotations
@@ -194,18 +195,20 @@ class Trajectory:
     def at(self, times):
         """Evaluate the state at one time or an array of times.
 
-        Node times return the stored samples exactly; interior times use
-        the per-step polynomial, clamped to the orthant.  An integrated
-        step's polynomial can leave the orthant only by about its local
-        error, but a cubic Hermite piece of from_samples can dip well
-        below 0 between sparse rows, and it reads as 0 there too.
+        A time more than 1e-12 outside the span, or NaN, raises a
+        ValueError.  Node times return the stored samples exactly;
+        interior times use the per-step polynomial, clamped to the
+        orthant.  An integrated step's polynomial can leave the orthant
+        only by about its local error, but a cubic Hermite piece of
+        from_samples can dip well below 0 between sparse rows, and it
+        reads as 0 there too.
         """
         tq = np.asarray(times, dtype=float)
         scalar = tq.ndim == 0
         tq1 = np.atleast_1d(tq).copy()
         if tq1.size:
             lo, hi = self.t[0], self.t[-1]
-            if ((tq1 < lo - 1e-12) | (tq1 > hi + 1e-12)).any():
+            if not ((tq1 >= lo - 1e-12) & (tq1 <= hi + 1e-12)).all():  # NaN fails too
                 raise ValueError("query time outside the integrated span")
             np.clip(tq1, lo, hi, out=tq1)
         idx = np.searchsorted(self.t, tq1, side="right") - 1
@@ -390,8 +393,7 @@ def _taylor_step(y, c, h):
     as the error estimate.
     """
     y1, y2, y3, y4 = y
-    b1, b2, b3, b4, c1, c2, c3, c4, d1, d2, d3, d4 = c[:12]
-    e1, e2, e3, e4, f1, f2, f3, f4, g1, g2, g3, g4 = c[12:]
+    b1, b2, b3, b4, c1, c2, c3, c4, d1, d2, d3, d4, e1, e2, e3, e4, f1, f2, f3, f4, g1, g2, g3, g4 = c
     h6 = (h * h * h) ** 2
     return (
         y1 + h * (b1 + h * (c1 + h * (d1 + h * (e1 + h * (f1 + h * g1))))),
@@ -424,22 +426,24 @@ def _rodas4_step(a, y, f0, h):
     idet = 1.0 / (g * (g + a2 * y4 + a8 * y1) + a2 * y1 * a7 * chain)
     a5p, a7q = a5 * p, a7 * q
 
-    def solve(r1, r2, r3, r4):
-        r4 += a7q * (r3 + a5p * r2)
-        u1 = (D * r1 - B * r4) * idet
-        u2 = p * (r2 + a3 * u1)
-        return u1, u2, q * (r3 + a5 * u2), (A * r4 - C * r1) * idet
-
-    u11, u12, u13, u14 = solve(*f0)
+    # every stage solves (g*I - J) u = r the same way: fold r2 and r3 into r4,
+    # then u1 and u4 from the 2x2 system, and u2 and u3 from u1
+    r1, r2, r3, r4 = f0
+    r4 += a7q * (r3 + a5p * r2)
+    u11 = (D * r1 - B * r4) * idet
+    u12 = p * (r2 + a3 * u11)
+    u13, u14 = q * (r3 + a5 * u12), (A * r4 - C * r1) * idet
     f1, f2, f3, f4 = field(
         a, y1 + _RA21 * u11, y2 + _RA21 * u12, y3 + _RA21 * u13, y4 + _RA21 * u14
     )
-    u21, u22, u23, u24 = solve(
-        f1 + hi * (_RC21 * u11),
-        f2 + hi * (_RC21 * u12),
-        f3 + hi * (_RC21 * u13),
-        f4 + hi * (_RC21 * u14),
-    )
+    r1 = f1 + hi * (_RC21 * u11)
+    r2 = f2 + hi * (_RC21 * u12)
+    r3 = f3 + hi * (_RC21 * u13)
+    r4 = f4 + hi * (_RC21 * u14)
+    r4 += a7q * (r3 + a5p * r2)
+    u21 = (D * r1 - B * r4) * idet
+    u22 = p * (r2 + a3 * u21)
+    u23, u24 = q * (r3 + a5 * u22), (A * r4 - C * r1) * idet
     f1, f2, f3, f4 = field(
         a,
         y1 + _RA31 * u11 + _RA32 * u21,
@@ -447,12 +451,14 @@ def _rodas4_step(a, y, f0, h):
         y3 + _RA31 * u13 + _RA32 * u23,
         y4 + _RA31 * u14 + _RA32 * u24,
     )
-    u31, u32, u33, u34 = solve(
-        f1 + hi * (_RC31 * u11 + _RC32 * u21),
-        f2 + hi * (_RC31 * u12 + _RC32 * u22),
-        f3 + hi * (_RC31 * u13 + _RC32 * u23),
-        f4 + hi * (_RC31 * u14 + _RC32 * u24),
-    )
+    r1 = f1 + hi * (_RC31 * u11 + _RC32 * u21)
+    r2 = f2 + hi * (_RC31 * u12 + _RC32 * u22)
+    r3 = f3 + hi * (_RC31 * u13 + _RC32 * u23)
+    r4 = f4 + hi * (_RC31 * u14 + _RC32 * u24)
+    r4 += a7q * (r3 + a5p * r2)
+    u31 = (D * r1 - B * r4) * idet
+    u32 = p * (r2 + a3 * u31)
+    u33, u34 = q * (r3 + a5 * u32), (A * r4 - C * r1) * idet
     f1, f2, f3, f4 = field(
         a,
         y1 + _RA41 * u11 + _RA42 * u21 + _RA43 * u31,
@@ -460,32 +466,46 @@ def _rodas4_step(a, y, f0, h):
         y3 + _RA41 * u13 + _RA42 * u23 + _RA43 * u33,
         y4 + _RA41 * u14 + _RA42 * u24 + _RA43 * u34,
     )
-    u41, u42, u43, u44 = solve(
-        f1 + hi * (_RC41 * u11 + _RC42 * u21 + _RC43 * u31),
-        f2 + hi * (_RC41 * u12 + _RC42 * u22 + _RC43 * u32),
-        f3 + hi * (_RC41 * u13 + _RC42 * u23 + _RC43 * u33),
-        f4 + hi * (_RC41 * u14 + _RC42 * u24 + _RC43 * u34),
-    )
+    r1 = f1 + hi * (_RC41 * u11 + _RC42 * u21 + _RC43 * u31)
+    r2 = f2 + hi * (_RC41 * u12 + _RC42 * u22 + _RC43 * u32)
+    r3 = f3 + hi * (_RC41 * u13 + _RC42 * u23 + _RC43 * u33)
+    r4 = f4 + hi * (_RC41 * u14 + _RC42 * u24 + _RC43 * u34)
+    r4 += a7q * (r3 + a5p * r2)
+    u41 = (D * r1 - B * r4) * idet
+    u42 = p * (r2 + a3 * u41)
+    u43, u44 = q * (r3 + a5 * u42), (A * r4 - C * r1) * idet
     w1 = y1 + _RA51 * u11 + _RA52 * u21 + _RA53 * u31 + _RA54 * u41
     w2 = y2 + _RA51 * u12 + _RA52 * u22 + _RA53 * u32 + _RA54 * u42
     w3 = y3 + _RA51 * u13 + _RA52 * u23 + _RA53 * u33 + _RA54 * u43
     w4 = y4 + _RA51 * u14 + _RA52 * u24 + _RA53 * u34 + _RA54 * u44
     f1, f2, f3, f4 = field(a, w1, w2, w3, w4)
-    u51, u52, u53, u54 = solve(
-        f1 + hi * (_RC51 * u11 + _RC52 * u21 + _RC53 * u31 + _RC54 * u41),
-        f2 + hi * (_RC51 * u12 + _RC52 * u22 + _RC53 * u32 + _RC54 * u42),
-        f3 + hi * (_RC51 * u13 + _RC52 * u23 + _RC53 * u33 + _RC54 * u43),
-        f4 + hi * (_RC51 * u14 + _RC52 * u24 + _RC53 * u34 + _RC54 * u44),
-    )
+    r1 = f1 + hi * (_RC51 * u11 + _RC52 * u21 + _RC53 * u31 + _RC54 * u41)
+    r2 = f2 + hi * (_RC51 * u12 + _RC52 * u22 + _RC53 * u32 + _RC54 * u42)
+    r3 = f3 + hi * (_RC51 * u13 + _RC52 * u23 + _RC53 * u33 + _RC54 * u43)
+    r4 = f4 + hi * (_RC51 * u14 + _RC52 * u24 + _RC53 * u34 + _RC54 * u44)
+    r4 += a7q * (r3 + a5p * r2)
+    u51 = (D * r1 - B * r4) * idet
+    u52 = p * (r2 + a3 * u51)
+    u53, u54 = q * (r3 + a5 * u52), (A * r4 - C * r1) * idet
     w1, w2, w3, w4 = w1 + u51, w2 + u52, w3 + u53, w4 + u54
     f1, f2, f3, f4 = field(a, w1, w2, w3, w4)
-    u61, u62, u63, u64 = err = solve(
-        f1 + hi * (_RC61 * u11 + _RC62 * u21 + _RC63 * u31 + _RC64 * u41 + _RC65 * u51),
-        f2 + hi * (_RC61 * u12 + _RC62 * u22 + _RC63 * u32 + _RC64 * u42 + _RC65 * u52),
-        f3 + hi * (_RC61 * u13 + _RC62 * u23 + _RC63 * u33 + _RC64 * u43 + _RC65 * u53),
-        f4 + hi * (_RC61 * u14 + _RC62 * u24 + _RC63 * u34 + _RC64 * u44 + _RC65 * u54),
-    )
-    return (w1 + u61, w2 + u62, w3 + u63, w4 + u64), err
+    r1 = f1 + hi * (_RC61 * u11 + _RC62 * u21 + _RC63 * u31 + _RC64 * u41 + _RC65 * u51)
+    r2 = f2 + hi * (_RC61 * u12 + _RC62 * u22 + _RC63 * u32 + _RC64 * u42 + _RC65 * u52)
+    r3 = f3 + hi * (_RC61 * u13 + _RC62 * u23 + _RC63 * u33 + _RC64 * u43 + _RC65 * u53)
+    r4 = f4 + hi * (_RC61 * u14 + _RC62 * u24 + _RC63 * u34 + _RC64 * u44 + _RC65 * u54)
+    r4 += a7q * (r3 + a5p * r2)
+    u61 = (D * r1 - B * r4) * idet
+    u62 = p * (r2 + a3 * u61)
+    u63, u64 = q * (r3 + a5 * u62), (A * r4 - C * r1) * idet
+    return (w1 + u61, w2 + u62, w3 + u63, w4 + u64), (u61, u62, u63, u64)
+
+
+def _horizon(horizon) -> float:
+    """horizon as a float, or a ValueError unless it is finite and > 0."""
+    horizon = float(horizon)
+    if not math.isfinite(horizon) or horizon <= 0.0:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    return horizon
 
 
 def integrate(
@@ -515,9 +535,7 @@ def integrate(
     """
     if not isinstance(x0, State):
         x0 = State.from_sequence(x0)
-    horizon = float(horizon)
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    horizon = _horizon(horizon)
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < tol < 1.0):
             raise ValueError(f"{name} must lie in (0, 1), got {tol!r}")
@@ -538,6 +556,7 @@ def integrate(
     nfev = 0
     stiff = False
     wait = 0  # Taylor steps until the next trial may run
+    n = 0  # accepted steps
 
     while t < horizon:
         y1, y2, y3, y4 = y
@@ -555,10 +574,10 @@ def integrate(
                 msg = f"abs_tol {abs_tol!r} is too small: the error norm overflows"
                 raise IntegrationError(msg, t) from None
             h = 0.9 * (sq / 4.0) ** (-1 / 12) if sq > 0.0 else horizon
-        if h < 1e-13 * max(1.0, abs(t)):
+        if h < 1e-13 * (t if t > 1.0 else 1.0):  # t >= 0
             msg = f"step size underflow at rel_tol {rel_tol!r}, abs_tol {abs_tol!r}"
             raise IntegrationError(msg, t)
-        if len(ts) > 5_000_000:
+        if n >= 5_000_000:
             raise IntegrationError("step budget exhausted", t)
         trial = not stiff and wait == 0 and h * (a2 * y4 + a8 * y1 + a46) > _TRIAL_GATE
         h_try = _TRIAL_LENGTH * h if trial else h
@@ -610,7 +629,7 @@ def integrate(
             y_end = (max(v1, 0.0), max(v2, 0.0), max(v3, 0.0), max(v4, 0.0))
         if trial:
             stiff = True
-            edges.append(len(ts) - 1)
+            edges.append(n)
         if stiff:
             # the field at the new state is the next step's first stage
             f0 = field(a, *y_end)
@@ -621,21 +640,22 @@ def integrate(
                 stiff = False
                 c = None
                 wait = _TRIAL_GAP
-                edges.append(len(ts))
+                edges.append(n + 1)
         else:
             c = None
-            wait = max(wait - 1, 0)
+            if wait:
+                wait -= 1
         t = horizon if last else t + h_use
         y = y_end
+        n += 1
         ts.append(t)
         ys.extend(y_end)
-        acc1 += abs(e1)
-        acc2 += abs(e2)
-        acc3 += abs(e3)
-        acc4 += abs(e4)
+        acc1 += e1 if e1 > 0.0 else -e1
+        acc2 += e2 if e2 > 0.0 else -e2
+        acc3 += e3 if e3 > 0.0 else -e3
+        acc4 += e4 if e4 > 0.0 else -e4
 
     # edges alternate: a switch to RODAS4, a hand-back, ...; the Taylor runs lie between
-    n = len(ts) - 1
     bounds = [0, *edges, n]
     runs = tuple((i, j) for i, j in zip(bounds[::2], bounds[1::2]) if i < j)
     taylor_steps = sum(j - i for i, j in runs)
@@ -655,14 +675,19 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     rejection happens, so the raw method order is visible.  The step is
     integrate's with the order-6 terms set to 0: at order 6 the error of
     1,000 steps on the demo's [0, 5] is already at rounding (3.6e-14),
-    so step halving would measure rounding, not order.
+    so step halving would measure rounding, not order.  Like integrate,
+    it raises a ValueError unless horizon is finite and > 0; n_steps
+    must be an int >= 1.
     """
     if not isinstance(x0, State):
         x0 = State.from_sequence(x0)
+    horizon = _horizon(horizon)
+    if type(n_steps) is not int or n_steps < 1:
+        raise ValueError(f"n_steps must be an int >= 1, got {n_steps!r}")
     a = p.as_tuple()
     y = x0.as_tuple()
-    h = float(horizon) / int(n_steps)
-    for _ in range(int(n_steps)):
+    h = horizon / n_steps
+    for _ in range(n_steps):
         y, _ = _taylor_step(y, _taylor(a, y)[:20] + (0.0,) * 4, h)
     return np.array(y)
 

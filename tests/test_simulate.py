@@ -294,10 +294,10 @@ class TestDenseOutput:
         assert np.abs(traj.at(mid) - ref.sol(mid).T).max() <= 1e-6
 
     def test_rejects_queries_outside_span(self, demo_traj):
-        with pytest.raises(ValueError):
-            demo_traj.at(-0.5)
-        with pytest.raises(ValueError):
-            demo_traj.at(100.5)
+        # NaN is outside too, as a scalar and inside an array
+        for times in (-0.5, 100.5, float("nan"), np.array([1.0, float("nan"), 2.0])):
+            with pytest.raises(ValueError, match="outside the integrated span"):
+                demo_traj.at(times)
 
     def test_scan_times_cover_span_densely(self, demo_traj):
         ts = scan_times(demo_traj)
@@ -507,6 +507,21 @@ class TestFixedStepOrder:
         ]
         slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(slopes) >= 4.0
+
+    @pytest.mark.parametrize(
+        "horizon, n_steps, message",
+        [
+            (5.0, 0, "n_steps"),
+            (5.0, -3, "n_steps"),
+            (5.0, 2.5, "n_steps"),
+            (float("nan"), 10, "horizon"),
+            (-1.0, 10, "horizon"),
+        ],
+        ids=["zero-steps", "negative-steps", "fractional-steps", "nan-horizon", "negative-horizon"],
+    )
+    def test_rejects_bad_arguments(self, horizon, n_steps, message):
+        with pytest.raises(ValueError, match=message):
+            propagate_fixed(DEMO, State.zero(), horizon, n_steps)
 
 
 def record_attempts(p, x0, horizon, alter=None):
