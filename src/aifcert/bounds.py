@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, Params, State
+from .model import DerivedConstants, Params, State, _require_positive
 
 __all__ = [
     "FixedPointConstants",
@@ -57,18 +57,6 @@ class FixedPointConstants:
         return cls(psi1=ln2 / p.alpha4 + ln2 / p.alpha6, psi2=ln2 / p.alpha8)
 
 
-def _require_positive(v, what: str = "level L"):
-    """v as a float (an array is kept as it is), checked finite and > 0."""
-    if isinstance(v, np.ndarray):
-        ok = np.all(np.isfinite(v) & (v > 0.0))
-    else:
-        v = float(v)
-        ok = math.isfinite(v) and v > 0.0
-    if not ok:
-        raise ValueError(f"{what} must be finite and > 0, got {v!r}")
-    return v
-
-
 def tau(p: Params, L: float) -> float:
     """Waiting time tau(L): unique positive root of the fixed-point equation.
 
@@ -78,7 +66,7 @@ def tau(p: Params, L: float) -> float:
     subtractive quadratic formula loses the root there).  L and the alphas
     of p may be arrays that broadcast: each element is then the scalar result.
     """
-    L = _require_positive(L)
+    L = _require_positive("level L", L)
     fp = FixedPointConstants.from_params(p)
     b = L + p.alpha1 * fp.psi1
     q = 2.0 * fp.psi2 / (b + np.sqrt(b * b + 4.0 * p.alpha1 * fp.psi2))
@@ -87,13 +75,13 @@ def tau(p: Params, L: float) -> float:
 
 def ell2(p: Params, L: float) -> float:
     """Floor reached by species 2 after delay delta2 on an excursion at level L."""
-    L = _require_positive(L)
+    L = _require_positive("level L", L)
     return p.alpha3 * L / (2.0 * p.alpha4)
 
 
 def ell3(p: Params, L: float) -> float:
     """Floor reached by species 3 after delay delta2 + delta3."""
-    L = _require_positive(L)
+    L = _require_positive("level L", L)
     return (p.alpha3 * p.alpha5) / (4.0 * p.alpha4 * p.alpha6) * L
 
 
@@ -103,15 +91,15 @@ def ell4(p: Params, L: float, T: float) -> float:
     The annihilation pressure on species 4 is capped by the window bound
     on species 1, which is why T enters through window_upper.  Takes arrays as tau does.
     """
-    L = _require_positive(L)
-    T = _require_positive(T, "window length T")
+    L = _require_positive("level L", L)
+    T = _require_positive("window length T", T)
     K = DerivedConstants.from_params(p).K
     return K * L / (8.0 * (L + p.alpha1 * T))
 
 
 def window_upper(p: Params, L: float, t: float) -> float:
     """Upper bound L + alpha1*t on species 1 inside an excursion window."""
-    L = _require_positive(L)
+    L = _require_positive("level L", L)
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"time t must be finite and >= 0, got {t!r}")

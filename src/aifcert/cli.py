@@ -222,32 +222,29 @@ def cmd_plot(cfg: RunConfig) -> int:
     return 0
 
 
+# each command with its one-line help
 _COMMANDS = {
-    "bounds": cmd_bounds,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "plot": cmd_plot,
+    "bounds": (cmd_bounds, "compute the bound certificate"),
+    "simulate": (cmd_simulate, "integrate the system and write a trajectory CSV"),
+    "verify": (cmd_verify, "run every check and write a report"),
+    "plot": (cmd_plot, "emit SVG figures"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command is a positional, and flags may come before or after it."""
+    commands = "".join(f"\n  {name:<9} {text}" for name, (_, text) in _COMMANDS.items())
     ap = argparse.ArgumentParser(
         prog="aifcert",
-        description="Boundedness certificates and certified simulation for the "
+        description="Boundedness certificates and certified simulation for the\n"
         "four-species annihilation feedback loop.",
+        epilog="commands:" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    helps = {
-        "bounds": "compute the bound certificate",
-        "simulate": "integrate the system and write a trajectory CSV",
-        "verify": "run every check and write a report",
-        "plot": "emit SVG figures",
-    }
-    for name, h in helps.items():
-        sp = sub.add_parser(name, help=h)
-        sp.add_argument("--config", help="JSON config file")
-        for key, text in _FLAGS.items():
-            sp.add_argument(f"--{key}", help=text)
+    ap.add_argument("command", choices=_COMMANDS, help="the command to run (see below)")
+    ap.add_argument("--config", help="JSON config file")
+    for key, text in _FLAGS.items():
+        ap.add_argument(f"--{key}", help=text)
     return ap
 
 
@@ -256,7 +253,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
         cfg = _updated(cfg, {key: getattr(args, key) for key in _FLAGS})
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (CertificateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

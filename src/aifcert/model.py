@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Params",
     "DerivedConstants",
@@ -22,11 +24,16 @@ __all__ = [
 ]
 
 
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-    return value
+def _require_positive(name: str, v):
+    """v as a float (an array is kept as it is), checked finite and > 0."""
+    if isinstance(v, np.ndarray):
+        ok = np.all(np.isfinite(v) & (v > 0.0))
+    else:
+        v = float(v)
+        ok = math.isfinite(v) and v > 0.0
+    if not ok:
+        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class Params:
     def __post_init__(self) -> None:
         for k in range(1, 9):
             name = f"alpha{k}"
-            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
+            object.__setattr__(self, name, _require_positive(name, float(getattr(self, name))))
 
     @classmethod
     def from_sequence(cls, values) -> "Params":

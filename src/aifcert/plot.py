@@ -103,9 +103,16 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str) -> list[str]:
     return out
 
 
-def _polyline(frame: _Frame, ts, vs, color: str, dashed: bool = False) -> str:
-    xy = np.column_stack((frame.x(ts), frame.y(vs))).ravel().tolist()
-    pts = ("%.2f,%.2f " * len(ts) % tuple(xy))[:-1]
+def _points(frame: _Frame, ts) -> str:
+    """The points text of a polyline over times ts, a %.2f slot left for each y.
+
+    A figure's polylines share one time grid, so their x text is formatted once.
+    """
+    return "%.2f,%%.2f " * len(ts) % tuple(frame.x(ts).tolist())
+
+
+def _polyline(frame: _Frame, points: str, vs, color: str, dashed: bool = False) -> str:
+    pts = (points % tuple(frame.y(vs).tolist()))[:-1]
     dash = ' stroke-dasharray="7 4"' if dashed else ""
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>'
@@ -154,8 +161,9 @@ def states_svg(traj: Trajectory, path=None) -> str:
     y_hi = float(ys.max()) * 1.06 or 1.0
     frame = _Frame(float(ts[0]), float(ts[-1]), 0.0, y_hi)
     body = _axes(frame, "t", "state")
+    points = _points(frame, ts)
     for i in range(4):
-        body.append(_polyline(frame, ts, ys[:, i], _COLORS[i]))
+        body.append(_polyline(frame, points, ys[:, i], _COLORS[i]))
     body.extend(_legend([(_LABELS[i], _COLORS[i], False) for i in range(4)]))
     return _document(body, path)
 
@@ -172,6 +180,6 @@ def x1_bound_svg(traj: Trajectory, bound: float, path=None) -> str:
         f'<line x1="{_LEFT}" y1="{py:.2f}" x2="{_LEFT + frame.px_w}" y2="{py:.2f}" '
         f'stroke="#555555" stroke-width="1.5" stroke-dasharray="7 4"/>'
     )
-    body.append(_polyline(frame, ts, x1, _COLORS[0]))
+    body.append(_polyline(frame, _points(frame, ts), x1, _COLORS[0]))
     body.extend(_legend([("x1", _COLORS[0], False), (f"M1 = {bound:.4f}", "#555555", True)]))
     return _document(body, path)

@@ -44,7 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import DerivedConstants, Params, State, field
+from .model import DerivedConstants, Params, State, _require_positive, field
 
 __all__ = [
     "IntegrationError",
@@ -368,20 +368,20 @@ def _taylor(a, y):
     x1, x2, x3, x4 = y
     b1, b2, b3, b4 = field(a, x1, x2, x3, x4)
     p = x1 * b4 + b1 * x4
-    c1, c2 = -a2 * p / 2, (a3 * b1 - a4 * b2) / 2
-    c3, c4 = (a5 * b2 - a6 * b3) / 2, (a7 * b3 - a8 * p) / 2
+    c1, c2 = -a2 * p * 0.5, (a3 * b1 - a4 * b2) * 0.5
+    c3, c4 = (a5 * b2 - a6 * b3) * 0.5, (a7 * b3 - a8 * p) * 0.5
     p = x1 * c4 + b1 * b4 + c1 * x4
-    d1, d2 = -a2 * p / 3, (a3 * c1 - a4 * c2) / 3
-    d3, d4 = (a5 * c2 - a6 * c3) / 3, (a7 * c3 - a8 * p) / 3
+    d1, d2 = -a2 * p / 3.0, (a3 * c1 - a4 * c2) / 3.0
+    d3, d4 = (a5 * c2 - a6 * c3) / 3.0, (a7 * c3 - a8 * p) / 3.0
     p = x1 * d4 + b1 * c4 + c1 * b4 + d1 * x4
-    e1, e2 = -a2 * p / 4, (a3 * d1 - a4 * d2) / 4
-    e3, e4 = (a5 * d2 - a6 * d3) / 4, (a7 * d3 - a8 * p) / 4
+    e1, e2 = -a2 * p * 0.25, (a3 * d1 - a4 * d2) * 0.25
+    e3, e4 = (a5 * d2 - a6 * d3) * 0.25, (a7 * d3 - a8 * p) * 0.25
     p = x1 * e4 + b1 * d4 + c1 * c4 + d1 * b4 + e1 * x4
-    f1, f2 = -a2 * p / 5, (a3 * e1 - a4 * e2) / 5
-    f3, f4 = (a5 * e2 - a6 * e3) / 5, (a7 * e3 - a8 * p) / 5
+    f1, f2 = -a2 * p / 5.0, (a3 * e1 - a4 * e2) / 5.0
+    f3, f4 = (a5 * e2 - a6 * e3) / 5.0, (a7 * e3 - a8 * p) / 5.0
     p = x1 * f4 + b1 * e4 + c1 * d4 + d1 * c4 + e1 * b4 + f1 * x4
-    g1, g2 = -a2 * p / 6, (a3 * f1 - a4 * f2) / 6
-    g3, g4 = (a5 * f2 - a6 * f3) / 6, (a7 * f3 - a8 * p) / 6
+    g1, g2 = -a2 * p / 6.0, (a3 * f1 - a4 * f2) / 6.0
+    g3, g4 = (a5 * f2 - a6 * f3) / 6.0, (a7 * f3 - a8 * p) / 6.0
     return (b1, b2, b3, b4, c1, c2, c3, c4, d1, d2, d3, d4,
             e1, e2, e3, e4, f1, f2, f3, f4, g1, g2, g3, g4)
 
@@ -500,14 +500,6 @@ def _rodas4_step(a, y, f0, h):
     return (w1 + u61, w2 + u62, w3 + u63, w4 + u64), (u61, u62, u63, u64)
 
 
-def _horizon(horizon) -> float:
-    """horizon as a float, or a ValueError unless it is finite and > 0."""
-    horizon = float(horizon)
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
-    return horizon
-
-
 def integrate(
     p: Params,
     x0,
@@ -535,7 +527,7 @@ def integrate(
     """
     if not isinstance(x0, State):
         x0 = State.from_sequence(x0)
-    horizon = _horizon(horizon)
+    horizon = _require_positive("horizon", float(horizon))
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < tol < 1.0):
             raise ValueError(f"{name} must lie in (0, 1), got {tol!r}")
@@ -573,7 +565,7 @@ def integrate(
             except OverflowError:
                 msg = f"abs_tol {abs_tol!r} is too small: the error norm overflows"
                 raise IntegrationError(msg, t) from None
-            h = 0.9 * (sq / 4.0) ** (-1 / 12) if sq > 0.0 else horizon
+            h = 0.9 * (sq * 0.25) ** (-1 / 12) if sq > 0.0 else horizon
         if h < 1e-13 * (t if t > 1.0 else 1.0):  # t >= 0
             msg = f"step size underflow at rel_tol {rel_tol!r}, abs_tol {abs_tol!r}"
             raise IntegrationError(msg, t)
@@ -604,7 +596,7 @@ def integrate(
                 + (e3 / (abs_tol + rel_tol * (y3 if y3 > abs(v3) else abs(v3)))) ** 2
                 + (e4 / (abs_tol + rel_tol * (y4 if y4 > abs(v4) else abs(v4)))) ** 2
             )
-            err = math.sqrt(sq / 4.0)
+            err = math.sqrt(sq * 0.25)
             finite = isfinite(err)
         inside = not (v1 < -abs_tol or v2 < -abs_tol or v3 < -abs_tol or v4 < -abs_tol)
         if trial and not (finite and err <= 1.0 and inside):
@@ -681,7 +673,7 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     """
     if not isinstance(x0, State):
         x0 = State.from_sequence(x0)
-    horizon = _horizon(horizon)
+    horizon = _require_positive("horizon", float(horizon))
     if type(n_steps) is not int or n_steps < 1:
         raise ValueError(f"n_steps must be an int >= 1, got {n_steps!r}")
     a = p.as_tuple()
@@ -931,9 +923,7 @@ def stretches_above(traj: Trajectory, observable: str, level: float) -> list[tup
 
 def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
     """Maximal intervals with x1 >= level, by start time; found once per level and kept."""
-    level = float(level)
-    if not math.isfinite(level) or level <= 0.0:
-        raise ValueError(f"level must be finite and > 0, got {level!r}")
+    level = _require_positive("level", float(level))
     if level not in traj._excursions:
         traj._excursions[level] = [Excursion(level, a, b) for a, b in stretches_above(traj, "x1", level)]
     return list(traj._excursions[level])  # a new list: the kept one stays as found

@@ -84,10 +84,6 @@ class CheckResult:
     location: float | None
     detail: str
 
-    @property
-    def passed(self) -> bool:
-        return self.status != FAIL
-
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -177,11 +173,13 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     at least T0, both xdot1 < 0 (strictly, below -1e-9*alpha1) and
     x1*x4 > theta must hold on [start + T0, end].  An excursion above L
     lies inside one above L_used, and so does its window, so checking
-    the excursions above L_used covers every level.  Both claims follow
-    from the exact minimum of p = x1*x4 on each window, because
-    xdot1 = alpha1 - alpha2*p.  If no excursion lasts T0 the check
-    passes vacuously and says so.  excursions_above keeps the excursions
-    for the cascade record.
+    the excursions above L_used covers every level, each in the form
+    with T0 = tau(L_used); the lemma's shorter wait tau(L) at a level
+    L > L_used is not checked.  Both claims follow from the exact
+    minimum of p = x1*x4 on each window, because xdot1 = alpha1 -
+    alpha2*p.  If no excursion lasts T0 the check passes vacuously and
+    says so.  excursions_above keeps the excursions for the cascade
+    record.
     """
     L_used, T0 = cert.L_used, cert.T0
 

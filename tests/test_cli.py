@@ -12,8 +12,8 @@ import pytest
 from conftest import DEMO
 
 from aifcert import BoundCertificate, State, build_report, integrate, write_trajectory_csv
-from aifcert.cli import main
-from aifcert.plot import _Frame, _polyline
+from aifcert.cli import _FLAGS, build_parser, main
+from aifcert.plot import _Frame, _points, _polyline
 
 SUMMARY = "T0 / M1 / M2 / M3 / M4 = 1.3936 / 3.1436 / 31.4364 / 31.4364 / 63.2062"
 
@@ -34,7 +34,7 @@ class TestBounds:
     def test_invalid_rate_exits_2(self, tmp_path, capsys):
         code = main(["bounds", "--params", "1,0,10,1,1,1,1,30", "--out", str(tmp_path)])
         assert code == 2
-        assert "alpha2" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: params: alpha2 must be finite and > 0, got 0.0\n"
 
     def test_low_override_exits_2(self, tmp_path, capsys):
         assert main(["bounds", "--L0", "0.5", "--out", str(tmp_path)]) == 2
@@ -409,8 +409,9 @@ class TestPolyline:
         ts = np.linspace(demo_traj.t[0], demo_traj.t[-1], 2001)
         ys = demo_traj.at(ts)
         frame = _Frame(float(ts[0]), float(ts[-1]), 0.0, float(ys.max()) * 1.06)
+        points = _points(frame, ts)
         for i, dashed in enumerate((False, True, False, True)):
-            got = _polyline(frame, ts, ys[:, i], "#1f77b4", dashed)
+            got = _polyline(frame, points, ys[:, i], "#1f77b4", dashed)
             assert got == polyline_loop(frame, ts, ys[:, i], "#1f77b4", dashed)
 
     def test_outside_the_frame_matches_loop_form(self):
@@ -418,7 +419,56 @@ class TestPolyline:
         ts = rng.uniform(-20.0, 80.0, 500)
         vs = np.concatenate([rng.uniform(-50.0, 50.0, 497), [-0.0, 1e300, -1e-300]])
         frame = _Frame(0.0, 60.0, 0.0, 1.0)
-        assert _polyline(frame, ts, vs, "#d62728") == polyline_loop(frame, ts, vs, "#d62728")
+        got = _polyline(frame, _points(frame, ts), vs, "#d62728")
+        assert got == polyline_loop(frame, ts, vs, "#d62728")
+
+
+COMMAND_HELP = {
+    "bounds": "compute the bound certificate",
+    "simulate": "integrate the system and write a trajectory CSV",
+    "verify": "run every check and write a report",
+    "plot": "emit SVG figures",
+}
+
+
+class TestParser:
+    def test_no_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "command" in capsys.readouterr().err
+
+    def test_unknown_command_exits_2_naming_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nonsense"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "nonsense" in err
+        assert all(repr(name) in err for name in COMMAND_HELP)
+
+    def test_help_lists_commands_and_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        for name, text in COMMAND_HELP.items():
+            assert f"{name} {text}" in lines
+        assert len(_FLAGS) == 7
+        for key, text in {"config": "JSON config file", **_FLAGS}.items():
+            assert f"--{key} {key.upper()} {text}" in lines
+
+    def test_readme_argv_namespace(self):
+        args = build_parser().parse_args(["verify", "--horizon", "100", "--fuzz", "50"])
+        assert vars(args) == {"command": "verify", "config": None, "params": None, "x0": None,
+                              "horizon": "100", "L0": None, "out": None, "seed": None,
+                              "fuzz": "50"}
+
+    def test_flag_before_the_command_parses_as_after(self, tmp_path, capsys):
+        flags = ["--horizon", "2", "--out", str(tmp_path)]
+        parser = build_parser()
+        assert parser.parse_args([*flags, "simulate"]) == parser.parse_args(["simulate", *flags])
+        assert main([*flags, "simulate"]) == 0
+        assert (tmp_path / "trajectory.csv").exists()
 
 
 class TestEntryPoint:

@@ -288,6 +288,34 @@ class TestExcursionLemma:
         assert (a2 * x[0] * x[3] - a1 - 1e-9 * a1) / a1 == pytest.approx(res.margin, abs=1e-12)
 
 
+# draws 148 and 196 of default_rng(3), rates log-uniform in FORMULA_FUZZ_RANGE drawn
+# before x0 uniform in [0, 10]^4: the lemma and the cascade hold on a qualifying excursion
+NON_VACUOUS_WITNESSES = {
+    "draw148": (
+        (0.013646092742851444, 0.13396150094655873, 98.53785938448311, 0.3361480793433251,
+         20.051288212808796, 28.13115132666571, 1.443664797455707, 21.101692858600995),
+        (2.1430696586293063, 0.7646574499136372, 2.0491310486491465, 0.96724835803917),
+    ),
+    "draw196": (
+        (0.1975638828474043, 0.13994396070606802, 71.46286282027057, 19.81098134365479,
+         12.468170895538405, 2.2418410019842914, 24.130006246447824, 34.051164246981756),
+        (5.7993625283217565, 4.102679623520567, 2.7685337677286324, 5.3611327566764135),
+    ),
+}
+
+
+@pytest.mark.parametrize("rates, x0", NON_VACUOUS_WITNESSES.values(), ids=NON_VACUOUS_WITNESSES)
+def test_lemma_and_cascade_pass_non_vacuously(rates, x0):
+    report = build_report(Params.from_sequence(rates), State.from_sequence(x0), horizon=50.0)
+    checks = {c.name: c for c in report.checks}
+    for name in ("excursion_lemma", "cascade_lower_bounds"):
+        res = checks[name]
+        assert res.status == "pass", res.detail
+        assert res.margin > 0.0
+        assert "vacuous" not in res.detail
+        assert res.detail.startswith("1 qualifying excursion(s)")
+
+
 class TestCascadeLowerBounds:
     def test_short_excursion_is_not_applicable(self):
         x0 = State.from_sequence([10.0, 0.0, 0.0, 0.0])
