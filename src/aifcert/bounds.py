@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, Params, State, _require_positive
+from .model import DerivedConstants, Params, State, _require_nonnegative, _require_positive
 
 __all__ = [
     "FixedPointConstants",
@@ -100,9 +100,7 @@ def ell4(p: Params, L: float, T: float) -> float:
 def window_upper(p: Params, L: float, t: float) -> float:
     """Upper bound L + alpha1*t on species 1 inside an excursion window."""
     L = _require_positive("level L", L)
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"time t must be finite and >= 0, got {t!r}")
+    t = _require_nonnegative("time t", t)
     return L + p.alpha1 * t
 
 
@@ -168,9 +166,11 @@ class BoundCertificate:
 
     def __post_init__(self) -> None:
         for name in _CONSTANTS:
-            v, rel = getattr(self, name), ">=" if name == "W0" else ">"
-            if not (math.isfinite(v) and (v >= 0.0 if rel == ">=" else v > 0.0)):
-                raise CertificateError(f"{name} must be finite and {rel} 0, got {v!r}")
+            require = _require_nonnegative if name == "W0" else _require_positive
+            try:
+                require(name, getattr(self, name))
+            except ValueError as exc:
+                raise CertificateError(str(exc)) from None
 
     def to_json(self) -> dict:
         constants = {name: getattr(self, name) for name in _CONSTANTS}
@@ -237,9 +237,7 @@ def growth_envelope(p: Params, x0: State, t: float) -> tuple[float, float, float
     """
     if not isinstance(x0, State):
         x0 = State.from_sequence(x0)
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"time t must be finite and >= 0, got {t!r}")
+    t = _require_nonnegative("time t", t)
     a1, a3, a5, a7 = p.alpha1, p.alpha3, p.alpha5, p.alpha7
     e1 = x0.x1 + a1 * t
     e2 = x0.x2 + a3 * x0.x1 * t + a1 * a3 * t * t / 2.0

@@ -17,7 +17,7 @@ from .bounds import BoundCertificate, CertificateError, certificate
 from .model import Params, State
 from .plot import states_svg, x1_bound_svg
 from .simulate import IntegrationError, integrate, read_trajectory_csv, write_trajectory_csv
-from .verify import build_report
+from .verify import _check_provenance, build_report
 
 __all__ = ["RunConfig", "cmd_bounds", "cmd_simulate", "cmd_verify", "cmd_plot", "main", "entry"]
 
@@ -212,6 +212,7 @@ def cmd_plot(cfg: RunConfig) -> int:
     else:
         traj = integrate(cfg.params, cfg.x0, cfg.horizon, cfg.rel_tol, cfg.abs_tol)
     cert = certificate(cfg.params, cfg.x0, cfg.L0)
+    _check_provenance(traj, cert)  # M1 is drawn for the trajectory's own x0
     out = _outdir(cfg)
     p_states = os.path.join(out, "states.svg")
     p_bound = os.path.join(out, "x1_bound.svg")

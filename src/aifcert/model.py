@@ -36,6 +36,14 @@ def _require_positive(name: str, v):
     return v
 
 
+def _require_nonnegative(name: str, v) -> float:
+    """v as a float, checked finite and >= 0."""
+    v = float(v)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Params:
     """The eight positive rate constants.
@@ -133,10 +141,7 @@ class State:
 
     def __post_init__(self) -> None:
         for name in ("x1", "x2", "x3", "x4"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _require_nonnegative(name, getattr(self, name)))
 
     @classmethod
     def zero(cls) -> "State":
@@ -148,21 +153,6 @@ class State:
         if len(vals) != 4:
             raise ValueError(f"expected 4 state components, got {len(vals)}")
         return cls(*vals)
-
-    @classmethod
-    def from_clamped(cls, values, undershoot: float = 1e-9) -> "State":
-        """Ingest near-orthant data, clamping round-off undershoot to 0.
-
-        Components in [-undershoot, 0) are set to 0; anything below that
-        is a genuine violation and is rejected.
-        """
-        vals = []
-        for v in values:
-            v = float(v)
-            if -undershoot <= v < 0.0:
-                v = 0.0
-            vals.append(v)
-        return cls.from_sequence(vals)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)

@@ -56,7 +56,6 @@ __all__ = [
     "excursions_above",
     "write_trajectory_csv",
     "read_trajectory_csv",
-    "OBSERVABLES",
 ]
 
 # RODAS4 (Hairer & Wanner, Solving ODEs II, IV.7, the rodas.f
@@ -950,11 +949,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path, params: Params) -> Trajectory:
     """Load a trajectory CSV written by write_trajectory_csv: its nodes give back its rows.
 
-    A line `# taylor_steps=<m>` (the format before Taylor runs were
-    written) reads as the run `0:m`.  Without the line (a hand-written
-    file) every step is a cubic Hermite piece.  The line is taken as
-    given: Trajectory.check_taylor_rows tells whether the nodes bear it
-    out.  Faults raise a ValueError naming the file.
+    The `# taylor_steps=` line lists the Taylor runs as `start:stop`
+    pairs.  Without the line (a hand-written file) every step is a cubic
+    Hermite piece.  The line is taken as given:
+    Trajectory.check_taylor_rows tells whether the nodes bear it out.
+    Faults raise a ValueError naming the file.
     """
     where = f"trajectory CSV {path}"
     with open(path, "r", newline="") as fh, warnings.catch_warnings():
@@ -965,11 +964,9 @@ def read_trajectory_csv(path, params: Params) -> Trajectory:
             if header != "t,x1,x2,x3,x4":
                 raise ValueError(f"unexpected header {header!r}")
             m = m.strip() if key.strip() == "# taylor_steps" else ""
-            if m.lstrip("-").isdecimal():  # a Taylor step count: the run 0:m
-                m = "" if m == "0" else f"0:{m}"
             pairs = [r.split(":") for r in m.split(",")] if m else []
             if not all(len(r) == 2 and all(k.lstrip("-").isdecimal() for k in r) for r in pairs):
-                raise ValueError(f"taylor_steps {m!r} is not an integer or a list of start:stop runs")
+                raise ValueError(f"taylor_steps {m!r} is not a list of start:stop runs")
             runs = [(int(i), int(j)) for i, j in pairs]
             data = np.loadtxt([second, *fh], delimiter=",", ndmin=2)
             if data.size:

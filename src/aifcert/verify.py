@@ -55,10 +55,6 @@ __all__ = [
     "check_W_decrease",
     "check_propositions",
     "build_report",
-    "random_params",
-    "random_state",
-    "FORMULA_FUZZ_RANGE",
-    "SIMULATION_FUZZ_RANGE",
 ]
 
 PASS = "pass"
@@ -113,16 +109,6 @@ class VerificationReport:
             "x0": self.x0.to_json(),
             "certificate": self.certificate.to_json(),
         }
-
-
-def random_params(rng: np.random.Generator, lo: float, hi: float) -> Params:
-    """Log-uniform rate constants in [lo, hi]."""
-    alphas = np.exp(rng.uniform(math.log(lo), math.log(hi), 8))
-    return Params.from_sequence(alphas)
-
-
-def random_state(rng: np.random.Generator, hi: float = 2.0) -> State:
-    return State.from_sequence(rng.uniform(0.0, hi, 4))
 
 
 def _check_provenance(traj: Trajectory, cert: BoundCertificate) -> None:
@@ -396,7 +382,7 @@ def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> Ch
     The facts (_FACTS) are checked on a 40-level grid, a 20-level
     residual grid, at large levels and at L*.  With fuzz_count > 0 they
     are also checked on that many random parameter sets (log-uniform in
-    FORMULA_FUZZ_RANGE, drawn as random_params draws them, in one call),
+    FORMULA_FUZZ_RANGE, all drawn in one call of default_rng(fuzz_seed)),
     every level of _CHUNK sets in one array pass, and the worst outcome
     is folded into this record: the first worst margin in draw order,
     and how many fuzzed sets fail.

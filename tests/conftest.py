@@ -6,6 +6,8 @@ before the library existed, then frozen here.  Tests compare against
 them rather than against the library's own output.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,12 @@ def demo_traj():
 
 def log_uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
     return np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+
+
+def random_params(rng: np.random.Generator, lo: float, hi: float) -> Params:
+    """Log-uniform rate constants in [lo, hi]."""
+    return Params.from_sequence(np.exp(rng.uniform(math.log(lo), math.log(hi), 8)))
+
+
+def random_state(rng: np.random.Generator, hi: float = 2.0) -> State:
+    return State.from_sequence(rng.uniform(0.0, hi, 4))

@@ -9,9 +9,10 @@ floats equal bit for bit.
 import math
 
 import numpy as np
+from conftest import random_params
 
 from aifcert import DerivedConstants, FixedPointConstants, ell4, solve_L_star, tau
-from aifcert.verify import FORMULA_FUZZ_RANGE, CheckResult, random_params
+from aifcert.verify import FORMULA_FUZZ_RANGE, CheckResult
 
 
 def propositions_eval(p):

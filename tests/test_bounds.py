@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DEMO, GOLDEN, log_uniform
+from conftest import DEMO, GOLDEN, log_uniform, random_params
 from threshold import bisect_L_star
 
 from aifcert import (
@@ -25,7 +25,7 @@ from aifcert import (
     tau,
     window_upper,
 )
-from aifcert.verify import FORMULA_FUZZ_RANGE, random_params
+from aifcert.verify import FORMULA_FUZZ_RANGE
 
 
 def fixed_point_tau(p: Params, L: float) -> float:

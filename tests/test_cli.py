@@ -346,17 +346,19 @@ class TestHeaderOnlyCsv:
             ("t,x1,x2,x3,x4\n0,0,0,0,0\n1,0,0,0\n", "the number of columns changed"),
             ("time,a,b,c,d\n0,0,0,0,0\n1,0,0,0,0\n", "unexpected header 'time,a,b,c,d'"),
             ("t,x1,x2,x3,x4\n# taylor_steps=one\n0,0,0,0,0\n1,0,0,0,0\n",
-             "taylor_steps 'one' is not an integer"),
-            ("t,x1,x2,x3,x4\n# taylor_steps=2\n0,0,0,0,0\n1,0,0,0,0\n",
+             "taylor_steps 'one' is not a list of start:stop runs"),
+            ("t,x1,x2,x3,x4\n# taylor_steps=1\n0,0,0,0,0\n1,0,0,0,0\n",
+             "taylor_steps '1' is not a list of start:stop runs"),
+            ("t,x1,x2,x3,x4\n# taylor_steps=0:2\n0,0,0,0,0\n1,0,0,0,0\n",
              "taylor_steps must be in [0, 1], got 2"),
-            ("t,x1,x2,x3,x4\n# taylor_steps=-1\n0,0,0,0,0\n1,0,0,0,0\n",
+            ("t,x1,x2,x3,x4\n# taylor_steps=-1:1\n0,0,0,0,0\n1,0,0,0,0\n",
              "taylor_steps must be in [0, 1], got -1"),
             ("t,x1,x2,x3,x4\n0,1e200,0,0,1e200\n1,1e200,0,0,1e200\n",
              "rebuilt dense rows are not finite"),
-            ("t,x1,x2,x3,x4\n# taylor_steps=1\n0,1e200,0,0,1e200\n1,1e200,0,0,1e200\n",
+            ("t,x1,x2,x3,x4\n# taylor_steps=0:1\n0,1e200,0,0,1e200\n1,1e200,0,0,1e200\n",
              "rebuilt dense rows are not finite"),
         ],
-        ids=["one-row", "four-columns", "ragged", "bad-header", "taylor-not-int",
+        ids=["one-row", "four-columns", "ragged", "bad-header", "taylor-not-int", "taylor-count",
              "taylor-too-many", "taylor-negative", "hermite-overflow", "taylor-overflow"],
     )
     def test_malformed_exits_2_naming_the_file(self, tmp_path, capsys, command, text, message):
@@ -371,18 +373,15 @@ class TestHeaderOnlyCsv:
         assert err.startswith(f"error: trajectory CSV {path}: ") and message in err
 
     @pytest.mark.parametrize("command", ["plot", "verify"])
-    @pytest.mark.parametrize("tamper", ["raised-run", "raised-count", "edited-node"])
+    @pytest.mark.parametrize("tamper", ["raised-run", "edited-node"])
     def test_exits_2_naming_the_file_and_step(self, tmp_path, capsys, overshoot_csv_lines,
                                                command, tamper):
-        # RODAS4 steps passed off as Taylor steps (in either form of the
-        # line), or a node inside the Taylor run nudged by 1e-6 relative:
-        # a Taylor row misses its node
+        # RODAS4 steps passed off as Taylor steps, or a node inside the
+        # Taylor run nudged by 1e-6 relative: a Taylor row misses its node
         lines = list(overshoot_csv_lines)
         assert lines[1] == "# taylor_steps=0:528"
         if tamper == "raised-run":
             lines[1], step = "# taylor_steps=0:838", 528
-        elif tamper == "raised-count":
-            lines[1], step = "# taylor_steps=838", 528
         else:
             row = lines[2 + 100].split(",")
             row[1] = repr(float(row[1]) * (1.0 + 1e-6))
@@ -395,6 +394,19 @@ class TestHeaderOnlyCsv:
         err = capsys.readouterr().err
         assert err.startswith(f"error: trajectory CSV {path}: the Taylor row of step {step} ")
         assert "misses its right node" in err
+
+    @pytest.mark.parametrize("command", ["plot", "verify"])
+    def test_x0_other_than_the_csv_start_exits_2(self, tmp_path, capsys, overshoot_csv_lines,
+                                                  command):
+        # the CSV starts at (10, 0, 0, 0) and the config keeps the default
+        # x0 = 0: a certificate for x0 = 0 says nothing about this run
+        path = tmp_path / "trajectory.csv"
+        path.write_text("\n".join(overshoot_csv_lines))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trajectory_csv": str(path)}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: certificate provenance does not match the trajectory\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json", "trajectory.csv"]
 
 
 def polyline_loop(frame, ts, vs, color, dashed=False):

@@ -59,14 +59,6 @@ class TestState:
         with pytest.raises(ValueError):
             State.from_sequence([0.0, float("nan"), 0.0, 0.0])
 
-    def test_clamped_absorbs_tiny_undershoot(self):
-        s = State.from_clamped([1.0, -1e-12, 0.5, -0.0])
-        assert s.as_tuple() == (1.0, 0.0, 0.5, 0.0)
-
-    def test_clamped_rejects_real_negative(self):
-        with pytest.raises(ValueError):
-            State.from_clamped([1.0, -1e-3, 0.5, 0.0])
-
     def test_json_round_trip(self):
         s = State.from_sequence([0.1, 0.2, 0.3, 0.4])
         assert State.from_json(s.to_json()) == s

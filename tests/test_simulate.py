@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import DEMO, log_uniform
+from conftest import DEMO, log_uniform, random_params, random_state
 from sampling import SCAN_DT, scan_times
 
 from aifcert import (
@@ -29,7 +29,7 @@ from aifcert import (
 )
 from aifcert import simulate as sim
 from aifcert.model import DerivedConstants
-from aifcert.verify import SIMULATION_FUZZ_RANGE, random_params, random_state
+from aifcert.verify import SIMULATION_FUZZ_RANGE
 
 
 STIFF = Params.from_sequence((1.0, 1e4, 100.0, 1.0, 1.0, 1.0, 1.0, 1e4))
@@ -231,7 +231,7 @@ class TestIntegrate:
         # autonomous flow: restarting from the state at t=12 reproduces
         # the tail of the original run
         whole = integrate(DEMO, State.zero(), 30.0)
-        mid = State.from_clamped(whole.at(12.0))
+        mid = State.from_sequence(whole.at(12.0))  # at() clamps to the orthant
         tail = integrate(DEMO, mid, 18.0)
         s = np.linspace(0.0, 18.0, 181)
         assert np.abs(whole.at(12.0 + s) - tail.at(s)).max() <= 1e-5
@@ -992,21 +992,6 @@ class TestCsvRoundTrip:
                                      (STIFF, (0.0, 0.0, 0.0, 0.0), 3.0, "0:262,308:678")):
             write_trajectory_csv(integrate(p, x0, horizon), path)
             assert path.read_text().split("\n")[1] == f"# taylor_steps={line}"
-
-    @pytest.mark.parametrize("count, runs", [("528", ((0, 528),)), ("0", ())])
-    def test_step_count_line_reads_as_one_run(self, tmp_path, count, runs):
-        # a file written before runs were written carries the Taylor step
-        # count m, and reads as the run 0:m, bit for bit; 0 means none
-        traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        lines = path.read_text().split("\n")
-        lines[1] = f"# taylor_steps={count}"
-        path.write_text("\n".join(lines))
-        back = read_trajectory_csv(path, DEMO)
-        want = Trajectory.from_samples(DEMO, traj.t, traj.y, runs)
-        assert back.taylor_runs == runs
-        assert back._dense.tobytes() == want._dense.tobytes()
 
     def test_without_taylor_line_reads_as_samples(self, tmp_path):
         traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)

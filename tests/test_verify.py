@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import DEMO, log_uniform
+from conftest import DEMO, log_uniform, random_params, random_state
 from sampling import window_grid
 
 import aifcert.simulate
@@ -33,12 +33,7 @@ from aifcert import (
     tau,
 )
 from aifcert.model import DerivedConstants
-from aifcert.verify import (
-    FORMULA_FUZZ_RANGE,
-    SIMULATION_FUZZ_RANGE,
-    random_params,
-    random_state,
-)
+from aifcert.verify import FORMULA_FUZZ_RANGE, SIMULATION_FUZZ_RANGE
 from propositions_loop import check_propositions_loop
 
 CHECK_NAMES = {
