@@ -8,6 +8,10 @@ and prints one ``<sha256>  <name>`` line per output:
 
 - ``demo/...``: the files and the standard output of the README's
   four demo CLI commands, run in a temporary directory;
+- ``demo/from_csv/...``: those of ``verify`` and ``plot`` run again on
+  the demo's ``trajectory.csv``, named by a config file's
+  ``trajectory_csv`` key, which covers reading the CSV and rebuilding
+  and checking its rows;
 - ``<workload>/seed<s>/case<k>/report.json``: the report JSON of
   build_report on every case of every benchmark workload
   (``perfbench/workloads.py``, make_cases) at seeds 1729 and 7;
@@ -44,6 +48,13 @@ DEMO_COMMANDS = (
 )
 DEMO_FILES = ("certificate.json", "results/trajectory.csv", "results/report.json",
               "results/states.svg", "results/x1_bound.svg")
+# verify and plot again from the CSV that simulate wrote, through a config file
+CSV_CONFIG = ("csv.json", {"trajectory_csv": "results/trajectory.csv"})
+CSV_COMMANDS = (
+    ["verify", "--config", "csv.json", "--fuzz", "50", "--out", "from_csv"],
+    ["plot", "--config", "csv.json", "--out", "from_csv"],
+)
+CSV_FILES = ("from_csv/report.json", "from_csv/states.svg", "from_csv/x1_bound.svg")
 
 
 def digest(data: bytes | str) -> str:
@@ -52,19 +63,26 @@ def digest(data: bytes | str) -> str:
 
 def demo_outputs(main) -> list[tuple[str, str]]:
     """(name, digest) of each command's standard output and of each file it writes."""
+
+    def run(commands, prefix):
+        for argv in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            if code != 0:
+                sys.exit(f"aifcert {' '.join(argv)} exited {code}")
+            found.append((f"{prefix}stdout/{argv[0]}", digest(out.getvalue())))
+
     found = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for argv in DEMO_COMMANDS:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = main(argv)
-                if code != 0:
-                    sys.exit(f"aifcert {' '.join(argv)} exited {code}")
-                found.append((f"demo/stdout/{argv[0]}", digest(out.getvalue())))
+            run(DEMO_COMMANDS, "demo/")
             found += [(f"demo/{name}", digest(Path(name).read_bytes())) for name in DEMO_FILES]
+            Path(CSV_CONFIG[0]).write_text(json.dumps(CSV_CONFIG[1]))
+            run(CSV_COMMANDS, "demo/from_csv/")
+            found += [(f"demo/{name}", digest(Path(name).read_bytes())) for name in CSV_FILES]
         finally:
             os.chdir(cwd)
     return found

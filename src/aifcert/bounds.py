@@ -2,9 +2,11 @@
 
 Everything here is closed-form arithmetic on the rate constants, and
 ``solve_L_star`` takes the threshold as the root of a quartic by
-Newton's method.  The central object is the waiting time tau(L): once
-species 1 has stayed at or above a level L for tau(L) time units, the
-chain has pumped enough of species 4 to force species 1 downward.
+Newton's method.  The central object is the waiting time tau(L), the
+root of tau = psi1 + psi2 / (L + alpha1 * tau) with psi1 and psi2 of
+DerivedConstants (the model's half-life delays): once species 1 has
+stayed at or above a level L for tau(L) time units, the chain has
+pumped enough of species 4 to force species 1 downward.
 Levels L above the threshold L* make that forcing self-sustaining,
 which is what the certificate exploits.
 """
@@ -19,7 +21,6 @@ import numpy as np
 from .model import DerivedConstants, Params, State, _require_nonnegative, _require_positive
 
 __all__ = [
-    "FixedPointConstants",
     "BoundCertificate",
     "CertificateError",
     "tau",
@@ -39,24 +40,6 @@ class CertificateError(ValueError):
     that is not finite and positive (W0 may be 0)."""
 
 
-@dataclass(frozen=True)
-class FixedPointConstants:
-    """Coefficients of the scalar fixed-point equation for tau(L).
-
-    tau solves tau = psi1 + psi2 / (L + alpha1 * tau): psi1 collects the
-    half-life delays of species 2 and 3, psi2 the half-life scale of the
-    species-4 buildup against annihilation.
-    """
-
-    psi1: float
-    psi2: float
-
-    @classmethod
-    def from_params(cls, p: Params) -> "FixedPointConstants":
-        ln2 = math.log(2.0)
-        return cls(psi1=ln2 / p.alpha4 + ln2 / p.alpha6, psi2=ln2 / p.alpha8)
-
-
 def tau(p: Params, L: float) -> float:
     """Waiting time tau(L): unique positive root of the fixed-point equation.
 
@@ -67,10 +50,10 @@ def tau(p: Params, L: float) -> float:
     of p may be arrays that broadcast: each element is then the scalar result.
     """
     L = _require_positive("level L", L)
-    fp = FixedPointConstants.from_params(p)
-    b = L + p.alpha1 * fp.psi1
-    q = 2.0 * fp.psi2 / (b + np.sqrt(b * b + 4.0 * p.alpha1 * fp.psi2))
-    return fp.psi1 + q
+    dc = DerivedConstants.from_params(p)
+    b = L + p.alpha1 * dc.psi1
+    q = 2.0 * dc.psi2 / (b + np.sqrt(b * b + 4.0 * p.alpha1 * dc.psi2))
+    return dc.psi1 + q
 
 
 def ell2(p: Params, L: float) -> float:
@@ -116,10 +99,9 @@ def solve_L_star(p: Params) -> float:
     underflow or overflow and leave no such root in floating point.
     """
     dc = DerivedConstants.from_params(p)
-    fp = FixedPointConstants.from_params(p)
     try:
         k = dc.K / (8.0 * dc.theta)
-        b, c = p.alpha1 * fp.psi1, p.alpha1 * fp.psi2
+        b, c = p.alpha1 * dc.psi1, p.alpha1 * dc.psi2
         L = 2.0 * max(1.0 / k, math.sqrt(b / k), (c / (2.0 * k * k)) ** 0.25)
         for _ in range(200):
             f = ((k * L - 1.0) * L - b) * L * L - c / k

@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 
-from .bounds import BoundCertificate, CertificateError, certificate
+from .bounds import BoundCertificate, certificate
 from .model import Params, State
 from .plot import states_svg, x1_bound_svg
 from .simulate import IntegrationError, integrate, read_trajectory_csv, write_trajectory_csv
@@ -61,6 +61,13 @@ def _coerce_state(obj) -> State:
     return State.from_json(obj) if isinstance(obj, dict) else State.from_sequence(obj)
 
 
+def _number(value) -> float:
+    """A float, from JSON or from flag text (not true)."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _count(value) -> int:
     """A non-negative integer, from JSON or from flag text (not 2.7, true or -1)."""
     n = int(value) if type(value) in (int, str) else None
@@ -70,7 +77,7 @@ def _count(value) -> int:
 
 
 # Config values, from the JSON file or from flag text, are read by their field's type.
-_READ = {"Params": _coerce_params, "State": _coerce_state, "float": float, "int": _count, "str": str}
+_READ = {"Params": _coerce_params, "State": _coerce_state, "float": _number, "int": _count, "str": str}
 _COERCE = {f.name: _READ[f.type.split(" | ")[0]] for f in fields(RunConfig)}
 
 # Config keys that can also be set by a flag; flags win over the file.
@@ -255,7 +262,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else default_config()
         cfg = _updated(cfg, {key: getattr(args, key) for key in _FLAGS})
         return _COMMANDS[args.command][0](cfg)
-    except (CertificateError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CertificateError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:
@@ -265,7 +272,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

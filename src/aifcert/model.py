@@ -44,6 +44,17 @@ def _require_nonnegative(name: str, v) -> float:
     return v
 
 
+def _floats(values, n: int, what: str) -> list[float]:
+    """n floats from a sequence of numbers; a string or a boolean is not one."""
+    vals = None if isinstance(values, str) else list(values)
+    if vals is None or any(isinstance(v, bool) for v in vals):
+        raise ValueError(f"expected {n} {what} as numbers, got {values!r}")
+    vals = [float(v) for v in vals]
+    if len(vals) != n:
+        raise ValueError(f"expected {n} {what}, got {len(vals)}")
+    return vals
+
+
 @dataclass(frozen=True)
 class Params:
     """The eight positive rate constants.
@@ -69,10 +80,7 @@ class Params:
 
     @classmethod
     def from_sequence(cls, values) -> "Params":
-        vals = [float(v) for v in values]
-        if len(vals) != 8:
-            raise ValueError(f"expected 8 rate constants, got {len(vals)}")
-        return cls(*vals)
+        return cls(*_floats(values, 8, "rate constants"))
 
     def as_tuple(self) -> tuple[float, ...]:
         return (
@@ -103,7 +111,10 @@ class DerivedConstants:
     K is the loop gain of the chain relative to annihilation, theta the
     annihilation product level that stalls species 1, c and d the weights
     of the aggregate variable W = x4 + c*x2 + d*x3, and delta2, delta3
-    the half-life delays of species 2 and 3.
+    the half-life delays of species 2 and 3.  psi1 = delta2 + delta3 and
+    psi2 = ln2/alpha8, the half-life scale of the species-4 buildup
+    against annihilation, are the coefficients of the waiting time's
+    fixed-point equation tau = psi1 + psi2 / (L + alpha1 * tau).
     """
 
     K: float
@@ -112,17 +123,22 @@ class DerivedConstants:
     d: float
     delta2: float
     delta3: float
+    psi1: float
+    psi2: float
 
     @classmethod
     def from_params(cls, p: Params) -> "DerivedConstants":
         ln2 = math.log(2.0)
+        delta2, delta3 = ln2 / p.alpha4, ln2 / p.alpha6
         return cls(
             K=(p.alpha3 * p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6 * p.alpha8),
             theta=p.alpha1 / p.alpha2,
             c=(p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6),
             d=p.alpha7 / p.alpha6,
-            delta2=ln2 / p.alpha4,
-            delta3=ln2 / p.alpha6,
+            delta2=delta2,
+            delta3=delta3,
+            psi1=delta2 + delta3,
+            psi2=ln2 / p.alpha8,
         )
 
     def W(self, x2, x3, x4):
@@ -149,10 +165,7 @@ class State:
 
     @classmethod
     def from_sequence(cls, values) -> "State":
-        vals = [float(v) for v in values]
-        if len(vals) != 4:
-            raise ValueError(f"expected 4 state components, got {len(vals)}")
-        return cls(*vals)
+        return cls(*_floats(values, 4, "state components"))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
@@ -168,12 +181,7 @@ class State:
 
 
 def _components(x) -> tuple[float, float, float, float]:
-    if isinstance(x, State):
-        return x.as_tuple()
-    vals = tuple(float(v) for v in x)
-    if len(vals) != 4:
-        raise ValueError(f"expected 4 state components, got {len(vals)}")
-    return vals
+    return x.as_tuple() if isinstance(x, State) else tuple(_floats(x, 4, "state components"))
 
 
 def field(a, x1, x2, x3, x4):

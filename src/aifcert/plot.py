@@ -111,12 +111,9 @@ def _points(frame: _Frame, ts) -> str:
     return "%.2f,%%.2f " * len(ts) % tuple(frame.x(ts).tolist())
 
 
-def _polyline(frame: _Frame, points: str, vs, color: str, dashed: bool = False) -> str:
+def _polyline(frame: _Frame, points: str, vs, color: str) -> str:
     pts = (points % tuple(frame.y(vs).tolist()))[:-1]
-    dash = ' stroke-dasharray="7 4"' if dashed else ""
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>'
-    )
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
 
 def _legend(entries) -> list[str]:

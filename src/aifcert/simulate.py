@@ -147,13 +147,12 @@ class Trajectory:
     times, and the dense rows let ``at`` evaluate the solution anywhere
     in between: each step keeps a polynomial of degree 6 in s in [0, 1],
     for the steps of ``taylor_runs`` (half-open (start, stop) step index
-    pairs, increasing; ``taylor_steps`` of them in all) the Taylor
-    polynomial at the left node, for the others a cubic Hermite piece
-    padded with zeros.  Only the constructor builds rows, one array pass
-    per run.  Instances carry the inputs that produced them and do not
-    change after construction, except that two answers are kept after
-    first use: ``maxima``, and per level the excursions of
-    excursions_above.
+    pairs, increasing) the Taylor polynomial at the left node, for the
+    others a cubic Hermite piece padded with zeros.  Only the
+    constructor builds rows, one array pass per run.  Instances carry
+    the inputs that produced them and do not change after construction,
+    except that two answers are kept after first use: ``maxima``, and
+    per level the excursions of excursions_above.
 
     ``stats`` counts what the integrator did: accepted steps, rejected
     attempts by reason (error, orthant, non-finite; a failed stiffness
@@ -171,7 +170,6 @@ class Trajectory:
         self.t = t
         self.y = y
         self.taylor_runs = taylor_runs = tuple(taylor_runs)
-        self.taylor_steps = sum(j - i for i, j in taylor_runs)
         a = params.as_tuple()
         h = np.diff(t)
         self._dense = dense = np.empty((len(h), 4, 6))  # (steps, components, powers 1 to 6 of s)
@@ -187,20 +185,17 @@ class Trajectory:
         self.stats = MappingProxyType(dict(stats or {}))
         self._excursions = {}  # level -> excursions, kept by excursions_above like maxima
 
-    @property
-    def t0(self) -> float:
-        return float(self.t[0])
-
     def at(self, times):
         """Evaluate the state at one time or an array of times.
 
         A time more than 1e-12 outside the span, or NaN, raises a
-        ValueError.  Node times return the stored samples exactly;
-        interior times use the per-step polynomial, clamped to the
-        orthant.  An integrated step's polynomial can leave the orthant
-        only by about its local error, but a cubic Hermite piece of
-        from_samples can dip well below 0 between sparse rows, and it
-        reads as 0 there too.
+        ValueError.  Times use the per-step polynomial, clamped to the
+        orthant.  Node times return the stored samples exactly: s = 0 on
+        a node's own step reads the node, and the last node, s = 1 on the
+        last step, is read from y.  An integrated step's polynomial can
+        leave the orthant only by about its local error, but a cubic
+        Hermite piece of from_samples can dip well below 0 between sparse
+        rows, and it reads as 0 there too.
         """
         tq = np.asarray(times, dtype=float)
         scalar = tq.ndim == 0
@@ -215,10 +210,7 @@ class Trajectory:
         h = self.t[idx + 1] - self.t[idx]
         s = (tq1 - self.t[idx]) / h
         vals = self.y[idx] + np.einsum("mjp,mp->mj", self._dense[idx], s[:, None] ** _POWERS)
-        pos = np.minimum(np.searchsorted(self.t, tq1), len(self.t) - 1)
-        exact = self.t[pos] == tq1
-        if exact.any():
-            vals[exact] = self.y[pos[exact]]
+        vals[tq1 == self.t[-1]] = self.y[-1]
         np.maximum(vals, 0.0, out=vals)
         return vals[0] if scalar else vals
 
@@ -914,7 +906,7 @@ def stretches_above(traj: Trajectory, observable: str, level: float) -> list[tup
     times = np.concatenate([t[nodes], inner_t])
     ends = times[np.argsort(np.concatenate([nodes * (d + 2), inner_key]))].tolist()
     if start:
-        ends.insert(0, traj.t0)
+        ends.insert(0, float(t[0]))
     if len(ends) % 2:
         ends.append(float(t[-1]))
     return list(zip(ends[::2], ends[1::2]))

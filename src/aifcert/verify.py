@@ -21,14 +21,13 @@ its window [start+T0, end], lies inside one of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from .bounds import (
     BoundCertificate,
-    FixedPointConstants,
     certificate,
     ell2,
     ell3,
@@ -81,13 +80,7 @@ class CheckResult:
     detail: str
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "margin": self.margin,
-            "location": self.location,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -152,6 +145,13 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     return CheckResult("global_bounds", PASS, worst_margin, worst_loc, "; ".join(parts))
 
 
+def _long_excursions(traj: Trajectory, cert: BoundCertificate):
+    """(excursions above L_used, those lasting T0, the longest duration or 0)."""
+    excs = excursions_above(traj, cert.L_used)
+    longest = max((e.duration for e in excs), default=0.0)
+    return excs, [e for e in excs if e.duration >= cert.T0], longest
+
+
 def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
     """After the waiting time, species 1 is strictly decreasing.
 
@@ -163,29 +163,22 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     with T0 = tau(L_used); the lemma's shorter wait tau(L) at a level
     L > L_used is not checked.  Both claims follow from the exact
     minimum of p = x1*x4 on each window, because xdot1 = alpha1 -
-    alpha2*p.  If no excursion lasts T0 the check passes vacuously and
-    says so.  excursions_above keeps the excursions for the cascade
-    record.
+    alpha2*p.  If max x1 (Trajectory.maxima, kept from global_bounds)
+    is at most L_used, or no excursion lasts T0, the check passes
+    vacuously and says so.  _long_excursions serves the cascade record too.
     """
     L_used, T0 = cert.L_used, cert.T0
-
-    # a node above L_used settles that x1 exceeds it; only otherwise is
-    # the exact maximum needed, to decide and to report it
-    if traj.y[:, 0].max() <= L_used:
-        x1max = traj.maxima[0][0]
-        if x1max <= L_used:
-            return CheckResult(
-                "excursion_lemma",
-                PASS,
-                None,
-                None,
-                f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}",
-            )
-
-    excs = excursions_above(traj, L_used)
-    qualifying = [e for e in excs if e.duration >= T0]
+    x1max = traj.maxima[0][0]
+    if x1max <= L_used:
+        return CheckResult(
+            "excursion_lemma",
+            PASS,
+            None,
+            None,
+            f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}",
+        )
+    _, qualifying, longest = _long_excursions(traj, cert)
     if not qualifying:
-        longest = max((e.duration for e in excs), default=0.0)
         return CheckResult(
             "excursion_lemma",
             PASS,
@@ -328,9 +321,8 @@ def _propositions(rates: np.ndarray):
     """
     names = [f"alpha{k + 1}" for k in range(8)]
     p = SimpleNamespace(**dict(zip(names, rates.T[:, :, None])))
-    fp = FixedPointConstants.from_params(p)
     dc = DerivedConstants.from_params(p)
-    L_probe = np.maximum(1e9, 1e7 * p.alpha1 * fp.psi1)
+    L_probe = np.maximum(1e9, 1e7 * p.alpha1 * dc.psi1)
     sets = [SimpleNamespace(**dict(zip(names, row))) for row in rates.tolist()]
     L_star = np.array([[solve_L_star(q)] for q in sets])
     # columns: the 40 grid levels, the 20 residual levels, then 1e9, L_probe and L*
@@ -349,7 +341,7 @@ def _propositions(rates: np.ndarray):
     le = _GRID * e
     for m in (
         (t[:, :-1] - t[:, 1:]) / t[:, :-1],
-        (t - fp.psi1) / t,
+        (t - dc.psi1) / t,
         (e[:, 1:] - e[:, :-1]) / e[:, 1:],
         (dc.K / 8.0 - e) / (dc.K / 8.0),
         (le[:, 1:] - le[:, :-1]) / le[:, 1:],
@@ -358,7 +350,7 @@ def _propositions(rates: np.ndarray):
         facts.append((worst > 0.0, worst, at))
 
     # limits at large L
-    t_lim = np.abs(taus[:, 60:61] - fp.psi1)
+    t_lim = np.abs(taus[:, 60:61] - dc.psi1)
     facts.append((t_lim <= 1e-6, 1e-6 - t_lim, levels[:, 60:61]))
     sup_gap = dc.K / 8.0 - l4s[:, 61:62]
     sup_tol = 1e-6 * np.maximum(1.0, dc.K / 8.0)
@@ -366,7 +358,7 @@ def _propositions(rates: np.ndarray):
 
     # fixed-point residual of the waiting time, worst at its first maximum
     tv = taus[:, 40:60]
-    r = np.abs(tv - (fp.psi1 + fp.psi2 / (_RES_GRID + p.alpha1 * tv))) / tv
+    r = np.abs(tv - (dc.psi1 + dc.psi2 / (_RES_GRID + p.alpha1 * tv))) / tv
     worst, at = first(np.argmax, r, _RES_GRID)
     facts.append((worst <= 1e-12, (1e-12 - worst) / 1e-12, at))
 
@@ -442,10 +434,8 @@ def build_report(
 
 def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
     """One aggregated cascade record over the excursions above L_used."""
-    excs = excursions_above(traj, cert.L_used)
-    qualifying = [e for e in excs if e.duration >= cert.T0]
+    excs, qualifying, longest = _long_excursions(traj, cert)
     if not qualifying:
-        longest = max((e.duration for e in excs), default=0.0)
         return CheckResult(
             "cascade_lower_bounds",
             NOT_APPLICABLE,
@@ -459,9 +449,8 @@ def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate) -> Chec
     ]
     worst = min(results, key=lambda r: math.inf if r.margin is None else r.margin)
     status = FAIL if any(r.status == FAIL for r in results) else PASS
-    agg = replace(
+    return replace(
         worst,
         status=status,
         detail=f"{len(qualifying)} qualifying excursion(s); worst: {worst.detail}",
     )
-    return agg

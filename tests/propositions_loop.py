@@ -11,13 +11,12 @@ import math
 import numpy as np
 from conftest import random_params
 
-from aifcert import DerivedConstants, FixedPointConstants, ell4, solve_L_star, tau
+from aifcert import DerivedConstants, ell4, solve_L_star, tau
 from aifcert.verify import FORMULA_FUZZ_RANGE, CheckResult
 
 
 def propositions_eval(p):
     """(ok, margin, location, detail) of the grid and limit facts for one rate set."""
-    fp = FixedPointConstants.from_params(p)
     dc = DerivedConstants.from_params(p)
     grid = np.geomspace(1e-3, 1e6, 40)
     taus = np.array([tau(p, float(L)) for L in grid])
@@ -39,7 +38,7 @@ def propositions_eval(p):
     j = int(np.argmin(d_tau))
     record(d_tau[j] > 0.0, float(d_tau[j]), float(grid[j]), "tau decreasing")
 
-    floor = (taus - fp.psi1) / taus
+    floor = (taus - dc.psi1) / taus
     j = int(np.argmin(floor))
     record(floor[j] > 0.0, float(floor[j]), float(grid[j]), "tau above psi1")
 
@@ -56,9 +55,9 @@ def propositions_eval(p):
     j = int(np.argmin(d_lel4))
     record(d_lel4[j] > 0.0, float(d_lel4[j]), float(grid[j]), "L*ell4 increasing")
 
-    t_lim = abs(tau(p, 1e9) - fp.psi1)
+    t_lim = abs(tau(p, 1e9) - dc.psi1)
     record(t_lim <= 1e-6, float(1e-6 - t_lim), 1e9, "tau limit")
-    L_probe = max(1e9, 1e7 * p.alpha1 * fp.psi1)
+    L_probe = max(1e9, 1e7 * p.alpha1 * dc.psi1)
     sup_gap = dc.K / 8.0 - ell4(p, L_probe, tau(p, L_probe))
     sup_tol = 1e-6 * max(1.0, dc.K / 8.0)
     record(sup_gap <= sup_tol, float(sup_tol - sup_gap), L_probe, "ell4 supremum")
@@ -67,7 +66,7 @@ def propositions_eval(p):
     res_worst, res_loc = -math.inf, None
     for L in res_grid:
         tv = tau(p, float(L))
-        r = abs(tv - (fp.psi1 + fp.psi2 / (L + p.alpha1 * tv))) / tv
+        r = abs(tv - (dc.psi1 + dc.psi2 / (L + p.alpha1 * tv))) / tv
         if r > res_worst:
             res_worst, res_loc = r, float(L)
     record(res_worst <= 1e-12, float(1e-12 - res_worst) / 1e-12, res_loc, "fixed-point residual")

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "CheckResult",
     "DerivedConstants",
     "Excursion",
-    "FixedPointConstants",
     "IntegrationError",
     "Params",
     "State",

@@ -13,7 +13,6 @@ from aifcert import (
     BoundCertificate,
     CertificateError,
     DerivedConstants,
-    FixedPointConstants,
     Params,
     State,
     certificate,
@@ -30,10 +29,10 @@ from aifcert.verify import FORMULA_FUZZ_RANGE
 
 def fixed_point_tau(p: Params, L: float) -> float:
     """Independent oracle: iterate t -> psi1 + ln2/(a8*(L + a1*t))."""
-    fp = FixedPointConstants.from_params(p)
-    t = fp.psi1
+    dc = DerivedConstants.from_params(p)
+    t = dc.psi1
     for _ in range(200):
-        t_next = fp.psi1 + math.log(2.0) / (p.alpha8 * (L + p.alpha1 * t))
+        t_next = dc.psi1 + math.log(2.0) / (p.alpha8 * (L + p.alpha1 * t))
         if t_next == t:
             break
         t = t_next
@@ -42,9 +41,10 @@ def fixed_point_tau(p: Params, L: float) -> float:
 
 class TestTau:
     def test_constants_demo(self):
-        fp = FixedPointConstants.from_params(DEMO)
-        assert fp.psi1 == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
-        assert fp.psi2 == pytest.approx(math.log(2.0) / 30.0, rel=1e-15)
+        dc = DerivedConstants.from_params(DEMO)
+        assert dc.psi1 == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+        assert dc.psi2 == pytest.approx(math.log(2.0) / 30.0, rel=1e-15)
+        assert dc.psi1 == dc.delta2 + dc.delta3
 
     def test_golden(self):
         assert tau(DEMO, 1.75) == pytest.approx(GOLDEN["tau_175"], rel=1e-14)
@@ -60,22 +60,22 @@ class TestTau:
         rng = np.random.default_rng(21)
         for _ in range(30):
             p = Params.from_sequence(log_uniform(rng, 1e-2, 1e2, 8))
-            fp = FixedPointConstants.from_params(p)
+            dc = DerivedConstants.from_params(p)
             for L in np.geomspace(1e-3, 1e6, 20):
                 t = tau(p, L)
-                resid = abs(t - (fp.psi1 + math.log(2.0) / (p.alpha8 * (L + p.alpha1 * t))))
+                resid = abs(t - (dc.psi1 + math.log(2.0) / (p.alpha8 * (L + p.alpha1 * t))))
                 assert resid <= 1e-12 * t
 
     def test_strictly_decreasing_with_floor(self):
-        fp = FixedPointConstants.from_params(DEMO)
+        dc = DerivedConstants.from_params(DEMO)
         grid = np.geomspace(1e-3, 1e6, 50)
         vals = [tau(DEMO, L) for L in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert all(v > fp.psi1 for v in vals)
+        assert all(v > dc.psi1 for v in vals)
 
     def test_limit_at_large_levels(self):
-        fp = FixedPointConstants.from_params(DEMO)
-        assert abs(tau(DEMO, 1e9) - fp.psi1) <= 1e-6
+        dc = DerivedConstants.from_params(DEMO)
+        assert abs(tau(DEMO, 1e9) - dc.psi1) <= 1e-6
 
     @pytest.mark.parametrize("L", [0.0, -1.0, float("nan")])
     def test_rejects_bad_level(self, L):

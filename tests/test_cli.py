@@ -88,9 +88,14 @@ class TestBounds:
             ({"fuzz": 2.7}, "fuzz"),
             ({"fuzz": True}, "fuzz"),
             ({"seed": -1}, "seed"),
+            ({"params": {"alpha": "13111113"}}, "params"),
+            ({"x0": {"x": "1000"}}, "x0"),
+            ({"horizon": True}, "horizon"),
+            ({"params": [True, 30, 10, 1, 1, 1, 1, 30]}, "params"),
         ],
         ids=["horizon-list", "params-number", "x0-number", "params-null-rate", "fuzz-negative",
-             "fuzz-fraction", "fuzz-bool", "seed-negative"],
+             "fuzz-fraction", "fuzz-bool", "seed-negative", "params-string", "x0-string",
+             "horizon-bool", "params-bool-rate"],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
@@ -409,11 +414,10 @@ class TestHeaderOnlyCsv:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json", "trajectory.csv"]
 
 
-def polyline_loop(frame, ts, vs, color, dashed=False):
+def polyline_loop(frame, ts, vs, color):
     """Reference for plot._polyline: one f-string per point."""
     pts = " ".join(f"{frame.x(t):.2f},{frame.y(v):.2f}" for t, v in zip(ts, vs))
-    dash = ' stroke-dasharray="7 4"' if dashed else ""
-    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>'
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
 
 class TestPolyline:
@@ -422,9 +426,9 @@ class TestPolyline:
         ys = demo_traj.at(ts)
         frame = _Frame(float(ts[0]), float(ts[-1]), 0.0, float(ys.max()) * 1.06)
         points = _points(frame, ts)
-        for i, dashed in enumerate((False, True, False, True)):
-            got = _polyline(frame, points, ys[:, i], "#1f77b4", dashed)
-            assert got == polyline_loop(frame, ts, ys[:, i], "#1f77b4", dashed)
+        for i in range(4):
+            got = _polyline(frame, points, ys[:, i], "#1f77b4")
+            assert got == polyline_loop(frame, ts, ys[:, i], "#1f77b4")
 
     def test_outside_the_frame_matches_loop_form(self):
         rng = np.random.default_rng(7)

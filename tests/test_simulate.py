@@ -282,10 +282,16 @@ class TestDenseOutput:
     def test_start_is_bitwise_initial_state(self, demo_traj):
         assert tuple(demo_traj.at(0.0)) == (0.0, 0.0, 0.0, 0.0)
 
-    def test_nodes_are_bitwise_stored_samples(self, demo_traj):
-        idx = [1, 7, len(demo_traj.t) // 2, len(demo_traj.t) - 1]
-        for i in idx:
-            assert np.array_equal(demo_traj.at(demo_traj.t[i]), demo_traj.y[i])
+    @pytest.mark.parametrize("kind", ["taylor", "rodas4", "samples"])
+    def test_nodes_are_bitwise_stored_samples(self, window_cases, kind):
+        # every node, in one array query and one scalar query each; the
+        # samples are sparse, so a Hermite piece misses its right node by rounding
+        traj = window_cases[kind][0]
+        if kind == "samples":
+            traj = Trajectory.from_samples(DEMO, traj.t[::10], traj.y[::10])
+        assert traj.at(traj.t).tobytes() == traj.y.tobytes()
+        for t, y in zip(traj.t, traj.y):
+            assert traj.at(t).tobytes() == y.tobytes()
 
     def test_interior_accuracy_against_scipy(self):
         traj = integrate(DEMO, State.zero(), 20.0)
@@ -941,7 +947,7 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().split("\n")
-        assert lines[:2] == ["t,x1,x2,x3,x4", f"# taylor_steps=0:{demo_traj.taylor_steps}"]
+        assert lines[:2] == ["t,x1,x2,x3,x4", f"# taylor_steps=0:{len(demo_traj.t) - 1}"]
         assert lines[-1] == ""
         # the data rows are the step nodes, and numbers round-trip losslessly
         data = np.array([[float(v) for v in line.split(",")] for line in lines[2:-1]])
@@ -973,11 +979,12 @@ class TestCsvRoundTrip:
         # Taylor steps only, a switch to RODAS4, and RODAS4 runs between Taylor runs
         traj = integrate(p, x0, horizon)
         assert traj.stats["switches"] == switches
-        assert traj.taylor_steps == traj.stats["accepted"] - traj.stats["stiff_steps"]
+        taylor_steps = sum(j - i for i, j in traj.taylor_runs)
+        assert taylor_steps == traj.stats["accepted"] - traj.stats["stiff_steps"]
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         back = read_trajectory_csv(path, p)
-        assert (back.taylor_runs, back.taylor_steps) == (traj.taylor_runs, traj.taylor_steps)
+        assert back.taylor_runs == traj.taylor_runs
         for name in ("t", "y", "_dense"):
             assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
         assert back.x0 == traj.x0
@@ -1002,7 +1009,7 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines))
         back = read_trajectory_csv(path, DEMO)
         want = Trajectory.from_samples(DEMO, traj.t, traj.y)
-        assert back.taylor_steps == want.taylor_steps == 0
+        assert back.taylor_runs == want.taylor_runs == ()
         for name in ("t", "y", "_dense"):
             assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
 
@@ -1026,7 +1033,7 @@ class TestCsvRoundTrip:
 class TestFromSamples:
     def test_runs_must_be_increasing_and_apart(self, demo_traj):
         t, y = demo_traj.t[:10], demo_traj.y[:10]
-        assert Trajectory.from_samples(DEMO, t, y, [(0, 3), (5, 9)]).taylor_steps == 7
+        assert Trajectory.from_samples(DEMO, t, y, [(0, 3), (5, 9)]).taylor_runs == ((0, 3), (5, 9))
         for runs in ([(0, 0)], [(3, 2)], [(0, 3), (3, 5)], [(5, 7), (0, 3)]):
             with pytest.raises(ValueError, match="increasing and apart"):
                 Trajectory.from_samples(DEMO, t, y, runs)

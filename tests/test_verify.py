@@ -66,13 +66,13 @@ class TestGlobalBounds:
                 assert res.margin < 0.0
                 limit = M + 1e-6 * M
                 if traj.y[0, i - 1] > limit:
-                    assert res.location == traj.t0
+                    assert res.location == traj.t[0]
                     at_start.append((name, i))
                     continue
-                assert traj.t0 < res.location < traj.t[-1]
+                assert traj.t[0] < res.location < traj.t[-1]
                 assert traj.at(res.location)[i - 1] == pytest.approx(limit, abs=1e-8)
                 # nothing before it is above the limit, up to the crossing's rounding
-                ((top, _),) = traj.extrema([("max", f"x{i}", traj.t0, res.location)])
+                ((top, _),) = traj.extrema([("max", f"x{i}", traj.t[0], res.location)])
                 assert top <= limit + 1e-12 * limit
         assert at_start == [("overshoot", 1)]  # M1 = 5.05 is below x1(0) = 10
 
@@ -242,6 +242,7 @@ class TestExcursionLemma:
         windows = [(e.start + 1.0, e.end) for e in excursions_above(traj, 1.0) if e.duration >= 1.0]
         assert len(windows) == 2
         one_window = [traj.extrema([("min", "p", a, b)])[0] for a, b in windows]
+        traj.maxima  # found and kept by global_bounds in every report
         calls = count_searches(monkeypatch)
         seen = []
         extrema = Trajectory.extrema
@@ -256,7 +257,7 @@ class TestExcursionLemma:
         (queries, found), = [(q, f) for q, f in seen if q[0][1] == "p"]
         assert [(a, b) for _, _, a, b in queries] == windows
         assert [(v.hex(), w.hex()) for v, w in found] == [(v.hex(), w.hex()) for v, w in one_window]
-        assert calls == [2]  # both windows; a node above L_used needs no search for max x1
+        assert calls == [2]  # both windows; max x1 is the kept one
         a1, a2 = DEMO.alpha1, DEMO.alpha2
         margins = [(a2 * low - a1 - 1e-9 * a1) / a1 for low, _ in one_window]
         k = int(np.argmin(margins))
