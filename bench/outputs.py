@@ -17,7 +17,11 @@ and prints one ``<sha256>  <name>`` line per output:
   (``perfbench/workloads.py``, make_cases) at seeds 1729 and 7;
 - ``.../global_bounds_M<i>_over_10.json``: for each of those cases, the
   check_global_bounds record against its certificate with M_i divided
-  by 10, for i = 1 to 4.
+  by 10, for i = 1 to 4;
+- ``witness/<name>/...``: the report JSON of build_report on each run
+  of WITNESSES, and again against its certificate with T0 divided by
+  100 and with gamma halved, which covers the certified paths of the
+  excursion lemma, the cascade and W_decrease's rate part.
 
 Two checkouts have byte-identical outputs exactly when ``diff`` finds
 no difference between their digest lists.  Only aifcert's public API
@@ -55,6 +59,24 @@ CSV_COMMANDS = (
     ["plot", "--config", "csv.json", "--out", "from_csv"],
 )
 CSV_FILES = ("from_csv/report.json", "from_csv/states.svg", "from_csv/x1_bound.svg")
+# (name, rates, x0, horizon) of runs whose checks are not vacuous: draws 148
+# and 196 are the NON_VACUOUS_WITNESSES of tests/test_verify.py, on which the
+# lemma and the cascade check a qualifying excursion; from the demo's x0 with
+# x4 raised, W climbs above gamma and W_decrease's rate part sets the margin
+DEMO_RATES = (1.0, 30.0, 10.0, 1.0, 1.0, 1.0, 1.0, 30.0)
+WITNESSES = (
+    ("draw148",
+     (0.013646092742851444, 0.13396150094655873, 98.53785938448311, 0.3361480793433251,
+      20.051288212808796, 28.13115132666571, 1.443664797455707, 21.101692858600995),
+     (2.1430696586293063, 0.7646574499136372, 2.0491310486491465, 0.96724835803917), 50.0),
+    ("draw196",
+     (0.1975638828474043, 0.13994396070606802, 71.46286282027057, 19.81098134365479,
+      12.468170895538405, 2.2418410019842914, 24.130006246447824, 34.051164246981756),
+     (5.7993625283217565, 4.102679623520567, 2.7685337677286324, 5.3611327566764135), 50.0),
+    ("demo_x4_60", DEMO_RATES, (0.0, 0.0, 0.0, 60.0), 30.0),
+    ("demo_x1_1_x4_60", DEMO_RATES, (1.0, 0.0, 0.0, 60.0), 30.0),
+    ("demo_x4_100", DEMO_RATES, (0.0, 0.0, 0.0, 100.0), 30.0),
+)
 
 
 def digest(data: bytes | str) -> str:
@@ -102,6 +124,20 @@ def case_outputs(aifcert, case) -> list[tuple[str, str]]:
     return found
 
 
+def witness_outputs(aifcert, rates, x0, horizon) -> list[tuple[str, str]]:
+    """(name, digest) of one run's report, and of its reports with T0 / 100 and gamma / 2."""
+    p, x0 = aifcert.Params.from_sequence(rates), aifcert.State.from_sequence(x0)
+    cert = aifcert.certificate(p, x0)
+    traj = aifcert.integrate(p, x0, horizon)
+    certs = (
+        ("report.json", cert),
+        ("T0_over_100/report.json", dataclasses.replace(cert, T0=cert.T0 / 100.0)),
+        ("gamma_halved/report.json", dataclasses.replace(cert, gamma=cert.gamma / 2.0)),
+    )
+    return [(name, digest(json.dumps(aifcert.build_report(p, x0, cert=c, traj=traj).to_json(),
+                                     sort_keys=True))) for name, c in certs]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--checkout", type=Path, default=ROOT, help="checkout whose src to run (default: this one)")
@@ -116,6 +152,8 @@ def main(argv=None) -> int:
         for name in workloads.WORKLOADS:
             for k, case in enumerate(workloads.make_cases(name, seed)):
                 found += [(f"{name}/seed{seed}/case{k}/{n}", d) for n, d in case_outputs(aifcert, case)]
+    for name, *run in WITNESSES:
+        found += [(f"witness/{name}/{n}", d) for n, d in witness_outputs(aifcert, *run)]
     for name, value in found:
         print(f"{value}  {name}")
     return 0

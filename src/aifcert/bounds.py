@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, Params, State, _require_nonnegative, _require_positive
+from .model import DerivedConstants, Params, State, _number, _require_nonnegative, _require_positive
 
 __all__ = [
     "BoundCertificate",
@@ -161,7 +161,7 @@ class BoundCertificate:
     @classmethod
     def from_json(cls, obj: dict) -> "BoundCertificate":
         try:
-            constants = {name: float(obj[name]) for name in _CONSTANTS}
+            constants = {name: _number(obj[name], f"{name} as a number") for name in _CONSTANTS}
             params, x0 = Params.from_json(obj["params"]), State.from_json(obj["x0"])
             return cls(**constants, params=params, x0=x0)
         except (KeyError, TypeError) as exc:
@@ -175,8 +175,7 @@ def certificate(p: Params, x0: State, L_override: float | None = None) -> BoundC
     larger the level, the later the guaranteed turnaround and the looser
     the bounds, but every choice >= L* is valid.
     """
-    if not isinstance(x0, State):
-        x0 = State.from_sequence(x0)
+    x0 = State.from_sequence(x0)
     L_star = solve_L_star(p)
     if L_override is not None:
         L_used = float(L_override)
@@ -217,8 +216,7 @@ def growth_envelope(p: Params, x0: State, t: float) -> tuple[float, float, float
     Dropping every removal term leaves a cascade of pure integrators, so
     component i is bounded by a degree-i polynomial in t.
     """
-    if not isinstance(x0, State):
-        x0 = State.from_sequence(x0)
+    x0 = State.from_sequence(x0)
     t = _require_nonnegative("time t", t)
     a1, a3, a5, a7 = p.alpha1, p.alpha3, p.alpha5, p.alpha7
     e1 = x0.x1 + a1 * t

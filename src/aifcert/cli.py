@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .bounds import BoundCertificate, certificate
-from .model import Params, State
+from .model import Params, State, _number
 from .plot import states_svg, x1_bound_svg
 from .simulate import IntegrationError, integrate, read_trajectory_csv, write_trajectory_csv
 from .verify import _check_provenance, build_report
@@ -42,30 +42,22 @@ class RunConfig:
     trajectory_csv: str | None = None
 
 
-def _csv_floats(text: str, n: int, what: str) -> list[float]:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"{what} needs {n} comma-separated values, got {len(parts)}")
-    return [float(s) for s in parts]
+def _point(cls):
+    """The reader of cls (Params or State): flag text a,b,..., a JSON object or a JSON array."""
+
+    def read(value):
+        if isinstance(value, str):
+            value = value.split(",")
+        return cls.from_json(value) if isinstance(value, dict) else cls.from_sequence(value)
+
+    return read
 
 
-def _coerce_params(obj) -> Params:
-    if isinstance(obj, str):
-        obj = _csv_floats(obj, 8, "--params")
-    return Params.from_json(obj) if isinstance(obj, dict) else Params.from_sequence(obj)
-
-
-def _coerce_state(obj) -> State:
-    if isinstance(obj, str):
-        obj = _csv_floats(obj, 4, "--x0")
-    return State.from_json(obj) if isinstance(obj, dict) else State.from_sequence(obj)
-
-
-def _number(value) -> float:
-    """A float, from JSON or from flag text (not true)."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+def _path(value) -> str:
+    """A file or directory name, from JSON or from flag text (not 7 or true)."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a path string, got {value!r}")
+    return value
 
 
 def _count(value) -> int:
@@ -77,7 +69,7 @@ def _count(value) -> int:
 
 
 # Config values, from the JSON file or from flag text, are read by their field's type.
-_READ = {"Params": _coerce_params, "State": _coerce_state, "float": _number, "int": _count, "str": str}
+_READ = {"Params": _point(Params), "State": _point(State), "float": _number, "int": _count, "str": _path}
 _COERCE = {f.name: _READ[f.type.split(" | ")[0]] for f in fields(RunConfig)}
 
 # Config keys that can also be set by a flag; flags win over the file.
@@ -163,8 +155,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _read_csv(cfg: RunConfig):
-    """The trajectory in cfg.trajectory_csv, its Taylor rows checked against its nodes."""
+def _certificate(cfg: RunConfig) -> BoundCertificate:
+    """The certificate in cfg.certificate_json, or the one computed for cfg."""
+    if cfg.certificate_json is None:
+        return certificate(cfg.params, cfg.x0, cfg.L0)
+    with open(cfg.certificate_json, "r") as fh:
+        try:
+            return BoundCertificate.from_json(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"certificate JSON {cfg.certificate_json}: {exc}") from None
+
+
+def _trajectory(cfg: RunConfig):
+    """The trajectory in cfg.trajectory_csv, its Taylor rows checked, or the one integrated for cfg."""
+    if cfg.trajectory_csv is None:
+        return integrate(cfg.params, cfg.x0, cfg.horizon, cfg.rel_tol, cfg.abs_tol)
     traj = read_trajectory_csv(cfg.trajectory_csv, cfg.params)
     try:
         traj.check_taylor_rows(cfg.abs_tol)
@@ -177,28 +182,8 @@ _STATUS_TAGS = {"pass": "PASS", "fail": "FAIL", "not-applicable": "N/A "}
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    cert = None
-    if cfg.certificate_json is not None:
-        with open(cfg.certificate_json, "r") as fh:
-            try:
-                cert = BoundCertificate.from_json(json.load(fh))
-            except ValueError as exc:
-                raise ValueError(f"certificate JSON {cfg.certificate_json}: {exc}") from None
-    traj = None
-    if cfg.trajectory_csv is not None:
-        traj = _read_csv(cfg)
-    report = build_report(
-        cfg.params,
-        cfg.x0,
-        horizon=cfg.horizon,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        L_override=cfg.L0,
-        cert=cert,
-        traj=traj,
-        fuzz_count=cfg.fuzz,
-        fuzz_seed=cfg.seed,
-    )
+    report = build_report(cfg.params, cfg.x0, cert=_certificate(cfg), traj=_trajectory(cfg),
+                          fuzz_count=cfg.fuzz, fuzz_seed=cfg.seed)
     out = _outdir(cfg)
     path = os.path.join(out, "report.json")
     _write_json(path, report.to_json())
@@ -214,11 +199,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_plot(cfg: RunConfig) -> int:
-    if cfg.trajectory_csv is not None:
-        traj = _read_csv(cfg)
-    else:
-        traj = integrate(cfg.params, cfg.x0, cfg.horizon, cfg.rel_tol, cfg.abs_tol)
-    cert = certificate(cfg.params, cfg.x0, cfg.L0)
+    cert, traj = _certificate(cfg), _trajectory(cfg)
     _check_provenance(traj, cert)  # M1 is drawn for the trajectory's own x0
     out = _outdir(cfg)
     p_states = os.path.join(out, "states.svg")

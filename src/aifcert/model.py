@@ -44,12 +44,18 @@ def _require_nonnegative(name: str, v) -> float:
     return v
 
 
+def _number(value, what: str = "a number") -> float:
+    """A float, from a number or number text; a boolean is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return float(value)
+
+
 def _floats(values, n: int, what: str) -> list[float]:
-    """n floats from a sequence of numbers; a string or a boolean is not one."""
-    vals = None if isinstance(values, str) else list(values)
-    if vals is None or any(isinstance(v, bool) for v in vals):
+    """n floats from a sequence of numbers (_number each); a string is not one."""
+    if isinstance(values, str):
         raise ValueError(f"expected {n} {what} as numbers, got {values!r}")
-    vals = [float(v) for v in vals]
+    vals = [_number(v) for v in values]
     if len(vals) != n:
         raise ValueError(f"expected {n} {what}, got {len(vals)}")
     return vals
@@ -165,7 +171,8 @@ class State:
 
     @classmethod
     def from_sequence(cls, values) -> "State":
-        return cls(*_floats(values, 4, "state components"))
+        """A State from 4 numbers; a State is returned as it is."""
+        return values if isinstance(values, cls) else cls(*_floats(values, 4, "state components"))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)

@@ -516,8 +516,7 @@ def integrate(
     expansion (one per order of the recurrence), 5 per RODAS4 attempt,
     trials included, and 1 per accepted RODAS4 state.
     """
-    if not isinstance(x0, State):
-        x0 = State.from_sequence(x0)
+    x0 = State.from_sequence(x0)
     horizon = _require_positive("horizon", float(horizon))
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < tol < 1.0):
@@ -662,8 +661,7 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     it raises a ValueError unless horizon is finite and > 0; n_steps
     must be an int >= 1.
     """
-    if not isinstance(x0, State):
-        x0 = State.from_sequence(x0)
+    x0 = State.from_sequence(x0)
     horizon = _require_positive("horizon", float(horizon))
     if type(n_steps) is not int or n_steps < 1:
         raise ValueError(f"n_steps must be an int >= 1, got {n_steps!r}")

@@ -247,9 +247,9 @@ def check_cascade_lower_bounds(
     windows = [w for w in (
         ("x1<=window", "max", "x1", 0.0, T_w, U_eff),
         ("x2>=ell2", "min", "x2", dc.delta2, dur, ell2(p, L)),
-        ("x3>=ell3", "min", "x3", dc.delta2 + dc.delta3, dur, ell3(p, L)),
+        ("x3>=ell3", "min", "x3", dc.psi1, dur, ell3(p, L)),
         # ell4 with the effective window bound
-        ("x4>=ell4", "min", "x4", dc.delta2 + dc.delta3 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
+        ("x4>=ell4", "min", "x4", dc.psi1 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
     ) if w[3] <= w[4]]
     found = traj.extrema([(sense, name, s + a, s + b) for _, sense, name, a, b, _ in windows])
     stages = [  # (label, margin, location)
@@ -415,8 +415,7 @@ def build_report(
     ``cert`` and ``traj`` may be supplied (e.g. loaded from files); when
     omitted they are computed from the other arguments.
     """
-    if not isinstance(x0, State):
-        x0 = State.from_sequence(x0)
+    x0 = State.from_sequence(x0)
     if cert is None:
         cert = certificate(p, x0, L_override)
     if traj is None:

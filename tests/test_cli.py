@@ -92,17 +92,22 @@ class TestBounds:
             ({"x0": {"x": "1000"}}, "x0"),
             ({"horizon": True}, "horizon"),
             ({"params": [True, 30, 10, 1, 1, 1, 1, 30]}, "params"),
+            ({"out": ["a"]}, "out"),
+            ({"trajectory_csv": True}, "trajectory_csv"),
+            ({"certificate_json": 7}, "certificate_json"),
         ],
         ids=["horizon-list", "params-number", "x0-number", "params-null-rate", "fuzz-negative",
              "fuzz-fraction", "fuzz-bool", "seed-negative", "params-string", "x0-string",
-             "horizon-bool", "params-bool-rate"],
+             "horizon-bool", "params-bool-rate", "out-list", "csv-bool", "certificate-number"],
     )
-    def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, config, key):
+    def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, monkeypatch, config, key):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**config, "horizon": config.get("horizon", 2.0)}))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
+        assert err.startswith(f"error: {key}: ")
+        assert list(tmp_path.iterdir()) == [cfg]  # nothing written, no directory made
 
     def test_negative_fuzz_flag_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--horizon", "2", "--fuzz", "-3", "--out", str(tmp_path)]) == 2
@@ -123,7 +128,7 @@ class TestBounds:
         def refuse(*args, **kwargs):
             raise AssertionError("integrated before the flags were rejected")
 
-        monkeypatch.setattr("aifcert.verify.integrate", refuse)
+        monkeypatch.setattr("aifcert.cli.integrate", refuse)
         assert main(["verify", "--horizon", "400", *argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
@@ -232,8 +237,10 @@ class TestVerify:
             ({"M1": 0}, "M1 must be finite and > 0, got 0.0"),
             ({"T0": float("nan")}, "T0 must be finite and > 0, got nan"),
             ({"W0": -1.0}, "W0 must be finite and >= 0, got -1.0"),
+            ({"W0": False}, "expected W0 as a number, got False"),
         ],
-        ids=["not-json", "list", "non-numeric", "nan-M1", "zero-M1", "nan-T0", "negative-W0"],
+        ids=["not-json", "list", "non-numeric", "nan-M1", "zero-M1", "nan-T0", "negative-W0",
+             "bool-W0"],
     )
     def test_malformed_certificate_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
         if isinstance(text, dict):  # a written certificate with fields edited
@@ -320,6 +327,23 @@ class TestPlot:
         assert main(["plot", "--horizon", "20", "--out", str(direct)]) == 0
         for name in ("states.svg", "x1_bound.svg"):
             assert (tmp_path / name).read_bytes() == (direct / name).read_bytes()
+
+    def test_draws_M1_of_certificate_json(self, tmp_path, capsys):
+        # the certificate at L0 = 1.75 has M1 = 3.1436; the computed one at L* has 2.9235
+        assert main(["bounds", "--L0", "1.75", "--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"certificate_json": str(tmp_path / "certificate.json")}))
+        assert main(["plot", "--config", str(cfg), "--horizon", "20", "--out", str(tmp_path)]) == 0
+        assert "M1 = 3.1436" in (tmp_path / "x1_bound.svg").read_text()
+
+    def test_certificate_json_of_another_x0_exits_2(self, tmp_path, capsys):
+        assert main(["bounds", "--x0", "1,0,0,0", "--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"certificate_json": str(tmp_path / "certificate.json")}))
+        capsys.readouterr()
+        assert main(["plot", "--config", str(cfg), "--horizon", "20", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: certificate provenance does not match the trajectory\n"
+        assert not (tmp_path / "x1_bound.svg").exists()
 
 
 @pytest.fixture(scope="module")
