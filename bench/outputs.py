@@ -18,6 +18,10 @@ and prints one ``<sha256>  <name>`` line per output:
 - ``.../global_bounds_M<i>_over_10.json``: for each of those cases, the
   check_global_bounds record against its certificate with M_i divided
   by 10, for i = 1 to 4;
+- ``<workload>/seed<s>/integrator.json``: the ``taylor_runs`` and
+  ``stats`` of every case's integration, which a change to the
+  integrator's bookkeeping (field evaluations, rejections, switches)
+  moves even where the states stay the same;
 - ``witness/<name>/...``: the report JSON of build_report on each run
   of WITNESSES, and again against its certificate with T0 divided by
   100 and with gamma halved, which covers the certified paths of the
@@ -110,8 +114,9 @@ def demo_outputs(main) -> list[tuple[str, str]]:
     return found
 
 
-def case_outputs(aifcert, case) -> list[tuple[str, str]]:
-    """(name, digest) of one case's report and of its four tampered global_bounds records."""
+def case_outputs(aifcert, case) -> tuple[list[tuple[str, str]], dict]:
+    """(name, digest) of one case's report and of its four tampered global_bounds records,
+    and its integration's counters."""
     report = aifcert.build_report(case.params, case.x0, horizon=case.horizon, L_override=case.L,
                                   fuzz_count=case.fuzz, fuzz_seed=case.fuzz_seed)
     found = [("report.json", digest(json.dumps(report.to_json(), sort_keys=True)))]
@@ -121,7 +126,7 @@ def case_outputs(aifcert, case) -> list[tuple[str, str]]:
         bad = dataclasses.replace(cert, **{f"M{i}": getattr(cert, f"M{i}") / 10.0})
         record = aifcert.check_global_bounds(traj, bad).to_json()
         found.append((f"global_bounds_M{i}_over_10.json", digest(json.dumps(record, sort_keys=True))))
-    return found
+    return found, {"taylor_runs": traj.taylor_runs, "stats": dict(traj.stats)}
 
 
 def witness_outputs(aifcert, rates, x0, horizon) -> list[tuple[str, str]]:
@@ -150,8 +155,12 @@ def main(argv=None) -> int:
     found = demo_outputs(aifcert.cli.main)
     for seed in SEEDS:
         for name in workloads.WORKLOADS:
+            counters = []
             for k, case in enumerate(workloads.make_cases(name, seed)):
-                found += [(f"{name}/seed{seed}/case{k}/{n}", d) for n, d in case_outputs(aifcert, case)]
+                outputs, case_counters = case_outputs(aifcert, case)
+                found += [(f"{name}/seed{seed}/case{k}/{n}", d) for n, d in outputs]
+                counters.append(case_counters)
+            found.append((f"{name}/seed{seed}/integrator.json", digest(json.dumps(counters, sort_keys=True))))
     for name, *run in WITNESSES:
         found += [(f"witness/{name}/{n}", d) for n, d in witness_outputs(aifcert, *run)]
     for name, value in found:

@@ -46,9 +46,12 @@ def _require_nonnegative(name: str, v) -> float:
 
 def _number(value, what: str = "a number") -> float:
     """A float, from a number or number text; a boolean is not a number."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected {what}, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+            pass
+    raise ValueError(f"expected {what}, got {value!r}")
 
 
 def _floats(values, n: int, what: str) -> list[float]:

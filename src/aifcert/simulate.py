@@ -164,7 +164,7 @@ class Trajectory:
     rebuilt from samples.
     """
 
-    def __init__(self, params, t, y, taylor_runs=(), error_estimate=None, stats=None):
+    def __init__(self, params, t, y, taylor_runs=(), stats=None):
         self.params = params
         self.x0 = State.from_sequence(y[0])
         self.t = t
@@ -181,7 +181,6 @@ class Trajectory:
             if i < j:
                 f = np.stack(field(a, *y[i : j + 1].T), axis=-1)
                 dense[i:j] = _hermite(h[i:j, None], np.diff(y[i : j + 1], axis=0), f[:-1], f[1:])
-        self.error_estimate = np.zeros(4) if error_estimate is None else error_estimate
         self.stats = MappingProxyType(dict(stats or {}))
         self._excursions = {}  # level -> excursions, kept by excursions_above like maxima
 
@@ -380,18 +379,16 @@ def _taylor(a, y):
 def _taylor_step(y, c, h):
     """The Taylor polynomial with coefficients c at y, summed by Horner's rule at step h.
 
-    Returns (end, err): the state at t + h and the last term, c6*h**6,
-    as the error estimate.
+    Returns the state at t + h.
     """
     y1, y2, y3, y4 = y
     b1, b2, b3, b4, c1, c2, c3, c4, d1, d2, d3, d4, e1, e2, e3, e4, f1, f2, f3, f4, g1, g2, g3, g4 = c
-    h6 = (h * h * h) ** 2
     return (
         y1 + h * (b1 + h * (c1 + h * (d1 + h * (e1 + h * (f1 + h * g1))))),
         y2 + h * (b2 + h * (c2 + h * (d2 + h * (e2 + h * (f2 + h * g2))))),
         y3 + h * (b3 + h * (c3 + h * (d3 + h * (e3 + h * (f3 + h * g3))))),
         y4 + h * (b4 + h * (c4 + h * (d4 + h * (e4 + h * (f4 + h * g4))))),
-    ), (g1 * h6, g2 * h6, g3 * h6, g4 * h6)
+    )
 
 
 def _rodas4_step(a, y, f0, h):
@@ -533,7 +530,6 @@ def integrate(
     ts = array("d", [0.0])
     ys = array("d", y)
     edges = []  # the step indices at which the method changes
-    acc1 = acc2 = acc3 = acc4 = 0.0
     rejected_error = rejected_orthant = rejected_nonfinite = 0
     nfev = 0
     stiff = False
@@ -571,44 +567,48 @@ def integrate(
                 f0 = c[:4]
             y_end, (e1, e2, e3, e4) = _rodas4_step(a, y, f0, h_use)
             nfev += 5
+            v1, v2, v3, v4 = y_end
+            clean = False
         else:
-            y_end, (e1, e2, e3, e4) = _taylor_step(y, c, h_use)
-        v1, v2, v3, v4 = y_end
-        finite = isfinite(v1) and isfinite(v2) and isfinite(v3) and isfinite(v4)
-        # a Taylor step's length holds this norm at 0.9**6: h_use <= h, and
-        # the denominators only grow from those h was chosen with
-        err = 0.0
-        if finite and (stiff or trial):
-            # accepted states lie in the orthant, so |y_i| = y_i here
-            sq = (
-                (e1 / (abs_tol + rel_tol * (y1 if y1 > abs(v1) else abs(v1)))) ** 2
-                + (e2 / (abs_tol + rel_tol * (y2 if y2 > abs(v2) else abs(v2)))) ** 2
-                + (e3 / (abs_tol + rel_tol * (y3 if y3 > abs(v3) else abs(v3)))) ** 2
-                + (e4 / (abs_tol + rel_tol * (y4 if y4 > abs(v4) else abs(v4)))) ** 2
-            )
-            err = math.sqrt(sq * 0.25)
-            finite = isfinite(err)
-        inside = not (v1 < -abs_tol or v2 < -abs_tol or v3 < -abs_tol or v4 < -abs_tol)
-        if trial and not (finite and err <= 1.0 and inside):
-            wait = _TRIAL_GAP  # a failed trial is no rejection: the Taylor step follows
-            continue
-        if not finite:
-            rejected_nonfinite += 1
-            h = h_use * 0.2
-            continue
-        if err > 1.0:
-            rejected_error += 1
-            h = h_use * max(0.2, 0.9 * err**-0.25)
-            continue
-        if not inside:
-            # accuracy is fine but the orthant would be left; try smaller
-            rejected_orthant += 1
-            h = h_use * 0.5
-            continue
+            v1, v2, v3, v4 = y_end = _taylor_step(y, c, h_use)
+            # an end in the orthant with a finite sum passes every test below
+            clean = v1 >= 0.0 and v2 >= 0.0 and v3 >= 0.0 and v4 >= 0.0 and isfinite(v1 + v2 + v3 + v4)
+        if not clean:
+            finite = isfinite(v1) and isfinite(v2) and isfinite(v3) and isfinite(v4)
+            # a Taylor step's length holds this norm at 0.9**6: h_use <= h, and
+            # the denominators only grow from those h was chosen with
+            err = 0.0
+            if finite and (stiff or trial):
+                # accepted states lie in the orthant, so |y_i| = y_i here
+                sq = (
+                    (e1 / (abs_tol + rel_tol * (y1 if y1 > abs(v1) else abs(v1)))) ** 2
+                    + (e2 / (abs_tol + rel_tol * (y2 if y2 > abs(v2) else abs(v2)))) ** 2
+                    + (e3 / (abs_tol + rel_tol * (y3 if y3 > abs(v3) else abs(v3)))) ** 2
+                    + (e4 / (abs_tol + rel_tol * (y4 if y4 > abs(v4) else abs(v4)))) ** 2
+                )
+                err = math.sqrt(sq * 0.25)
+                finite = isfinite(err)
+            inside = not (v1 < -abs_tol or v2 < -abs_tol or v3 < -abs_tol or v4 < -abs_tol)
+            if trial and not (finite and err <= 1.0 and inside):
+                wait = _TRIAL_GAP  # a failed trial is no rejection: the Taylor step follows
+                continue
+            if not finite:
+                rejected_nonfinite += 1
+                h = h_use * 0.2
+                continue
+            if err > 1.0:
+                rejected_error += 1
+                h = h_use * max(0.2, 0.9 * err**-0.25)
+                continue
+            if not inside:
+                # accuracy is fine but the orthant would be left; try smaller
+                rejected_orthant += 1
+                h = h_use * 0.5
+                continue
+            if v1 < 0.0 or v2 < 0.0 or v3 < 0.0 or v4 < 0.0:
+                # undershoot within abs_tol: clamp, and restart from there
+                y_end = (max(v1, 0.0), max(v2, 0.0), max(v3, 0.0), max(v4, 0.0))
 
-        if v1 < 0.0 or v2 < 0.0 or v3 < 0.0 or v4 < 0.0:
-            # undershoot within abs_tol: clamp, and restart from there
-            y_end = (max(v1, 0.0), max(v2, 0.0), max(v3, 0.0), max(v4, 0.0))
         if trial:
             stiff = True
             edges.append(n)
@@ -632,10 +632,6 @@ def integrate(
         n += 1
         ts.append(t)
         ys.extend(y_end)
-        acc1 += e1 if e1 > 0.0 else -e1
-        acc2 += e2 if e2 > 0.0 else -e2
-        acc3 += e3 if e3 > 0.0 else -e3
-        acc4 += e4 if e4 > 0.0 else -e4
 
     # edges alternate: a switch to RODAS4, a hand-back, ...; the Taylor runs lie between
     bounds = [0, *edges, n]
@@ -645,9 +641,7 @@ def integrate(
                  rejected_orthant=rejected_orthant, rejected_nonfinite=rejected_nonfinite,
                  nfev=nfev, stiff_steps=n - taylor_steps, switches=(len(edges) + 1) // 2,
                  switches_back=len(edges) // 2)
-    error_estimate = np.array([acc1, acc2, acc3, acc4])
-    y_arr = np.frombuffer(ys).reshape(-1, 4)
-    return Trajectory(p, np.frombuffer(ts), y_arr, runs, error_estimate, stats)
+    return Trajectory(p, np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4), runs, stats)
 
 
 def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
@@ -669,7 +663,7 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     y = x0.as_tuple()
     h = horizon / n_steps
     for _ in range(n_steps):
-        y, _ = _taylor_step(y, _taylor(a, y)[:20] + (0.0,) * 4, h)
+        y = _taylor_step(y, _taylor(a, y)[:20] + (0.0,) * 4, h)
     return np.array(y)
 
 

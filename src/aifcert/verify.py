@@ -146,8 +146,8 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
 
 
 def _long_excursions(traj: Trajectory, cert: BoundCertificate):
-    """(excursions above L_used, those lasting T0, the longest duration or 0)."""
-    excs = excursions_above(traj, cert.L_used)
+    """(excursions above L_used, those lasting T0, longest duration or 0); none if max x1 < L_used."""
+    excs = excursions_above(traj, cert.L_used) if traj.maxima[0][0] >= cert.L_used else []
     longest = max((e.duration for e in excs), default=0.0)
     return excs, [e for e in excs if e.duration >= cert.T0], longest
 
@@ -307,6 +307,7 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
 # Levels of the grid facts and of the fixed-point residual, and the facts in record order
 _GRID = np.geomspace(1e-3, 1e6, 40)
 _RES_GRID = np.geomspace(1e-3, 1e6, 20)
+_LEVELS = np.r_[_GRID, _RES_GRID, 1e9]
 _CHUNK = 1024  # rate sets per array pass, which bounds the memory of a large fuzz count
 _FACTS = ("tau decreasing", "tau above psi1", "ell4 increasing", "ell4 below K/8", "L*ell4 increasing",
           "tau limit", "ell4 supremum", "fixed-point residual", "threshold residual")
@@ -326,15 +327,15 @@ def _propositions(rates: np.ndarray):
     sets = [SimpleNamespace(**dict(zip(names, row))) for row in rates.tolist()]
     L_star = np.array([[solve_L_star(q)] for q in sets])
     # columns: the 40 grid levels, the 20 residual levels, then 1e9, L_probe and L*
-    columns = np.broadcast_to(np.r_[_GRID, _RES_GRID, 1e9], (len(rates), 61))
-    levels = np.hstack([columns, L_probe, L_star])
+    levels = np.hstack([np.broadcast_to(_LEVELS, (len(rates), 61)), L_probe, L_star])
     taus = tau(p, levels)
     l4s = ell4(p, levels, taus)
     facts = []  # (holds, margin, location), each with a row per set
+    rows = np.arange(len(rates))[:, None]
 
     def first(arg, m, at):
         j = arg(m, axis=1)[:, None]
-        return np.take_along_axis(m, j, axis=1), at[j]
+        return m[rows, j], at[j]
 
     # strict monotonicity along the grid, and the floors
     t, e = taus[:, :40], l4s[:, :40]

@@ -95,10 +95,13 @@ class TestBounds:
             ({"out": ["a"]}, "out"),
             ({"trajectory_csv": True}, "trajectory_csv"),
             ({"certificate_json": 7}, "certificate_json"),
+            ({"horizon": "abc"}, "horizon"),
+            ({"horizon": 10**400}, "horizon"),
         ],
         ids=["horizon-list", "params-number", "x0-number", "params-null-rate", "fuzz-negative",
              "fuzz-fraction", "fuzz-bool", "seed-negative", "params-string", "x0-string",
-             "horizon-bool", "params-bool-rate", "out-list", "csv-bool", "certificate-number"],
+             "horizon-bool", "params-bool-rate", "out-list", "csv-bool", "certificate-number",
+             "horizon-string", "horizon-huge-int"],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, monkeypatch, config, key):
         monkeypatch.chdir(tmp_path)
@@ -232,14 +235,15 @@ class TestVerify:
         [
             ("", "Expecting value: line 1 column 1 (char 0)"),
             ("[1, 2]", "malformed certificate JSON: "),
-            ({"M1": "abc"}, "could not convert string to float: 'abc'"),
+            ({"M1": "abc"}, "expected M1 as a number, got 'abc'"),
+            ({"M1": [1]}, "expected M1 as a number, got [1]"),
             ({"M1": float("nan")}, "M1 must be finite and > 0, got nan"),
             ({"M1": 0}, "M1 must be finite and > 0, got 0.0"),
             ({"T0": float("nan")}, "T0 must be finite and > 0, got nan"),
             ({"W0": -1.0}, "W0 must be finite and >= 0, got -1.0"),
             ({"W0": False}, "expected W0 as a number, got False"),
         ],
-        ids=["not-json", "list", "non-numeric", "nan-M1", "zero-M1", "nan-T0", "negative-W0",
+        ids=["not-json", "list", "non-numeric", "list-M1", "nan-M1", "zero-M1", "nan-T0", "negative-W0",
              "bool-W0"],
     )
     def test_malformed_certificate_exits_2_naming_the_file(self, tmp_path, capsys, text, message):

@@ -119,12 +119,15 @@ class TestOneSearchPerCheck:
         assert calls == [4]
 
     @pytest.mark.parametrize(
-        "x0, horizon", [((0.0, 0.0, 0.0, 0.0), 100.0), ((10.0, 0.0, 0.0, 0.0), 30.0)],
+        "x0, horizon, searches",
+        [((0.0, 0.0, 0.0, 0.0), 100.0, 0), ((10.0, 0.0, 0.0, 0.0), 30.0, 1)],
         ids=["demo", "overshoot"],
     )
-    def test_one_excursion_set_per_report(self, monkeypatch, x0, horizon):
+    def test_one_excursion_set_per_report(self, monkeypatch, x0, horizon, searches):
         # the lemma and the cascade read the same excursions above L_used:
-        # one search for x1's stretches, whichever of them asks first
+        # at most one search for x1's stretches, whichever of them asks
+        # first, and none where max x1 stays below L_used (the demo's 0.765
+        # against 1.529)
         traj = integrate(DEMO, x0, horizon)
         calls = []
         find = aifcert.simulate.stretches_above
@@ -135,7 +138,9 @@ class TestOneSearchPerCheck:
 
         monkeypatch.setattr(aifcert.simulate, "stretches_above", spy)
         report = build_report(DEMO, x0, horizon=horizon, traj=traj)
-        assert [c for c in calls if c[0] == "x1"] == [("x1", report.certificate.L_used)]
+        L_used = report.certificate.L_used
+        assert (traj.maxima[0][0] >= L_used) == bool(searches)
+        assert [c for c in calls if c[0] == "x1"] == [("x1", L_used)] * searches
 
     def test_excursions_are_found_once_per_level(self, monkeypatch):
         traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)
