@@ -200,7 +200,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_plot(cfg: RunConfig) -> int:
     cert, traj = _certificate(cfg), _trajectory(cfg)
-    _check_provenance(traj, cert)  # M1 is drawn for the trajectory's own x0
+    _check_provenance(traj, cfg.params, cert, cfg.x0)  # M1 is drawn for the trajectory's own x0
     out = _outdir(cfg)
     p_states = os.path.join(out, "states.svg")
     p_bound = os.path.join(out, "x1_bound.svg")

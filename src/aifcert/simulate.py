@@ -30,7 +30,8 @@ The state space is tiny (four components), so both steps are written
 out component by component on plain floats, RODAS4's six stage solves
 included; accepted times and states go into flat float buffers that
 become numpy arrays once, at the end, and the Trajectory constructor
-derives every dense row from them.
+builds from them the one read-only table of per-step polynomials that
+every query reads, evaluated by one Horner rule (_horner).
 """
 
 from __future__ import annotations
@@ -105,8 +106,6 @@ _RC61, _RC62, _RC63, _RC64, _RC65 = (
 _TRIAL_GATE = 3.0
 _TRIAL_LENGTH = 8.0
 _TRIAL_GAP = 16
-# powers of s in a dense row
-_POWERS = np.arange(1, 7)
 
 OBSERVABLES = ("x1", "x2", "x3", "x4", "p", "W")
 
@@ -140,19 +139,21 @@ class Excursion:
 
 
 class Trajectory:
-    """Integration output: the step nodes, and the dense rows they fix.
+    """Integration output: the step nodes, and the per-step polynomials they fix.
 
     ``t`` holds the accepted step times (strictly increasing, starting
-    at 0 with the initial state x0 = y[0]), ``y`` the states at those
-    times, and the dense rows let ``at`` evaluate the solution anywhere
-    in between: each step keeps a polynomial of degree 6 in s in [0, 1],
-    for the steps of ``taylor_runs`` (half-open (start, stop) step index
+    at 0 with the initial state x0 = y[0]) and ``y`` the states at those
+    times.  Each step keeps a polynomial of degree 6 in s in [0, 1]: for
+    the steps of ``taylor_runs`` (half-open (start, stop) step index
     pairs, increasing) the Taylor polynomial at the left node, for the
-    others a cubic Hermite piece padded with zeros.  Only the
-    constructor builds rows, one array pass per run.  Instances carry
-    the inputs that produced them and do not change after construction,
-    except that two answers are kept after first use: ``maxima``, and
-    per level the excursions of excursions_above.
+    others a cubic Hermite piece.  The constructor builds them once, one
+    array pass per run, into the read-only table ``_coef[component,
+    power 0 to 6 of s, node]`` that every query reads: column i is step
+    i's polynomial, row 0 node i's state, and the last column the last
+    node alone.  Instances carry the inputs that produced them and do
+    not change after construction, except that two answers are kept
+    after first use: ``maxima``, and per level the excursions of
+    excursions_above.
 
     ``stats`` counts what the integrator did: accepted steps, rejected
     attempts by reason (error, orthant, non-finite; a failed stiffness
@@ -172,15 +173,17 @@ class Trajectory:
         self.taylor_runs = taylor_runs = tuple(taylor_runs)
         a = params.as_tuple()
         h = np.diff(t)
-        self._dense = dense = np.empty((len(h), 4, 6))  # (steps, components, powers 1 to 6 of s)
+        self._coef = coef = np.zeros((4, 7, len(t)))
+        coef[:, 0] = y.T
         for i, j in taylor_runs:
-            dense[i:j] = np.array(_taylor(a, tuple(y[i:j].T))).reshape(6, 4, j - i).transpose(2, 1, 0)
-            dense[i:j] *= h[i:j, None, None] ** _POWERS
+            terms = np.array(_taylor(a, tuple(y[i:j].T))).reshape(6, 4, j - i).transpose(1, 0, 2)
+            coef[:, 1:, i:j] = terms * (h[i:j, None] ** np.arange(1, 7)).T
         bounds = [0, *(k for run in taylor_runs for k in run), len(h)]
         for i, j in zip(bounds[::2], bounds[1::2]):  # the RODAS4 runs
             if i < j:
-                f = np.stack(field(a, *y[i : j + 1].T), axis=-1)
-                dense[i:j] = _hermite(h[i:j, None], np.diff(y[i : j + 1], axis=0), f[:-1], f[1:])
+                f = np.array(field(a, *y[i : j + 1].T))
+                coef[:, 1:4, i:j] = _hermite(h[i:j], np.diff(y[i : j + 1].T), f[:, :-1], f[:, 1:])
+        coef.flags.writeable = False
         self.stats = MappingProxyType(dict(stats or {}))
         self._excursions = {}  # level -> excursions, kept by excursions_above like maxima
 
@@ -208,7 +211,7 @@ class Trajectory:
         np.clip(idx, 0, len(self.t) - 2, out=idx)
         h = self.t[idx + 1] - self.t[idx]
         s = (tq1 - self.t[idx]) / h
-        vals = self.y[idx] + np.einsum("mjp,mp->mj", self._dense[idx], s[:, None] ** _POWERS)
+        vals = _horner(self._coef[:, :, idx].transpose(1, 0, 2), s).T
         vals[tq1 == self.t[-1]] = self.y[-1]
         np.maximum(vals, 0.0, out=vals)
         return vals[0] if scalar else vals
@@ -225,16 +228,16 @@ class Trajectory:
         Hermite piece of from_samples between sparse rows, where 0 says
         nothing about the rows themselves.
         """
-        polys = {}  # (sense, observable) -> (coefficients, node values), negated for "min"
+        polys = {}  # (sense, observable) -> coefficients, negated for "min"
         groups = {}  # degree -> (number, sense, _extremum query) of its queries
         for k, (sense, name, start, end) in enumerate(queries):
             if (sense, name) not in polys:
                 if sense not in ("max", "min"):
                     raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-                c, node = _coefficients(self, name), _coefficients(self, name, True)[0]
-                polys[sense, name] = (c, node) if sense == "max" else (-c, -node)
-            c, node = polys[sense, name]
-            groups.setdefault(len(c), []).append((k, sense, (c, node, start, end)))
+                c = _coefficients(self, name)
+                polys[sense, name] = c if sense == "max" else -c
+            c = polys[sense, name]
+            groups.setdefault(len(c), []).append((k, sense, (c, start, end)))
         found = [None] * len(queries)
         for group in groups.values():
             for (k, sense, _), (top, time) in zip(group, _extremum(self, [q for _, _, q in group])):
@@ -260,15 +263,10 @@ class Trajectory:
         windows = [(a, b) for a, b in stretches_above(self, "W", gamma) if a < b]
         if not windows:
             return None
-        K = DerivedConstants.from_params(self.params).K
-
-        def rate(nodes):
-            gap = -_coefficients(self, "x4", nodes)
-            gap[0] += K
-            return self.params.alpha8 * _product(_coefficients(self, "x1", nodes), gap)
-
-        c, node = rate(False), rate(True)[0]
-        found = _extremum(self, [(c, node, a, b) for a, b in windows])
+        gap = -_coefficients(self, "x4")
+        gap[0] += DerivedConstants.from_params(self.params).K
+        rate = self.params.alpha8 * _product(_coefficients(self, "x1"), gap)
+        found = _extremum(self, [(rate, a, b) for a, b in windows])
         return max(found, key=lambda f: f[0])
 
     @classmethod
@@ -302,7 +300,7 @@ class Trajectory:
             raise ValueError(f"taylor runs must be increasing and apart, got {taylor_runs!r}")
         with np.errstate(over="ignore", invalid="ignore"):
             traj = cls(params, t, np.maximum(y, 0.0), taylor_runs)
-        if not np.isfinite(traj._dense).all():
+        if not np.isfinite(traj._coef).all():
             raise ValueError("rebuilt dense rows are not finite")
         return traj
 
@@ -318,32 +316,25 @@ class Trajectory:
         steps that were not Taylor steps.
         """
         for i, j in self.taylor_runs:
-            rows, left, right = self._dense[i:j], self.y[i:j], self.y[i + 1 : j + 1]
-            miss = left + rows.sum(axis=-1) - right
-            tol = 1e-12 * (np.abs(left) + np.abs(rows).sum(axis=-1) + np.abs(right))
+            c = self._coef[:, :, i : j + 1]
+            rows, left, right = c[:, 1:, :-1], c[:, 0, :-1], c[:, 0, 1:]
+            miss = left + rows.sum(axis=1) - right
+            tol = 1e-12 * (np.abs(left) + np.abs(rows).sum(axis=1) + np.abs(right))
             bad = (miss > tol) | (miss < np.where(right == 0.0, -abs_tol, 0.0) - tol)
             if bad.any():
-                k, n = np.argwhere(bad)[0]
+                k, n = np.argwhere(bad.T)[0]
                 raise ValueError(f"the Taylor row of step {i + k} misses its right node "
-                                 f"(t={self.t[i + k + 1]!r}, x{n + 1}) by {miss[k, n]:.3g}")
+                                 f"(t={self.t[i + k + 1]!r}, x{n + 1}) by {miss[n, k]:.3g}")
 
 
 def _hermite(h, dy, f0, f1):
-    """Dense rows of cubic Hermite pieces: (steps, 4 components, powers 1 to 6 of s).
+    """The s, s**2 and s**3 terms of cubic Hermite pieces: (components, 3, steps).
 
     Each piece matches the states (through dy = y1 - y0) and the
-    derivatives f0, f1 at both ends of its step of length h; the rows
-    of s**4 to s**6 are 0.
+    derivatives f0, f1, all (components, steps), at both ends of its
+    step of length h.
     """
-    return np.stack(
-        [
-            h * f0,
-            3.0 * dy - h * (2.0 * f0 + f1),
-            -2.0 * dy + h * (f0 + f1),
-            *[np.zeros_like(dy)] * 3,
-        ],
-        axis=-1,
-    )
+    return np.stack([h * f0, 3.0 * dy - h * (2.0 * f0 + f1), -2.0 * dy + h * (f0 + f1)], axis=1)
 
 
 def _taylor(a, y):
@@ -667,30 +658,23 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     return np.array(y)
 
 
-def _coefficients(traj: Trajectory, name: str, nodes: bool = False) -> np.ndarray:
-    """Per-step polynomial of an observable in s in [0, 1].
+def _coefficients(traj: Trajectory, name: str) -> np.ndarray:
+    """Per-step polynomial of an observable in s in [0, 1], (degree + 1, nodes).
 
-    Row k holds the s**k coefficient of every step, so the array is
-    (degree + 1, steps): the components and W have degree 6, p = x1*x4
-    degree 12.  Row 0 is the observable at the step's left node.
-    With nodes=True the result is the observable at every node, as a
-    (1, nodes) array, computed with the same operations as row 0 (for a
-    component, a view of the stored states that must not be written).
+    Row k holds the s**k coefficient, laid out like the table
+    (Trajectory): column i is step i's polynomial, the last column the
+    last node alone, so row 0 is the observable at every node.  The
+    components and W have degree 6, p = x1*x4 degree 12.  A component
+    is a read-only view of the table; p and W are computed from views.
     """
     if name not in OBSERVABLES:
         raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLES}")
     if name == "p":
-        return _product(_coefficients(traj, "x1", nodes), _coefficients(traj, "x4", nodes))
+        return _product(_coefficients(traj, "x1"), _coefficients(traj, "x4"))
     if name == "W":
         dc = DerivedConstants.from_params(traj.params)
-        return dc.W(*(_coefficients(traj, n, nodes) for n in ("x2", "x3", "x4")))
-    i = OBSERVABLES.index(name)
-    if nodes:
-        return traj.y[None, :, i]
-    c = np.empty((7, len(traj.t) - 1))
-    c[0] = traj.y[:-1, i]
-    c[1:] = traj._dense[:, i, :].T
-    return c
+        return dc.W(*(_coefficients(traj, n) for n in ("x2", "x3", "x4")))
+    return traj._coef[OBSERVABLES.index(name)]
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -790,19 +774,18 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
 def _extremum(traj: Trajectory, queries):
     """Largest value of per-step polynomials on a window, and its time, for each query.
 
-    A query is (coef, node, start, end): polynomials of one degree as
-    _coefficients(traj, name) gives them, their node values (row 0 of
-    _coefficients(traj, name, True)) and a window, None meaning an end of
-    the span.  The candidates are the window's ends, the nodes inside it
-    and the derivative's roots, searched only in steps whose left value
-    plus positive coefficients beats the query's best node or end.  All
-    queries' columns go through one filter and one root search; roots
-    settle one by one (_unit_roots), so no answer depends on the other
-    queries.
+    A query is (coef, start, end): polynomials of one degree laid out as
+    _coefficients(traj, name) gives them, row 0 the node values, and a
+    window, None meaning an end of the span.  The candidates are the
+    window's ends, the nodes inside it and the derivative's roots,
+    searched only in steps whose left value plus positive coefficients
+    beats the query's best node or end.  All queries' columns go through
+    one filter and one root search; roots settle one by one
+    (_unit_roots), so no answer depends on the other queries.
     """
     t = traj.t
-    starts = [t[0] if q[2] is None else float(q[2]) for q in queries]
-    ends = [t[-1] if q[3] is None else float(q[3]) for q in queries]
+    starts = [t[0] if q[1] is None else float(q[1]) for q in queries]
+    ends = [t[-1] if q[2] is None else float(q[2]) for q in queries]
     firsts = np.searchsorted(t, starts, "right").tolist()
     stops = np.searchsorted(t, ends, "left").tolist()
     windows = []  # per query: steps [first, stop) and where the window starts and ends in them
@@ -824,7 +807,7 @@ def _extremum(traj: Trajectory, queries):
     best, s_best, col, beat = [], [], [], np.empty(steps.size)
     for q, (first, stop, w0, w1), e0, e1 in zip(queries, windows, edges, edges[1:]):
         lo[e0], hi[e1 - 1] = w0, w1
-        v = q[1][first : stop + 1].copy()  # the node values
+        v = q[0][0, first : stop + 1].copy()  # the node values
         v[0] = _horner(c[:, e0], w0)
         if w1 < 1.0:
             v[-1] = _horner(c[:, e1 - 1], w1)
@@ -870,7 +853,7 @@ def stretches_above(traj: Trajectory, observable: str, level: float) -> list[tup
     level = float(level)
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level!r}")
-    coef = _coefficients(traj, observable)
+    coef = _coefficients(traj, observable)[:, :-1]  # the steps
     lo, hi = _hull(coef)
     t = traj.t
     d = len(coef) - 1

@@ -104,9 +104,14 @@ class VerificationReport:
         }
 
 
-def _check_provenance(traj: Trajectory, cert: BoundCertificate) -> None:
-    if traj.params != cert.params or traj.x0 != cert.x0:
+def _check_provenance(traj: Trajectory, p: Params, cert=None, x0=None) -> None:
+    """Raise a ValueError unless the rates p, and cert and x0 if given, are the trajectory's own."""
+    if cert is not None and (traj.params != cert.params or traj.x0 != cert.x0):
         raise ValueError("certificate provenance does not match the trajectory")
+    if p != traj.params:
+        raise ValueError("rate constants do not match the trajectory")
+    if x0 is not None and x0 != traj.x0:
+        raise ValueError("x0 does not match the trajectory's initial state")
 
 
 def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult:
@@ -118,7 +123,7 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     relative (at t0 if it starts there), or at the maximum if rounding
     leaves no such stretch.
     """
-    _check_provenance(traj, cert)
+    _check_provenance(traj, cert.params, cert)
     bounds = (cert.M1, cert.M2, cert.M3, cert.M4)
     worst_margin = math.inf
     worst_loc = float(traj.t[0])
@@ -167,6 +172,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     is at most L_used, or no excursion lasts T0, the check passes
     vacuously and says so.  _long_excursions serves the cascade record too.
     """
+    _check_provenance(traj, p, cert)
     L_used, T0 = cert.L_used, cert.T0
     x1max = traj.maxima[0][0]
     if x1max <= L_used:
@@ -226,6 +232,7 @@ def check_cascade_lower_bounds(
     and the growth envelope then caps x1 from that starting value.  For
     interior crossings the two coincide.
     """
+    _check_provenance(traj, p)
     L = float(L)
     T_w = tau(p, L) if T0 is None else float(T0)
     dur = excursion.duration
@@ -277,7 +284,7 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     relative.  Wherever the interpolant's W exceeds gamma, between the
     nodes too, that derivative must be <= 1e-9.
     """
-    _check_provenance(traj, cert)
+    _check_provenance(traj, p, cert)
     dc = DerivedConstants.from_params(p)
     pairs = (
         (dc.c * p.alpha4, dc.d * p.alpha5),
@@ -413,14 +420,15 @@ def build_report(
 ) -> VerificationReport:
     """Run the five named checks once each and assemble the report.
 
-    ``cert`` and ``traj`` may be supplied (e.g. loaded from files); when
-    omitted they are computed from the other arguments.
+    ``cert`` and ``traj`` may be supplied (e.g. loaded from files) for p
+    and x0; when omitted they are computed from the other arguments.
     """
     x0 = State.from_sequence(x0)
     if cert is None:
         cert = certificate(p, x0, L_override)
     if traj is None:
         traj = integrate(p, x0, horizon, rel_tol, abs_tol)
+    _check_provenance(traj, p, cert, x0)
 
     checks = [
         check_global_bounds(traj, cert),

@@ -441,6 +441,23 @@ class TestHeaderOnlyCsv:
         assert capsys.readouterr().err == "error: certificate provenance does not match the trajectory\n"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json", "trajectory.csv"]
 
+    @pytest.mark.parametrize("command", ["plot", "verify"])
+    def test_x0_other_than_the_csv_start_exits_2_with_its_certificate(
+        self, tmp_path, capsys, overshoot_csv_lines, command
+    ):
+        # the certificate is the CSV's own, but the config's x0 = 0 is not
+        # the start (10, 0, 0, 0) of the run
+        assert main(["bounds", "--x0", "10,0,0,0", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "trajectory.csv"
+        path.write_text("\n".join(overshoot_csv_lines))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trajectory_csv": str(path),
+                                   "certificate_json": str(tmp_path / "certificate.json")}))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: x0 does not match the trajectory's initial state\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["certificate.json", "cfg.json", "trajectory.csv"]
+
 
 def polyline_loop(frame, ts, vs, color):
     """Reference for plot._polyline: one f-string per point."""

@@ -269,7 +269,7 @@ class TestDenseOutput:
         for i in range(len(traj.t) - 1):
             kind, end = ends[tuple(traj.y[i])]
             kinds.add(kind)
-            terms = np.column_stack([traj.y[i], traj._dense[i]])
+            terms = traj._coef[:, :, i]
             want = end if kind == "taylor" else traj.y[i + 1]
             assert np.abs(terms.sum(axis=1) - want).max() <= 8e-16 * np.abs(terms).sum(axis=1).max()
         assert kinds == {"taylor", "rodas4"}
@@ -381,6 +381,30 @@ def window_cases(demo_traj):
         "rodas4": (overshoot, extremum_windows(overshoot, range(stiff_from + 50, stiff_from + 150))),
         "samples": (samples, extremum_windows(samples, range(100, 200)) + [(0.0, samples.t[-1])]),
     }
+
+
+class TestCoefficientTable:
+    """The one table of per-step polynomials, on Taylor, switched and rebuilt trajectories."""
+
+    @pytest.mark.parametrize("kind", ["taylor", "rodas4", "samples"])
+    @pytest.mark.parametrize("name", sim.OBSERVABLES)
+    def test_row_0_is_the_observable_at_every_node(self, window_cases, kind, name):
+        traj = window_cases[kind][0]
+        x1, x2, x3, x4 = traj.y.T
+        dc = DerivedConstants.from_params(traj.params)
+        want = {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": x1 * x4, "W": dc.W(x2, x3, x4)}[name]
+        coef = sim._coefficients(traj, name)
+        assert coef.shape == (13 if name == "p" else 7, len(traj.t))
+        assert coef[0].tobytes() == want.tobytes()
+        assert not coef[1:, -1].any()  # the last node stands alone
+
+    @pytest.mark.parametrize("kind", ["taylor", "rodas4", "samples"])
+    def test_table_is_read_only(self, window_cases, kind):
+        traj = window_cases[kind][0]
+        with pytest.raises(ValueError, match="read-only"):
+            traj._coef[0, 1, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sim._coefficients(traj, "x1")[0] = 0.0
 
 
 class TestWindowedExtrema:
@@ -574,9 +598,10 @@ class TestFusedStep:
     def test_accepted_steps_match_loop_form_bitwise(self, recorded):
         # Taylor steps match the loop-form recurrence and Horner sums bit
         # for bit; RODAS4 steps match a loop form with a generic pivoted
-        # solve to rounding, and their dense rows are exactly the Hermite
-        # rows of their ends; both rows scale by t[i+1] - t[i], which the
-        # nodes fix, not by the step the integrator took
+        # solve to rounding, and their table columns are exactly the
+        # Hermite terms of their ends, zero above s**3; both scale by
+        # t[i+1] - t[i], which the nodes fix, not by the step the
+        # integrator took; row 0 is the left node
         name, p, horizon, traj, _, accepted = recorded
         m = len(traj.t) - 1
         assert len(accepted) == m
@@ -598,13 +623,14 @@ class TestFusedStep:
                 assert dev <= 1e-13 * np.abs(y1).max()
                 dy = traj.y[i + 1] - traj.y[i]
                 row = sim._hermite(h, dy, np.array(f(traj.y[i])), np.array(f(traj.y[i + 1])))
-                assert row.tobytes() == traj._dense[i].tobytes()
+                column = np.column_stack([traj.y[i], row, np.zeros((4, 3))])
+                assert column.tobytes() == traj._coef[:, :, i].tobytes()
                 continue
             coef = reference_taylor(a, y)
             end = reference_taylor_end(y, coef, h_use)
             assert np.where(end < 0.0, 0.0, end).tobytes() == traj.y[i + 1].tobytes()
             row = coef * np.float64(h) ** np.arange(1, 7)
-            assert row.tobytes() == traj._dense[i].tobytes()
+            assert np.column_stack([traj.y[i], row]).tobytes() == traj._coef[:, :, i].tobytes()
 
     def test_taylor_step_length_bounds_the_error_norm(self, recorded):
         # integrate takes no error norm after a Taylor step; recomputed in
@@ -750,7 +776,8 @@ class TestFusedStep:
         assert attempts[k + 3][3] == f1
         h = traj.t[i + 1] - traj.t[i]
         row = sim._hermite(h, traj.y[i + 1] - traj.y[i], np.array(f0), np.array(f1))
-        assert row.tobytes() == traj._dense[i].tobytes()
+        column = np.column_stack([traj.y[i], row, np.zeros((4, 3))])
+        assert column.tobytes() == traj._coef[:, :, i].tobytes()
 
 
 class TestRosenbrock:
@@ -995,7 +1022,7 @@ class TestCsvRoundTrip:
         write_trajectory_csv(traj, path)
         back = read_trajectory_csv(path, p)
         assert back.taylor_runs == traj.taylor_runs
-        for name in ("t", "y", "_dense"):
+        for name in ("t", "y", "_coef"):
             assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
         assert back.x0 == traj.x0
         report = build_report(p, x0, horizon=horizon, traj=traj).to_json()
@@ -1020,7 +1047,7 @@ class TestCsvRoundTrip:
         back = read_trajectory_csv(path, DEMO)
         want = Trajectory.from_samples(DEMO, traj.t, traj.y)
         assert back.taylor_runs == want.taylor_runs == ()
-        for name in ("t", "y", "_dense"):
+        for name in ("t", "y", "_coef"):
             assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
 
     def test_header_mismatch_rejected(self, tmp_path):

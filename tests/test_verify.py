@@ -176,7 +176,7 @@ class TestOneSearchPerCheck:
         search = aifcert.simulate._extremum
 
         def spy(traj, queries):
-            searched.extend(q for q in queries if q[2:] == (None, None) and np.array_equal(q[0], x1))
+            searched.extend(q for q in queries if q[1:] == (None, None) and np.array_equal(q[0], x1))
             return search(traj, queries)
 
         monkeypatch.setattr(aifcert.simulate, "_extremum", spy)
@@ -578,6 +578,38 @@ class TestReport:
         a = build_report(DEMO, State.zero(), horizon=20.0, fuzz_count=25, fuzz_seed=7)
         b = build_report(DEMO, State.zero(), horizon=20.0, fuzz_count=25, fuzz_seed=7)
         assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+
+
+class TestProvenance:
+    """Rates or a start other than the trajectory's own are rejected, not mixed into a record."""
+
+    OTHER = dataclasses.replace(DEMO, alpha1=2.0)
+
+    def test_lemma_rejects_other_rates(self, demo_traj):
+        cert = certificate(DEMO, State.zero())
+        with pytest.raises(ValueError, match="rate constants do not match"):
+            check_excursion_lemma(demo_traj, self.OTHER, cert)
+
+    def test_cascade_rejects_other_rates(self, demo_traj):
+        e = next(e for e in excursions_above(demo_traj, 0.2) if e.duration >= tau(DEMO, 0.2))
+        with pytest.raises(ValueError, match="rate constants do not match"):
+            check_cascade_lower_bounds(demo_traj, self.OTHER, 0.2, e)
+
+    def test_W_decrease_rejects_other_rates(self, demo_traj):
+        cert = certificate(DEMO, State.zero())
+        with pytest.raises(ValueError, match="rate constants do not match"):
+            check_W_decrease(demo_traj, self.OTHER, cert)
+
+    def test_report_rejects_other_rates(self, demo_traj):
+        # certificate and trajectory agree with each other, not with p
+        cert = certificate(DEMO, State.zero())
+        with pytest.raises(ValueError, match="rate constants do not match"):
+            build_report(self.OTHER, State.zero(), cert=cert, traj=demo_traj)
+
+    def test_report_rejects_other_x0(self, demo_traj):
+        cert = certificate(DEMO, State.zero())
+        with pytest.raises(ValueError, match="x0 does not match"):
+            build_report(DEMO, State.from_sequence([1.0, 0.0, 0.0, 0.0]), cert=cert, traj=demo_traj)
 
 
 class TestFuzzHelpers:
