@@ -19,10 +19,11 @@ level): steps whose Bernstein hull excludes the level are skipped, the
 rest cut into monotone pieces at the roots of their derivatives and
 each crossing solved by a bracketed Newton iteration, so crossings are
 exact to rounding and a pair of crossings inside one step is not
-missed.  They bound the stretches at or above a level
-(stretches_above), the one event query: the excursions of x1, the
-stretches of W above gamma, and where a component first exceeds its
-bound.  Extrema over time windows are searched on the same polynomials,
+missed.  The filters and brackets run on whole arrays of steps, and
+each bracket is polished on plain floats (_unit_roots).  They bound
+the stretches at or above a level (stretches_above), the one event
+query: the excursions of x1, the stretches of W above gamma, and where
+a component first exceeds its bound.  Extrema over time windows are searched on the same polynomials,
 any number of windows and observables in one search (Trajectory.extrema,
 _extremum).
 
@@ -150,10 +151,10 @@ class Trajectory:
     array pass per run, into the read-only table ``_coef[component,
     power 0 to 6 of s, node]`` that every query reads: column i is step
     i's polynomial, row 0 node i's state, and the last column the last
-    node alone.  Instances carry the inputs that produced them and do
-    not change after construction, except that two answers are kept
-    after first use: ``maxima``, and per level the excursions of
-    excursions_above.
+    node alone, so ``y`` is a view of row 0, and ``t`` is a read-only
+    copy like the table.  Instances carry the inputs that produced them and do not change
+    after construction, except that two answers are kept after first
+    use: ``maxima``, and per level the excursions of excursions_above.
 
     ``stats`` counts what the integrator did: accepted steps, rejected
     attempts by reason (error, orthant, non-finite; a failed stiffness
@@ -167,9 +168,9 @@ class Trajectory:
 
     def __init__(self, params, t, y, taylor_runs=(), stats=None):
         self.params = params
+        self.t = t = np.array(t, dtype=float)  # an owned copy, read-only like the table
+        t.flags.writeable = False
         self.x0 = State.from_sequence(y[0])
-        self.t = t
-        self.y = y
         self.taylor_runs = taylor_runs = tuple(taylor_runs)
         a = params.as_tuple()
         h = np.diff(t)
@@ -184,6 +185,7 @@ class Trajectory:
                 f = np.array(field(a, *y[i : j + 1].T))
                 coef[:, 1:4, i:j] = _hermite(h[i:j], np.diff(y[i : j + 1].T), f[:, :-1], f[:, 1:])
         coef.flags.writeable = False
+        self.y = coef[:, 0].T  # the nodes are the table's row 0
         self.stats = MappingProxyType(dict(stats or {}))
         self._excursions = {}  # level -> excursions, kept by excursions_above like maxima
 
@@ -520,6 +522,10 @@ def integrate(
 
     ts = array("d", [0.0])
     ys = array("d", y)
+    # accepted states wait here and go into ys 1,024 values at a time:
+    # ys.fromlist costs half of ys.extend's per-item path, and a short
+    # list keeps few floats alive
+    pending = []
     edges = []  # the step indices at which the method changes
     rejected_error = rejected_orthant = rejected_nonfinite = 0
     nfev = 0
@@ -622,8 +628,12 @@ def integrate(
         y = y_end
         n += 1
         ts.append(t)
-        ys.extend(y_end)
+        pending += y_end
+        if not n & 255:  # 1,024 values
+            ys.fromlist(pending)
+            pending.clear()
 
+    ys.fromlist(pending)
     # edges alternate: a switch to RODAS4, a hand-back, ...; the Taylor runs lie between
     bounds = [0, *edges, n]
     runs = tuple((i, j) for i, j in zip(bounds[::2], bounds[1::2]) if i < j)
@@ -721,11 +731,13 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
     slots, pad, sorted.  The roots of the derivative, found the same way
     down to a linear polynomial (and only where the derivative's hull
     straddles 0), cut [0, 1] into monotone pieces; a piece whose ends lie
-    on opposite sides holds exactly one root, and a Newton iteration kept
-    inside the shrinking bracket takes it to rounding.  Each root is kept
-    from the step where it first settles, so no column's roots depend on
-    the other columns of the call.  Zero leading coefficients (the cubic
-    Hermite pieces of from_samples) need no special case.
+    on opposite sides holds exactly one root.  Those steps run on whole
+    arrays; then each bracket is polished on plain floats by a Newton
+    iteration kept inside the shrinking bracket, which takes the root to
+    rounding and keeps it from the step where it first settles, so no
+    column's roots depend on the other columns of the call.  Zero leading
+    coefficients (the cubic Hermite pieces of from_samples) need no
+    special case.
     """
     c = coef.copy()
     c[0] -= level
@@ -742,33 +754,41 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
         if bend.size:
             knots[1:-1, bend] = _unit_roots(slope[:, bend], 0.0, 1.0)
         f = _horner(c, knots)
-        fa, fb = f[:-1], f[1:]
-        k, j = np.nonzero(((fa < 0.0) & (fb >= 0.0)) | ((fa > 0.0) & (fb <= 0.0)))
-        c, slope = c[:, j], slope[:, j]
-        a, b, ga, gb = knots[k, j], knots[k + 1, j], fa[k, j], fb[k, j]
-        a_below = ga < 0.0
-        s = a + (b - a) * (ga / (ga - gb))  # start from the secant
-        roots = np.full((d, m), pad)
-        for _ in range(100):
-            g = _horner(c, s)
-            right = (g < 0.0) == a_below  # still on a's side: the root is right of s
-            a, b = np.where(right, s, a), np.where(right, b, s)
-            newton = s - g / _horner(slope, s)
-            s, prev = np.where((newton >= a) & (newton <= b), newton, 0.5 * (a + b)), s
-            # near rounding Newton can step between neighbouring floats, so
-            # a root leaves the iteration where it first settles
-            moving = np.abs(s - prev) > 1e-15
-            n = np.count_nonzero(moving)
-            if not n:
-                break
-            if n < moving.size:
-                settled = ~moving
-                roots[k[settled], j[settled]] = s[settled]
-                k, j, s, a, b, c, slope, a_below = (
-                    x[..., moving] for x in (k, j, s, a, b, c, slope, a_below)
-                )
-        roots[k, j] = s
-    return np.sort(roots, axis=0)
+    fa, fb = f[:-1], f[1:]
+    k, j = np.nonzero(((fa < 0.0) & (fb >= 0.0)) | ((fa > 0.0) & (fb <= 0.0)))
+    roots = np.full((d, m), pad)
+    if k.size:
+        brackets = zip(c[:, j].T.tolist(), slope[:, j].T.tolist(), knots[k, j].tolist(),
+                       knots[k + 1, j].tolist(), fa[k, j].tolist(), fb[k, j].tolist())
+        roots[k, j] = [_polish(*bracket) for bracket in brackets]
+        roots[:, j] = np.sort(roots[:, j], axis=0)  # a column of pad alone is sorted
+    return roots
+
+
+def _polish(c, slope, a, b, ga, gb):
+    """The one root in [a, b] of a polynomial whose values ga, gb at a, b differ in sign.
+
+    c and slope are the coefficients of the polynomial and of its
+    derivative, as lists of floats; gb may be 0.  Newton steps start from
+    the secant, and a step that would leave the shrinking bracket, or a
+    zero derivative, bisects instead.  Near rounding Newton can step
+    between neighbouring floats, so the root is taken where it first
+    settles.
+    """
+    a_below = ga < 0.0
+    s = a + (b - a) * (ga / (ga - gb))  # start from the secant
+    for _ in range(100):
+        g = _horner(c, s)
+        if (g < 0.0) == a_below:  # still on a's side: the root is right of s
+            a = s
+        else:
+            b = s
+        dg = _horner(slope, s)
+        newton = s - g / dg if dg else math.nan
+        s, prev = newton if a <= newton <= b else 0.5 * (a + b), s
+        if abs(s - prev) <= 1e-15:
+            break
+    return s
 
 
 def _extremum(traj: Trajectory, queries):
@@ -784,38 +804,40 @@ def _extremum(traj: Trajectory, queries):
     (_unit_roots), so no answer depends on the other queries.
     """
     t = traj.t
-    starts = [t[0] if q[1] is None else float(q[1]) for q in queries]
-    ends = [t[-1] if q[2] is None else float(q[2]) for q in queries]
+    node = t.item  # the window bookkeeping runs on plain floats
+    t0, tn = node(0), node(-1)
+    starts = [t0 if q[1] is None else float(q[1]) for q in queries]
+    ends = [tn if q[2] is None else float(q[2]) for q in queries]
     firsts = np.searchsorted(t, starts, "right").tolist()
     stops = np.searchsorted(t, ends, "left").tolist()
     windows = []  # per query: steps [first, stop) and where the window starts and ends in them
     edges = [0]  # query q owns the columns edges[q]:edges[q + 1]
     for start, end, first, stop in zip(starts, ends, firsts, stops):
-        if not (t[0] - 1e-12 <= start <= end + 1e-12 and end <= t[-1] + 1e-12):
-            raise ValueError(f"window [{start!r}, {end!r}] is not inside [{t[0]!r}, {t[-1]!r}]")
+        if not (t0 - 1e-12 <= start <= end + 1e-12 and end <= tn + 1e-12):
+            raise ValueError(f"window [{start!r}, {end!r}] is not inside [{t0!r}, {tn!r}]")
         first = min(max(first - 1, 0), len(t) - 2)
         stop = min(max(stop, first + 1), len(t) - 1)
-        lo = min(max((start - t[first]) / (t[first + 1] - t[first]), 0.0), 1.0)
-        hi = min(max((end - t[stop - 1]) / (t[stop] - t[stop - 1]), 0.0), 1.0)
+        a, b = node(first), node(stop - 1)
+        lo = min(max((start - a) / (node(first + 1) - a), 0.0), 1.0)
+        hi = min(max((end - b) / (node(stop) - b), 0.0), 1.0)
         windows.append((first, stop, lo, hi))
         edges.append(edges[-1] + stop - first)
-    steps = np.concatenate([np.arange(first, stop) for first, stop, _, _ in windows])
-    lo, hi = np.zeros(steps.size), np.ones(steps.size)
+    lo, hi = np.zeros(edges[-1]), np.ones(edges[-1])
     parts = [q[0][:, first:stop] for q, (first, stop, _, _) in zip(queries, windows)]
     c = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     # each query's best node or window end, also spread over its columns
-    best, s_best, col, beat = [], [], [], np.empty(steps.size)
+    best, s_best, col, beat = [], [], [], np.empty(edges[-1])
     for q, (first, stop, w0, w1), e0, e1 in zip(queries, windows, edges, edges[1:]):
         lo[e0], hi[e1 - 1] = w0, w1
         v = q[0][0, first : stop + 1].copy()  # the node values
-        v[0] = _horner(c[:, e0], w0)
+        v[0] = _horner(c[:, e0].tolist(), w0)
         if w1 < 1.0:
-            v[-1] = _horner(c[:, e1 - 1], w1)
-        j = int(np.argmax(v))
-        best.append(v[j])
+            v[-1] = _horner(c[:, e1 - 1].tolist(), w1)
+        j = int(v.argmax())
+        best.append(v.item(j))
         s_best.append(w0 if j == 0 else w1 if j == e1 - e0 else 0.0)
         col.append(e0 + min(j, e1 - e0 - 1))
-        beat[e0:e1] = v[j]
+        beat[e0:e1] = best[-1]
     # each column's left value plus its positive coefficients, summed in row order
     bound = np.maximum(c, 0.0)
     bound[0] = c[0]
@@ -829,12 +851,14 @@ def _extremum(traj: Trajectory, queries):
         split = np.searchsorted(cand, edges).tolist()
         for q, (a, b) in enumerate(zip(split, split[1:])):
             if a < b:
-                k, j = divmod(int(np.argmax(v[:, a:b])), b - a)
+                k, j = divmod(int(v[:, a:b].argmax()), b - a)
                 if v[k, a + j] > best[q]:
                     best[q], s_best[q], col[q] = v[k, a + j], s[k, a + j], cand[a + j]
     found = []
-    for value, s_at, step in zip(best, s_best, steps[col].tolist()):
-        time = t[step + 1] if s_at == 1.0 else t[step] + (t[step + 1] - t[step]) * s_at
+    for value, s_at, column, (first, _, _, _), e0 in zip(best, s_best, col, windows, edges):
+        step = first + int(column) - e0
+        a, b = node(step), node(step + 1)
+        time = b if s_at == 1.0 else a + (b - a) * s_at
         found.append((float(value), float(time)))
     return found
 

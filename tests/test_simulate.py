@@ -1,5 +1,6 @@
 """Integrator, dense output, events, excursions, CSV round-trips."""
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -405,6 +406,10 @@ class TestCoefficientTable:
             traj._coef[0, 1, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             sim._coefficients(traj, "x1")[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.t[1] = 0.5 * traj.t[1]
+        with pytest.raises(ValueError, match="read-only"):
+            traj.y[1, 0] = 0.0
 
 
 class TestWindowedExtrema:
@@ -460,6 +465,12 @@ class TestWindowedExtrema:
     def test_extrema_rejects_unknown_sense(self, demo_traj):
         with pytest.raises(ValueError, match="sense"):
             demo_traj.extrema([("top", "x1", None, None)])
+
+    def test_window_outside_the_span_is_named_in_plain_floats(self):
+        traj = integrate(DEMO, State.zero(), 5.0)
+        with pytest.raises(ValueError) as info:
+            traj.extrema([("max", "x1", 1.0, 7.0)])
+        assert str(info.value) == "window [1.0, 7.0] is not inside [0.0, 5.0]"
 
     def test_roots_do_not_depend_on_batch_mates(self, demo_traj):
         # near rounding Newton can step between two neighbouring floats, so
@@ -1094,12 +1105,40 @@ class TestFromSamples:
         grid = np.linspace(0.0, 20.0, 641)
         assert np.abs(rebuilt.at(grid) - traj.at(grid)).max() <= 1e-5
 
+    def test_caller_arrays_are_copied(self, demo_traj):
+        t, y = demo_traj.t[:50].copy(), demo_traj.y[:50].copy()
+        traj = Trajectory.from_samples(DEMO, t, y, [(0, 49)])
+        want = [a.tobytes() for a in (traj.t, traj.y, traj._coef)]
+        t[3] = 0.5 * (t[2] + t[3])
+        y[3, 0] = 2.0 * y[3, 0] + 1.0
+        assert [a.tobytes() for a in (traj.t, traj.y, traj._coef)] == want
+
     def test_events_survive_rebuild(self, demo_traj):
         t = np.arange(0.0, 100.0 + 1e-12, 0.01)
         rebuilt = Trajectory.from_samples(DEMO, t, demo_traj.at(t))
         first = stretches_above(demo_traj, "x1", 0.5)[0][0]
         assert abs(stretches_above(rebuilt, "x1", 0.5)[0][0] - first) <= 1e-6
         assert len(excursions_above(rebuilt, 0.2)) == 13
+
+
+class TestUnitRoots:
+    """The root search: vectorised brackets, each polished on plain floats."""
+
+    def test_random_columns_pinned_bitwise(self):
+        # 2,000 degree-6 columns at a nonzero level; the digest was taken from
+        # the search that ran its Newton stage on whole arrays, so a root that
+        # moves by one ulp fails here
+        coef = np.random.default_rng(0).normal(size=(7, 2000))
+        roots = sim._unit_roots(coef, 0.1, 2.0)
+        assert roots.shape == (6, 2000) and np.count_nonzero(roots <= 1.0) == 956
+        digest = hashlib.sha256(roots.tobytes()).hexdigest()
+        assert digest == "e5e0e54debdb203b2bee7f1971449b2c3095717b70cc42c2d8297b9855c17027"
+
+    def test_flat_newton_step_bisects(self):
+        # (2s - 1)**3: the secant start is s = 0.5, where f and f' are both 0
+        coef = np.array([[-1.0], [6.0], [-12.0], [8.0]])
+        roots = sim._unit_roots(coef, 0.0, 2.0)
+        assert roots[:, 0].tolist() == [0.49999769124829907, 2.0, 2.0]
 
 
 class TestCheckTaylorRows:
