@@ -18,6 +18,10 @@ and prints one ``<sha256>  <name>`` line per output:
 - ``.../global_bounds_M<i>_over_10.json``: for each of those cases, the
   check_global_bounds record against its certificate with M_i divided
   by 10, for i = 1 to 4;
+- ``.../W_decrease_gamma_median.json``: for each of those cases, the
+  check_W_decrease record against its certificate with gamma set to the
+  median of W over the trajectory's nodes, so that W's rate part is
+  searched, and mostly sets the margin, on every case;
 - ``<workload>/seed<s>/integrator.json``: the ``taylor_runs`` and
   ``stats`` of every case's integration, which a change to the
   integrator's bookkeeping (field evaluations, rejections, switches)
@@ -44,6 +48,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1729, 7)
@@ -115,8 +121,8 @@ def demo_outputs(main) -> list[tuple[str, str]]:
 
 
 def case_outputs(aifcert, case) -> tuple[list[tuple[str, str]], dict]:
-    """(name, digest) of one case's report and of its four tampered global_bounds records,
-    and its integration's counters."""
+    """(name, digest) of one case's report, of its four tampered global_bounds records and
+    of its W_decrease record at W's median node, and its integration's counters."""
     report = aifcert.build_report(case.params, case.x0, horizon=case.horizon, L_override=case.L,
                                   fuzz_count=case.fuzz, fuzz_seed=case.fuzz_seed)
     found = [("report.json", digest(json.dumps(report.to_json(), sort_keys=True)))]
@@ -126,6 +132,10 @@ def case_outputs(aifcert, case) -> tuple[list[tuple[str, str]], dict]:
         bad = dataclasses.replace(cert, **{f"M{i}": getattr(cert, f"M{i}") / 10.0})
         record = aifcert.check_global_bounds(traj, bad).to_json()
         found.append((f"global_bounds_M{i}_over_10.json", digest(json.dumps(record, sort_keys=True))))
+    W = aifcert.DerivedConstants.from_params(case.params).W(*traj.y[:, 1:].T)
+    median = dataclasses.replace(cert, gamma=float(np.median(W)))
+    record = aifcert.check_W_decrease(traj, case.params, median).to_json()
+    found.append(("W_decrease_gamma_median.json", digest(json.dumps(record, sort_keys=True))))
     return found, {"taylor_runs": traj.taylor_runs, "stats": dict(traj.stats)}
 
 

@@ -54,6 +54,11 @@ def _number(value, what: str = "a number") -> float:
     raise ValueError(f"expected {what}, got {value!r}")
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a boolean is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _floats(values, n: int, what: str) -> list[float]:
     """n floats from a sequence of numbers (_number each); a string is not one."""
     if isinstance(values, str):

@@ -23,9 +23,9 @@ missed.  The filters and brackets run on whole arrays of steps, and
 each bracket is polished on plain floats (_unit_roots).  They bound
 the stretches at or above a level (stretches_above), the one event
 query: the excursions of x1, the stretches of W above gamma, and where
-a component first exceeds its bound.  Extrema over time windows are searched on the same polynomials,
-any number of windows and observables in one search (Trajectory.extrema,
-_extremum).
+a component first exceeds its bound.  Extrema of x1 to x4, p, W and
+W_rate = dW/dt over any number of time windows come from one search on
+the same polynomials (Trajectory.extrema, _extremum).
 
 The state space is tiny (four components), so both steps are written
 out component by component on plain floats, RODAS4's six stage solves
@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import DerivedConstants, Params, State, _require_positive, field
+from .model import DerivedConstants, Params, State, _is_integer, _require_positive, field
 
 __all__ = [
     "IntegrationError",
@@ -108,7 +108,7 @@ _TRIAL_GATE = 3.0
 _TRIAL_LENGTH = 8.0
 _TRIAL_GAP = 16
 
-OBSERVABLES = ("x1", "x2", "x3", "x4", "p", "W")
+OBSERVABLES = ("x1", "x2", "x3", "x4", "p", "W", "W_rate")
 
 
 class IntegrationError(RuntimeError):
@@ -171,7 +171,7 @@ class Trajectory:
         self.t = t = np.array(t, dtype=float)  # an owned copy, read-only like the table
         t.flags.writeable = False
         self.x0 = State.from_sequence(y[0])
-        self.taylor_runs = taylor_runs = tuple(taylor_runs)
+        self.taylor_runs = taylor_runs = tuple((int(i), int(j)) for i, j in taylor_runs)
         a = params.as_tuple()
         h = np.diff(t)
         self._coef = coef = np.zeros((4, 7, len(t)))
@@ -190,18 +190,20 @@ class Trajectory:
         self._excursions = {}  # level -> excursions, kept by excursions_above like maxima
 
     def at(self, times):
-        """Evaluate the state at one time or an array of times.
+        """Evaluate the state at one time or a 1-D array of times.
 
-        A time more than 1e-12 outside the span, or NaN, raises a
-        ValueError.  Times use the per-step polynomial, clamped to the
-        orthant.  Node times return the stored samples exactly: s = 0 on
-        a node's own step reads the node, and the last node, s = 1 on the
-        last step, is read from y.  An integrated step's polynomial can
-        leave the orthant only by about its local error, but a cubic
-        Hermite piece of from_samples can dip well below 0 between sparse
-        rows, and it reads as 0 there too.
+        A time more than 1e-12 outside the span, NaN, or an array of more
+        dimensions raises a ValueError.  Times use the per-step
+        polynomial, clamped to the orthant.  Node times return the stored
+        samples exactly: s = 0 on a node's own step reads the node, and
+        the last node, s = 1 on the last step, is read from y.  An
+        integrated step's polynomial can leave the orthant only by about
+        its local error, but a cubic Hermite piece of from_samples can
+        dip well below 0 between sparse rows, and it reads as 0 there too.
         """
         tq = np.asarray(times, dtype=float)
+        if tq.ndim > 1:
+            raise ValueError(f"query times must be a number or a 1-D array, got shape {tq.shape}")
         scalar = tq.ndim == 0
         tq1 = np.atleast_1d(tq).copy()
         if tq1.size:
@@ -222,16 +224,16 @@ class Trajectory:
         """Extrema of observables on the interpolant over windows, from one search.
 
         A query is (sense, observable, start, end): "max" or "min", one
-        of OBSERVABLES (x1 to x4, p = x1*x4 and W), and a window, None
-        meaning an end of the span.  Returns (value, time) per query,
-        exact to rounding (_extremum); p (degree 12) is searched apart
-        from the others.
-        Like at, a minimum reads a dip below 0 as 0: local error, or a
-        Hermite piece of from_samples between sparse rows, where 0 says
-        nothing about the rows themselves.
+        of OBSERVABLES (x1 to x4, p = x1*x4, W, W_rate = dW/dt), and a
+        window, None meaning an end of the span.  Returns (value, time)
+        per query, exact to rounding (_extremum); p and W_rate (degree
+        12) are searched apart from the others.  Like at, a minimum of an
+        observable >= 0 on the orthant (all but W_rate) reads a dip below
+        0 as 0: local error, or a Hermite piece of from_samples between
+        sparse rows, where 0 says nothing about the rows themselves.
         """
         polys = {}  # (sense, observable) -> coefficients, negated for "min"
-        groups = {}  # degree -> (number, sense, _extremum query) of its queries
+        groups = {}  # degree -> (number, sense, floored, _extremum query) of its queries
         for k, (sense, name, start, end) in enumerate(queries):
             if (sense, name) not in polys:
                 if sense not in ("max", "min"):
@@ -239,11 +241,11 @@ class Trajectory:
                 c = _coefficients(self, name)
                 polys[sense, name] = c if sense == "max" else -c
             c = polys[sense, name]
-            groups.setdefault(len(c), []).append((k, sense, (c, start, end)))
+            groups.setdefault(len(c), []).append((k, sense, name != "W_rate", (c, start, end)))
         found = [None] * len(queries)
         for group in groups.values():
-            for (k, sense, _), (top, time) in zip(group, _extremum(self, [q for _, _, q in group])):
-                found[k] = (max(-top, 0.0), time) if sense == "min" else (top, time)
+            for (k, sense, floor, _), (top, time) in zip(group, _extremum(self, [q for *_, q in group])):
+                found[k] = (top, time) if sense == "max" else (max(-top, 0.0) if floor else -top, time)
         return found
 
     @cached_property
@@ -254,22 +256,6 @@ class Trajectory:
         and commands that all need them share that search.
         """
         return self.extrema([("max", f"x{i}", None, None) for i in range(1, 5)])
-
-    def W_rate_maximum(self, gamma: float):
-        """Largest dW/dt = alpha8*x1*(K - x4) on the interpolant where W >= gamma.
-
-        W's stretches at or above gamma (stretches_above) are the windows
-        of one search.  Returns (value, time), or None if W never rises
-        to gamma.
-        """
-        windows = [(a, b) for a, b in stretches_above(self, "W", gamma) if a < b]
-        if not windows:
-            return None
-        gap = -_coefficients(self, "x4")
-        gap[0] += DerivedConstants.from_params(self.params).K
-        rate = self.params.alpha8 * _product(_coefficients(self, "x1"), gap)
-        found = _extremum(self, [(rate, a, b) for a, b in windows])
-        return max(found, key=lambda f: f[0])
 
     @classmethod
     def from_samples(cls, params, t, y, taylor_runs=()):
@@ -296,7 +282,7 @@ class Trajectory:
             raise ValueError("sample states must lie in the orthant (tolerance 1e-9)")
         bounds = [k for i, j in taylor_runs for k in (i, j)]
         for k in bounds:
-            if not (type(k) is int and 0 <= k < t.size):
+            if not (_is_integer(k) and 0 <= k < t.size):
                 raise ValueError(f"taylor_steps must be in [0, {t.size - 1}], got {k!r}")
         if any(k >= n for k, n in zip(bounds, bounds[1:])):
             raise ValueError(f"taylor runs must be increasing and apart, got {taylor_runs!r}")
@@ -325,8 +311,11 @@ class Trajectory:
             bad = (miss > tol) | (miss < np.where(right == 0.0, -abs_tol, 0.0) - tol)
             if bad.any():
                 k, n = np.argwhere(bad.T)[0]
+                why = ""
+                if right[n, k] == 0.0 and miss[n, k] < 0.0:
+                    why = f", beyond the abs_tol allowance {abs_tol!r} below a node clamped to 0"
                 raise ValueError(f"the Taylor row of step {i + k} misses its right node "
-                                 f"(t={self.t[i + k + 1]!r}, x{n + 1}) by {miss[n, k]:.3g}")
+                                 f"(t={self.t.item(i + k + 1)!r}, x{n + 1}) by {miss[n, k]:.3g}{why}")
 
 
 def _hermite(h, dy, f0, f1):
@@ -658,11 +647,11 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     """
     x0 = State.from_sequence(x0)
     horizon = _require_positive("horizon", float(horizon))
-    if type(n_steps) is not int or n_steps < 1:
+    if not _is_integer(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be an int >= 1, got {n_steps!r}")
     a = p.as_tuple()
     y = x0.as_tuple()
-    h = horizon / n_steps
+    h = horizon / int(n_steps)
     for _ in range(n_steps):
         y = _taylor_step(y, _taylor(a, y)[:20] + (0.0,) * 4, h)
     return np.array(y)
@@ -674,16 +663,20 @@ def _coefficients(traj: Trajectory, name: str) -> np.ndarray:
     Row k holds the s**k coefficient, laid out like the table
     (Trajectory): column i is step i's polynomial, the last column the
     last node alone, so row 0 is the observable at every node.  The
-    components and W have degree 6, p = x1*x4 degree 12.  A component
-    is a read-only view of the table; p and W are computed from views.
+    components and W have degree 6, p and W_rate degree 12.  A component
+    is a read-only view of the table; the others are computed from views.
     """
     if name not in OBSERVABLES:
         raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLES}")
+    x1, x2, x3, x4 = traj._coef
     if name == "p":
-        return _product(_coefficients(traj, "x1"), _coefficients(traj, "x4"))
+        return _product(x1, x4)
     if name == "W":
-        dc = DerivedConstants.from_params(traj.params)
-        return dc.W(*(_coefficients(traj, n) for n in ("x2", "x3", "x4")))
+        return DerivedConstants.from_params(traj.params).W(x2, x3, x4)
+    if name == "W_rate":
+        gap = -x4
+        gap[0] += DerivedConstants.from_params(traj.params).K
+        return traj.params.alpha8 * _product(x1, gap)
     return traj._coef[OBSERVABLES.index(name)]
 
 

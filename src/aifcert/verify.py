@@ -7,15 +7,15 @@ location where the margin is attained, and a human-readable detail line.
 
 Every check quantifies over what its claim quantifies over: the
 interpolant, through the exact windowed extrema of Trajectory.extrema
-(the lemma reads the polynomial of p = x1*x4, since
-xdot1 = alpha1 - alpha2*p), or a closed form.  Nothing here samples or
+(the lemma reads p = x1*x4, since xdot1 = alpha1 - alpha2*p, and
+W_decrease W_rate = dW/dt), or a closed form.  Nothing here samples or
 differences the trajectory.  A check asks for all the extrema it needs
 in one batched search: global_bounds for the four components, the
-cascade for the four stages of an excursion, the lemma for the windows
-of every qualifying excursion.  The lemma and the cascade read one set
-of excursions, those above L_used, which excursions_above finds once
-and keeps on the trajectory: an excursion above any higher level, and
-its window [start+T0, end], lies inside one of them.
+cascade for the four stages of an excursion, the lemma and W_decrease
+for all their windows.  The lemma and the cascade read one set of
+excursions, those above L_used, which excursions_above finds once and
+keeps on the trajectory: an excursion above any higher level, and its
+window [start+T0, end], lies inside one of them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .bounds import (
     tau,
     window_upper,
 )
-from .model import DerivedConstants, Params, State
+from .model import DerivedConstants, Params, State, _is_integer
 from .simulate import (
     Excursion,
     Trajectory,
@@ -281,8 +281,8 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     By the chain rule dW/dt = (d*a5 - c*a4)*x2 + (a7 - d*a6)*x3
     + c*a3*x1 - a8*x1*x4, which equals alpha8*x1*(K - x4) for every state
     iff c*a4 = d*a5, d*a6 = a7 and c*a3 = a8*K; each must hold to 1e-12
-    relative.  Wherever the interpolant's W exceeds gamma, between the
-    nodes too, that derivative must be <= 1e-9.
+    relative.  Wherever the interpolant's W exceeds gamma (stretches_above),
+    between the nodes too, that derivative, W_rate, must be <= 1e-9.
     """
     _check_provenance(traj, p, cert)
     dc = DerivedConstants.from_params(p)
@@ -294,9 +294,9 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     ident = max(abs(lhs - rhs) / rhs for lhs, rhs in pairs)
     margin, location = 1e-12 - ident, None
     parts = [f"identity worst {ident:.3g} (c*a4 = d*a5, d*a6 = a7, c*a3 = a8*K)"]
-    above = traj.W_rate_maximum(cert.gamma)
-    if above is not None:
-        top, t_top = above
+    windows = [("max", "W_rate", a, b) for a, b in stretches_above(traj, "W", cert.gamma) if a < b]
+    if windows:
+        top, t_top = max(traj.extrema(windows), key=lambda f: f[0])  # the first largest
         parts.append(f"W above gamma {cert.gamma:.6g}, max Wdot there {top:.3g}")
         if 1e-9 - top < margin:
             margin, location = 1e-9 - top, t_top
@@ -387,7 +387,7 @@ def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> Ch
     is folded into this record: the first worst margin in draw order,
     and how many fuzzed sets fail.
     """
-    if type(fuzz_count) is not int or fuzz_count < 0:
+    if not _is_integer(fuzz_count) or fuzz_count < 0:
         raise ValueError(f"fuzz must be a non-negative integer, got {fuzz_count!r}")
     rates = np.array([p.as_tuple()])
     if fuzz_count > 0:  # the seed is read only for fuzz

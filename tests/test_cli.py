@@ -296,6 +296,26 @@ class TestVerify:
             else:
                 assert got == want
 
+    def test_clamped_node_names_the_abs_tol_allowance(self, tmp_path, capsys):
+        # simulated at abs_tol 1e-4, verified at the default 1e-10: a Taylor
+        # row ends 5.5e-5 below a node clamped to 0, which only the
+        # simulation's own abs_tol allows
+        rates = [1, 1e4, 100, 1, 1, 1, 1, 1e4]
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"params": rates, "horizon": 3, "rel_tol": 1e-6, "abs_tol": 1e-4}))
+        assert main(["simulate", "--config", str(sim), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "trajectory.csv"
+        ver = tmp_path / "ver.json"
+        ver.write_text(json.dumps({"params": rates, "trajectory_csv": str(path)}))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(ver), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trajectory CSV {path}: the Taylor row of step 0 misses its right node "
+            "(t=0.0470317273058176, x4) by -5.52e-05, beyond the abs_tol allowance 1e-10 below "
+            "a node clamped to 0\n")
+        ver.write_text(json.dumps({"params": rates, "trajectory_csv": str(path), "abs_tol": 1e-4}))
+        assert main(["verify", "--config", str(ver), "--out", str(tmp_path)]) == 0
+
     def test_fuzz_flag_reaches_report(self, tmp_path, capsys):
         code = main(
             ["verify", "--horizon", "10", "--fuzz", "5", "--seed", "99",

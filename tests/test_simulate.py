@@ -301,6 +301,12 @@ class TestDenseOutput:
             with pytest.raises(ValueError, match="outside the integrated span"):
                 demo_traj.at(times)
 
+    def test_rejects_times_of_more_than_one_dimension(self):
+        traj = integrate(DEMO, State.zero(), 5.0)
+        with pytest.raises(ValueError) as info:
+            traj.at(np.zeros((2, 2)))
+        assert str(info.value) == "query times must be a number or a 1-D array, got shape (2, 2)"
+
     def test_scan_times_cover_span_densely(self, demo_traj):
         ts = scan_times(demo_traj)
         assert ts[0] == 0.0 and ts[-1] == 100.0
@@ -310,11 +316,20 @@ class TestDenseOutput:
 def observe(traj, name, times):
     """An observable on the interpolant at the given times, from traj.at."""
     x = traj.at(times)
+    dc = DerivedConstants.from_params(traj.params)
     if name == "p":
         return x[..., 0] * x[..., 3]
     if name == "W":
-        return DerivedConstants.from_params(traj.params).W(x[..., 1], x[..., 2], x[..., 3])
+        return dc.W(x[..., 1], x[..., 2], x[..., 3])
+    if name == "W_rate":
+        return traj.params.alpha8 * x[..., 0] * (dc.K - x[..., 3])
     return x[..., int(name[1]) - 1]
+
+
+def rate_maximum_above(traj, gamma):
+    """check_W_decrease's search: the first largest W_rate over W's stretches above gamma."""
+    windows = [("max", "W_rate", a, b) for a, b in stretches_above(traj, "W", gamma) if a < b]
+    return max(traj.extrema(windows), key=lambda f: f[0])
 
 
 def extremum_windows(traj, steps):
@@ -360,7 +375,9 @@ class TestMaximum:
         found = overshoot.extrema([("max", "x1", -5e-13, 30.0 + 5e-13), ("max", "x1", None, None)])
         assert found[0] == found[1]
         assert overshoot.extrema([("min", "x4", 30.0, 30.0 + 5e-13)])[0][1] == 30.0
-        assert overshoot.W_rate_maximum(1e9) is None
+        found = overshoot.extrema([("max", "W_rate", -5e-13, 30.0 + 5e-13), ("max", "W_rate", None, None)])
+        assert found[0] == found[1]
+        assert stretches_above(overshoot, "W", 1e9) == []  # no window: W_decrease's rate part is vacuous
 
     def test_rejects_bad_window_and_observable(self, overshoot):
         with pytest.raises(ValueError):
@@ -393,9 +410,10 @@ class TestCoefficientTable:
         traj = window_cases[kind][0]
         x1, x2, x3, x4 = traj.y.T
         dc = DerivedConstants.from_params(traj.params)
-        want = {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": x1 * x4, "W": dc.W(x2, x3, x4)}[name]
+        want = {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": x1 * x4, "W": dc.W(x2, x3, x4),
+                "W_rate": traj.params.alpha8 * (x1 * (dc.K - x4))}[name]
         coef = sim._coefficients(traj, name)
-        assert coef.shape == (13 if name == "p" else 7, len(traj.t))
+        assert coef.shape == (13 if name in ("p", "W_rate") else 7, len(traj.t))
         assert coef[0].tobytes() == want.tobytes()
         assert not coef[1:, -1].any()  # the last node stands alone
 
@@ -494,7 +512,7 @@ class TestWindowedExtrema:
         W = dc.W(x[:, 1], x[:, 2], x[:, 3])
         gamma = float(np.quantile(W, quantile))
         rate = traj.params.alpha8 * x[:, 0] * (dc.K - x[:, 3])
-        top, t_top = traj.W_rate_maximum(gamma)
+        top, t_top = rate_maximum_above(traj, gamma)
         assert rate[W > gamma].max() <= top + 1e-12 * abs(top) and top < rate.max()
         # the top is attained where W >= gamma, up to a 1e-8 grid around it
         near = np.arange(max(0.0, t_top - 1e-4), min(30.0, t_top + 1e-4), 1e-8)
@@ -528,10 +546,20 @@ class TestWindowedExtrema:
         above = dc.W(x[:, 1], x[:, 2], x[:, 3]) > gamma
         assert np.array_equal(above, grid < b)  # no grid point within 1e-4 of b
         rate = DEMO.alpha8 * x[:, 0] * (dc.K - x[:, 3])
-        top, t_top = traj.W_rate_maximum(gamma)
+        top, t_top = rate_maximum_above(traj, gamma)
         assert rate[above].max() <= top + 1e-12 * abs(top)
         assert top - rate[above].max() <= 1e-7 * abs(top) + 1e-9
         assert a <= t_top <= b and observe(traj, "W", t_top) >= gamma * (1.0 - 1e-12)
+
+    def test_rate_minimum_is_not_floored(self):
+        # from x4 = 60 > K the rate alpha8*x1*(K - x4) is negative once x1
+        # rises, so its minimum is returned as found, not read as 0
+        traj = integrate(DEMO, State.from_sequence((0.0, 0.0, 0.0, 60.0)), 5.0)
+        ((low, t_low),) = traj.extrema([("min", "W_rate", None, None)])
+        assert low < 0.0 and low == pytest.approx(observe(traj, "W_rate", t_low), rel=1e-12)
+        grid = np.append(np.arange(0.0, 5.0, 1e-5), 5.0)
+        best = min(observe(traj, "W_rate", chunk).min() for chunk in np.array_split(grid, 5))
+        assert 0.0 <= best - low <= 1e-8 * abs(low)
 
 
 class TestFixedStepOrder:
@@ -558,6 +586,13 @@ class TestFixedStepOrder:
     def test_rejects_bad_arguments(self, horizon, n_steps, message):
         with pytest.raises(ValueError, match=message):
             propagate_fixed(DEMO, State.zero(), horizon, n_steps)
+
+    def test_numpy_integer_steps(self):
+        # a numpy integer counts as an int, a boolean does not
+        want = propagate_fixed(DEMO, State.zero(), 1.0, 10)
+        assert propagate_fixed(DEMO, State.zero(), 1.0, np.int64(10)).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="n_steps"):
+            propagate_fixed(DEMO, State.zero(), 1.0, True)
 
 
 def record_attempts(p, x0, horizon, alter=None):
@@ -1089,6 +1124,15 @@ class TestFromSamples:
             with pytest.raises(ValueError, match=r"taylor_steps must be in \[0, 9\]"):
                 Trajectory.from_samples(DEMO, t, y, runs)
 
+    def test_numpy_integer_runs(self, demo_traj):
+        # numpy integers name steps like ints and are kept as ints; a boolean is no step
+        t, y = demo_traj.t[:3], demo_traj.y[:3]
+        traj = Trajectory.from_samples(DEMO, t, y, [(np.int64(0), np.int64(2))])
+        assert traj.taylor_runs == ((0, 2),) and type(traj.taylor_runs[0][0]) is int
+        assert traj._coef.tobytes() == Trajectory.from_samples(DEMO, t, y, [(0, 2)])._coef.tobytes()
+        with pytest.raises(ValueError, match="taylor_steps"):
+            Trajectory.from_samples(DEMO, t, y, [(False, 2)])
+
     def test_rows_are_not_checked_against_nodes(self):
         # a node edited by 1e-6 relative still reads; check_taylor_rows tells
         traj = integrate(DEMO, State.zero(), 5.0)
@@ -1173,6 +1217,23 @@ class TestCheckTaylorRows:
         traj.check_taylor_rows(1e-10)
         with pytest.raises(ValueError, match=r"Taylor row of step 0 misses its right node \(t=.*, x4\)"):
             traj.check_taylor_rows(1e-11)
+
+    def test_messages_print_plain_floats_and_the_allowance(self):
+        # t prints as a float, not as np.float64(...); a row that ends
+        # below a node clamped to 0 names the abs_tol allowance it exceeds
+        p, t, y0, end = self.undershooting_step(5e-11)
+        clamped = np.maximum(end, 0.0)
+        below = Trajectory.from_samples(p, t, [y0, clamped], [(0, 1)])
+        with pytest.raises(ValueError) as info:
+            below.check_taylor_rows(1e-11)
+        assert str(info.value) == ("the Taylor row of step 0 misses its right node (t=0.6123389958962799, "
+                                   "x4) by -3.69e-11, beyond the abs_tol allowance 1e-11 below a node "
+                                   "clamped to 0")
+        above = Trajectory.from_samples(p, t, [y0, clamped * [1.0, 0.0, 1.0, 1.0]], [(0, 1)])
+        with pytest.raises(ValueError) as info:
+            above.check_taylor_rows(1.0)
+        assert str(info.value) == ("the Taylor row of step 0 misses its right node (t=0.6123389958962799, "
+                                   "x2) by 0.22")
 
     def test_any_other_miss_is_named(self):
         # beyond rounding, a row must end at its node: x1 off by 1e-9

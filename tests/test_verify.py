@@ -30,6 +30,7 @@ from aifcert import (
     equilibrium,
     excursions_above,
     integrate,
+    stretches_above,
     tau,
 )
 from aifcert.model import DerivedConstants
@@ -117,6 +118,17 @@ class TestOneSearchPerCheck:
         res = check_cascade_lower_bounds(demo_traj, DEMO, 0.2, e)
         assert res.status == "pass" and res.detail.count("margin") == 4
         assert calls == [4]
+
+    def test_W_decrease_is_one_search(self, demo_traj, monkeypatch):
+        # gamma at W's median node: W has many stretches above it, all
+        # windows of one W_rate search
+        dc = DerivedConstants.from_params(DEMO)
+        gamma = float(np.median(dc.W(*demo_traj.y[:, 1:].T)))
+        cert = dataclasses.replace(certificate(DEMO, State.zero()), gamma=gamma)
+        stretches = [(a, b) for a, b in stretches_above(demo_traj, "W", gamma) if a < b]
+        calls = count_searches(monkeypatch)
+        assert check_W_decrease(demo_traj, DEMO, cert).status == "fail"
+        assert len(stretches) > 1 and calls == [len(stretches)]
 
     @pytest.mark.parametrize(
         "x0, horizon, searches",
@@ -477,6 +489,10 @@ class TestPropositions:
     def test_fuzz_count_must_be_an_int(self, count):
         with pytest.raises(ValueError, match="fuzz"):
             check_propositions(DEMO, fuzz_count=count)
+
+    def test_fuzz_count_may_be_a_numpy_integer(self):
+        report = build_report(DEMO, State.zero(), horizon=1.0, fuzz_count=np.int64(2))
+        assert report.checks[-1] == check_propositions(DEMO, fuzz_count=2)
 
     @pytest.mark.parametrize("seed", [0, 31, 1729])
     @pytest.mark.parametrize("fuzz", [0, 7, 50, 100])
