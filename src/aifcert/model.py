@@ -27,7 +27,7 @@ __all__ = [
 def _require_positive(name: str, v):
     """v as a float (an array is kept as it is), checked finite and > 0."""
     if isinstance(v, np.ndarray):
-        ok = np.all(np.isfinite(v) & (v > 0.0))
+        ok = (np.isfinite(v) & (v > 0.0)).all()
     else:
         v = float(v)
         ok = math.isfinite(v) and v > 0.0

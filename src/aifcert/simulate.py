@@ -170,10 +170,10 @@ class Trajectory:
         self.params = params
         self.t = t = np.array(t, dtype=float)  # an owned copy, read-only like the table
         t.flags.writeable = False
-        self.x0 = State.from_sequence(y[0])
+        self.x0 = State(*y[0].tolist())
         self.taylor_runs = taylor_runs = tuple((int(i), int(j)) for i, j in taylor_runs)
         a = params.as_tuple()
-        h = np.diff(t)
+        h = t[1:] - t[:-1]
         self._coef = coef = np.zeros((4, 7, len(t)))
         coef[:, 0] = y.T
         for i, j in taylor_runs:
@@ -183,7 +183,7 @@ class Trajectory:
         for i, j in zip(bounds[::2], bounds[1::2]):  # the RODAS4 runs
             if i < j:
                 f = np.array(field(a, *y[i : j + 1].T))
-                coef[:, 1:4, i:j] = _hermite(h[i:j], np.diff(y[i : j + 1].T), f[:, :-1], f[:, 1:])
+                coef[:, 1:4, i:j] = _hermite(h[i:j], y[i + 1 : j + 1].T - y[i:j].T, f[:, :-1], f[:, 1:])
         coef.flags.writeable = False
         self.y = coef[:, 0].T  # the nodes are the table's row 0
         self.stats = MappingProxyType(dict(stats or {}))
@@ -707,7 +707,7 @@ def _hull(coef: np.ndarray):
     a level inside that range.
     """
     b = np.einsum("kj,jm->km", _TO_BERNSTEIN[len(coef) - 1], coef)
-    return b.min(axis=0), b.max(axis=0)
+    return np.minimum.reduce(b, axis=0), np.maximum.reduce(b, axis=0)
 
 
 def _horner(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -740,15 +740,15 @@ def _unit_roots(coef: np.ndarray, level: float, pad: float) -> np.ndarray:
             r = -c[0] / c[1]
             return np.where((r >= 0.0) & (r <= 1.0), r, pad)[None]
         slope = c[1:] * _RANKS[:d]
-        knots = np.ones((d + 1, m))
-        knots[0] = 0.0
+        knots = np.zeros((d + 1, m))
+        knots[1:] = 1.0
         lo, hi = _hull(slope)
-        bend = np.flatnonzero((lo < 0.0) & (hi > 0.0))  # only these can turn
+        bend = ((lo < 0.0) & (hi > 0.0)).nonzero()[0]  # only these can turn
         if bend.size:
             knots[1:-1, bend] = _unit_roots(slope[:, bend], 0.0, 1.0)
         f = _horner(c, knots)
     fa, fb = f[:-1], f[1:]
-    k, j = np.nonzero(((fa < 0.0) & (fb >= 0.0)) | ((fa > 0.0) & (fb <= 0.0)))
+    k, j = (((fa < 0.0) & (fb >= 0.0)) | ((fa > 0.0) & (fb <= 0.0))).nonzero()
     roots = np.full((d, m), pad)
     if k.size:
         brackets = zip(c[:, j].T.tolist(), slope[:, j].T.tolist(), knots[k, j].tolist(),
@@ -801,8 +801,8 @@ def _extremum(traj: Trajectory, queries):
     t0, tn = node(0), node(-1)
     starts = [t0 if q[1] is None else float(q[1]) for q in queries]
     ends = [tn if q[2] is None else float(q[2]) for q in queries]
-    firsts = np.searchsorted(t, starts, "right").tolist()
-    stops = np.searchsorted(t, ends, "left").tolist()
+    firsts = t.searchsorted(starts, "right").tolist()
+    stops = t.searchsorted(ends, "left").tolist()
     windows = []  # per query: steps [first, stop) and where the window starts and ends in them
     edges = [0]  # query q owns the columns edges[q]:edges[q + 1]
     for start, end, first, stop in zip(starts, ends, firsts, stops):
@@ -834,14 +834,14 @@ def _extremum(traj: Trajectory, queries):
     # each column's left value plus its positive coefficients, summed in row order
     bound = np.maximum(c, 0.0)
     bound[0] = c[0]
-    cand = np.flatnonzero(bound.sum(axis=0) > beat)
+    cand = (bound.sum(axis=0) > beat).nonzero()[0]
     if cand.size:
         c = c[:, cand]
         s = _unit_roots(c[1:] * _RANKS[: len(c) - 1], 0.0, 0.0)
         ok = (s >= lo[cand]) & (s <= hi[cand])
         v = np.where(ok, _horner(c, s), -np.inf)
         # cand is sorted, so each query's candidates are one run of columns
-        split = np.searchsorted(cand, edges).tolist()
+        split = cand.searchsorted(edges).tolist()
         for q, (a, b) in enumerate(zip(split, split[1:])):
             if a < b:
                 k, j = divmod(int(v[:, a:b].argmax()), b - a)
@@ -876,7 +876,7 @@ def stretches_above(traj: Trajectory, observable: str, level: float) -> list[tup
     d = len(coef) - 1
     first = lo > level  # side of each step's first and last piece
     last = first.copy()
-    cand = np.flatnonzero((lo <= level) & (level <= hi))
+    cand = ((lo <= level) & (level <= hi)).nonzero()[0]
     inner_t, inner_key = np.empty(0), np.empty(0, dtype=np.intp)
     if cand.size:
         c, m = coef[:, cand], cand.size
@@ -887,16 +887,16 @@ def stretches_above(traj: Trajectory, observable: str, level: float) -> list[tup
         for k in range(1, d + 1):
             side[k] = np.where(valid[k], side[k], side[k - 1])
         first[cand], last[cand] = side[0], side[-1]
-        k, j = np.nonzero(side[1:] != side[:-1])
+        k, j = (side[1:] != side[:-1]).nonzero()
         step = cand[j]
         inner_t = t[step] + (t[step + 1] - t[step]) * cuts[k + 1, j]
         inner_key = step * (d + 2) + k + 1
     # ends on nodes: between one step's last piece and the next one's first
     start = bool(coef[0, 0] >= level)
     before = np.concatenate([[start], last[:-1]])
-    nodes = np.flatnonzero(before != first)
+    nodes = (before != first).nonzero()[0]
     times = np.concatenate([t[nodes], inner_t])
-    ends = times[np.argsort(np.concatenate([nodes * (d + 2), inner_key]))].tolist()
+    ends = times[np.concatenate([nodes * (d + 2), inner_key]).argsort()].tolist()
     if start:
         ends.insert(0, float(t[0]))
     if len(ends) % 2:

@@ -69,6 +69,7 @@ SIMULATION_FUZZ_RANGE = (0.1, 10.0)
 # margin convention for strict negativity: xdot1 counts as negative
 # only below -1e-9*alpha1, absorbing interpolation error
 _STRICT_NEG = 1e-9
+_W_SLACK = 1e-6  # W_decrease's rounding slack, relative to gamma (check_W_decrease)
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,12 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     + c*a3*x1 - a8*x1*x4, which equals alpha8*x1*(K - x4) for every state
     iff c*a4 = d*a5, d*a6 = a7 and c*a3 = a8*K; each must hold to 1e-12
     relative.  Wherever the interpolant's W exceeds gamma (stretches_above),
-    between the nodes too, that derivative, W_rate, must be <= 1e-9.
+    between the nodes too, that derivative, W_rate, must be <= 1e-9.  As
+    c, d > 0, W <= c*max x2 + d*max x3 + max x4 (Trajectory.maxima, kept
+    from global_bounds); if that bound lies below gamma by more than the
+    rounding slack _W_SLACK relative, far above the maxima's rounding, W
+    has no stretch above gamma and the search is skipped.  A bound within
+    the slack runs the search, so a fail never rests on the skip.
     """
     _check_provenance(traj, p, cert)
     dc = DerivedConstants.from_params(p)
@@ -294,7 +300,10 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     ident = max(abs(lhs - rhs) / rhs for lhs, rhs in pairs)
     margin, location = 1e-12 - ident, None
     parts = [f"identity worst {ident:.3g} (c*a4 = d*a5, d*a6 = a7, c*a3 = a8*K)"]
-    windows = [("max", "W_rate", a, b) for a, b in stretches_above(traj, "W", cert.gamma) if a < b]
+    x2max, x3max, x4max = (top for top, _ in traj.maxima[1:])
+    below = dc.W(x2max, x3max, x4max) < cert.gamma - _W_SLACK * cert.gamma
+    stretches = [] if below else stretches_above(traj, "W", cert.gamma)
+    windows = [("max", "W_rate", a, b) for a, b in stretches if a < b]
     if windows:
         top, t_top = max(traj.extrema(windows), key=lambda f: f[0])  # the first largest
         parts.append(f"W above gamma {cert.gamma:.6g}, max Wdot there {top:.3g}")
@@ -316,6 +325,7 @@ _GRID = np.geomspace(1e-3, 1e6, 40)
 _RES_GRID = np.geomspace(1e-3, 1e6, 20)
 _LEVELS = np.r_[_GRID, _RES_GRID, 1e9]
 _CHUNK = 1024  # rate sets per array pass, which bounds the memory of a large fuzz count
+_ALPHAS = tuple(f"alpha{k + 1}" for k in range(8))
 _FACTS = ("tau decreasing", "tau above psi1", "ell4 increasing", "ell4 below K/8", "L*ell4 increasing",
           "tau limit", "ell4 supremum", "fixed-point residual", "threshold residual")
 
@@ -324,56 +334,59 @@ def _propositions(rates: np.ndarray):
     """(holds, margin, location) of each fact (columns) for each rate set (rows).
 
     ``rates`` holds one set's alpha1..alpha8 per row.  Margins are
-    normalized, a location is the level of its margin; all levels of all
-    the sets go through one tau and one ell4 call.
+    normalized, a location is the level of its margin.  All levels of all
+    the sets fill one (sets, 63) table that goes through one tau and one
+    ell4 call, and each fact fills its column of the three (sets, 9) tables.
     """
-    names = [f"alpha{k + 1}" for k in range(8)]
-    p = SimpleNamespace(**dict(zip(names, rates.T[:, :, None])))
+    sets = [SimpleNamespace(**dict(zip(_ALPHAS, row))) for row in rates.tolist()]
+    # a lone set's rates as floats, which broadcast at a fraction of the cost of (1, 1) arrays
+    p = sets[0] if len(sets) == 1 else SimpleNamespace(**dict(zip(_ALPHAS, rates.T[:, :, None])))
     dc = DerivedConstants.from_params(p)
-    L_probe = np.maximum(1e9, 1e7 * p.alpha1 * dc.psi1)
-    sets = [SimpleNamespace(**dict(zip(names, row))) for row in rates.tolist()]
-    L_star = np.array([[solve_L_star(q)] for q in sets])
+    n = len(sets)
     # columns: the 40 grid levels, the 20 residual levels, then 1e9, L_probe and L*
-    levels = np.hstack([np.broadcast_to(_LEVELS, (len(rates), 61)), L_probe, L_star])
+    levels = np.empty((n, 63))
+    levels[:, :61] = _LEVELS
+    levels[:, 61:62] = np.maximum(1e9, 1e7 * p.alpha1 * dc.psi1)
+    levels[:, 62] = [solve_L_star(q) for q in sets]
     taus = tau(p, levels)
     l4s = ell4(p, levels, taus)
-    facts = []  # (holds, margin, location), each with a row per set
-    rows = np.arange(len(rates))[:, None]
+    # one column per fact, in _FACTS order
+    holds, margin, loc = np.empty((n, 9), dtype=bool), np.empty((n, 9)), np.empty((n, 9))
+    rows = np.arange(n)
 
-    def first(arg, m, at):
-        j = arg(m, axis=1)[:, None]
-        return m[rows, j], at[j]
-
-    # strict monotonicity along the grid, and the floors
+    # strict monotonicity along the grid, and the floors: each worst at its first minimum
     t, e = taus[:, :40], l4s[:, :40]
     le = _GRID * e
-    for m in (
+    for k, m in enumerate((
         (t[:, :-1] - t[:, 1:]) / t[:, :-1],
         (t - dc.psi1) / t,
         (e[:, 1:] - e[:, :-1]) / e[:, 1:],
         (dc.K / 8.0 - e) / (dc.K / 8.0),
         (le[:, 1:] - le[:, :-1]) / le[:, 1:],
-    ):
-        worst, at = first(np.argmin, m, _GRID)
-        facts.append((worst > 0.0, worst, at))
+    )):
+        j = m.argmin(axis=1)
+        margin[:, k], loc[:, k] = m[rows, j], _GRID[j]
+    holds[:, :5] = margin[:, :5] > 0.0
 
     # limits at large L
     t_lim = np.abs(taus[:, 60:61] - dc.psi1)
-    facts.append((t_lim <= 1e-6, 1e-6 - t_lim, levels[:, 60:61]))
+    holds[:, 5:6], margin[:, 5:6], loc[:, 5] = t_lim <= 1e-6, 1e-6 - t_lim, 1e9
     sup_gap = dc.K / 8.0 - l4s[:, 61:62]
     sup_tol = 1e-6 * np.maximum(1.0, dc.K / 8.0)
-    facts.append((sup_gap <= sup_tol, sup_tol - sup_gap, L_probe))
+    holds[:, 6:7], margin[:, 6:7], loc[:, 6] = sup_gap <= sup_tol, sup_tol - sup_gap, levels[:, 61]
 
     # fixed-point residual of the waiting time, worst at its first maximum
     tv = taus[:, 40:60]
     r = np.abs(tv - (dc.psi1 + dc.psi2 / (_RES_GRID + p.alpha1 * tv))) / tv
-    worst, at = first(np.argmax, r, _RES_GRID)
-    facts.append((worst <= 1e-12, (1e-12 - worst) / 1e-12, at))
+    j = r.argmax(axis=1)
+    worst = r[rows, j]
+    holds[:, 7], margin[:, 7], loc[:, 7] = worst <= 1e-12, (1e-12 - worst) / 1e-12, _RES_GRID[j]
 
     # threshold equation is bracket-solvable and its root is admissible
-    res = np.abs(L_star * l4s[:, 62:63] - dc.theta)
-    facts.append((res <= 1e-12 * dc.theta, (1e-12 * dc.theta - res) / dc.theta, L_star))
-    return [np.hstack(column) for column in zip(*facts)]
+    res = np.abs(levels[:, 62:63] * l4s[:, 62:63] - dc.theta)
+    tol = 1e-12 * dc.theta
+    holds[:, 8:9], margin[:, 8:9], loc[:, 8] = res <= tol, (tol - res) / dc.theta, levels[:, 62]
+    return holds, margin, loc
 
 
 def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> CheckResult:
@@ -382,21 +395,24 @@ def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> Ch
     The facts (_FACTS) are checked on a 40-level grid, a 20-level
     residual grid, at large levels and at L*.  With fuzz_count > 0 they
     are also checked on that many random parameter sets (log-uniform in
-    FORMULA_FUZZ_RANGE, all drawn in one call of default_rng(fuzz_seed)),
-    every level of _CHUNK sets in one array pass, and the worst outcome
-    is folded into this record: the first worst margin in draw order,
-    and how many fuzzed sets fail.
+    FORMULA_FUZZ_RANGE, all drawn in one call of default_rng(fuzz_seed),
+    which must then be a non-negative integer), the sets of each _CHUNK in
+    one table pass (_propositions), and the worst outcome is folded into
+    this record: the first worst margin in draw order, and how many fuzzed
+    sets fail.
     """
     if not _is_integer(fuzz_count) or fuzz_count < 0:
         raise ValueError(f"fuzz must be a non-negative integer, got {fuzz_count!r}")
     rates = np.array([p.as_tuple()])
     if fuzz_count > 0:  # the seed is read only for fuzz
+        if not (_is_integer(fuzz_seed) and fuzz_seed >= 0):
+            raise ValueError(f"fuzz_seed must be a non-negative integer, got {fuzz_seed!r}")
         lo, hi = (math.log(b) for b in FORMULA_FUZZ_RANGE)
         draws = np.random.default_rng(fuzz_seed).uniform(lo, hi, (fuzz_count, 8))
         rates = np.vstack([rates, np.exp(draws)])
     passes = [_propositions(rates[k : k + _CHUNK]) for k in range(0, len(rates), _CHUNK)]
-    holds, margins, locs = (np.vstack(c) for c in zip(*passes))
-    k = int(np.argmin(margins))
+    holds, margins, locs = passes[0] if len(passes) == 1 else (np.vstack(c) for c in zip(*passes))
+    k = int(margins.argmin())
     notes = [f"{f} failed (margin {m:.3g})" for f, h, m in zip(_FACTS, holds[0], margins[0]) if not h]
     detail = "; ".join(notes) or "all grid and limit facts hold"
     if fuzz_count > 0:
@@ -422,20 +438,25 @@ def build_report(
 
     ``cert`` and ``traj`` may be supplied (e.g. loaded from files) for p
     and x0; when omitted they are computed from the other arguments.
+    The fuzz arguments, and a supplied cert or traj against p and x0, are
+    checked before any certificate is built or any integration runs.
     """
     x0 = State.from_sequence(x0)
+    # a built certificate or trajectory is p and x0's own
+    _check_provenance(SimpleNamespace(params=p, x0=x0) if traj is None else traj, p, cert, x0)
+    # reads no trajectory, so it checks the fuzz arguments before any work
+    propositions = check_propositions(p, fuzz_count=fuzz_count, fuzz_seed=fuzz_seed)
     if cert is None:
         cert = certificate(p, x0, L_override)
     if traj is None:
         traj = integrate(p, x0, horizon, rel_tol, abs_tol)
-    _check_provenance(traj, p, cert, x0)
 
     checks = [
         check_global_bounds(traj, cert),
         check_excursion_lemma(traj, p, cert),
         _cascade_record(traj, p, cert),
         check_W_decrease(traj, p, cert),
-        check_propositions(p, fuzz_count=fuzz_count, fuzz_seed=fuzz_seed),
+        propositions,
     ]
     return VerificationReport(tuple(checks), p, x0, cert)
 

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DEMO, log_uniform, random_params, random_state
 from sampling import window_grid
@@ -126,6 +128,7 @@ class TestOneSearchPerCheck:
         gamma = float(np.median(dc.W(*demo_traj.y[:, 1:].T)))
         cert = dataclasses.replace(certificate(DEMO, State.zero()), gamma=gamma)
         stretches = [(a, b) for a, b in stretches_above(demo_traj, "W", gamma) if a < b]
+        demo_traj.maxima  # found and kept by global_bounds in every report; W's bound reads them
         calls = count_searches(monkeypatch)
         assert check_W_decrease(demo_traj, DEMO, cert).status == "fail"
         assert len(stretches) > 1 and calls == [len(stretches)]
@@ -459,6 +462,69 @@ class TestWDecrease:
         assert DEMO.alpha8 * x[0] * (dc.K - x[3]) == pytest.approx(top, rel=1e-12)
 
 
+def spy_stretch_searches(monkeypatch):
+    """Spy on the stretches_above that verify calls: (observable, level) of each search."""
+    calls = []
+    find = aifcert.verify.stretches_above
+
+    def spy(traj, observable, level):
+        calls.append((observable, level))
+        return find(traj, observable, level)
+
+    monkeypatch.setattr(aifcert.verify, "stretches_above", spy)
+    return calls
+
+
+def W_bound(traj):
+    """c*max x2 + d*max x3 + max x4 from the trajectory's kept maxima."""
+    return DerivedConstants.from_params(traj.params).W(*(top for top, _ in traj.maxima[1:]))
+
+
+class TestWDecreaseSkip:
+    """W_decrease skips its stretch search only where the maxima bound W below gamma."""
+
+    @pytest.mark.parametrize("draw", [0, 2, 3, 5, 6, 8, 11, 13])
+    def test_skip_gives_the_searched_record(self, monkeypatch, draw):
+        # short sweep-like runs whose bound lies below gamma (draw 1's lies
+        # above it): the record is the one the search gives, which
+        # _W_SLACK = 1 forces (no bound is below gamma - gamma = 0)
+        rng = np.random.default_rng(draw)
+        p, x0 = random_params(rng, *SIMULATION_FUZZ_RANGE), random_state(rng)
+        traj, cert = integrate(p, x0, 20.0), certificate(p, x0)
+        assert W_bound(traj) < cert.gamma * (1.0 - 1e-3)
+        calls = spy_stretch_searches(monkeypatch)
+        skipped = check_W_decrease(traj, p, cert)
+        assert calls == [] and "decrease part vacuous" in skipped.detail
+        monkeypatch.setattr(aifcert.verify, "_W_SLACK", 1.0)
+        searched = check_W_decrease(traj, p, cert)
+        assert calls == [("W", cert.gamma)]
+        assert _bitwise(skipped) == _bitwise(searched)
+
+    def test_gamma_between_the_true_maximum_and_the_bound_searches(self, demo_traj, monkeypatch):
+        # x2, x3 and x4 peak at different times, so the bound lies above W's
+        # own maximum: a gamma between them runs the search, which finds no stretch
+        W_top = demo_traj.extrema([("max", "W", None, None)])[0][0]
+        bound = W_bound(demo_traj)
+        assert W_top < bound * (1.0 - 1e-3)
+        cert = dataclasses.replace(certificate(DEMO, State.zero()), gamma=0.5 * (W_top + bound))
+        calls = spy_stretch_searches(monkeypatch)
+        res = check_W_decrease(demo_traj, DEMO, cert)
+        assert calls == [("W", cert.gamma)]
+        assert res.status == "pass" and res.location is None
+        assert res.detail.endswith("decrease part vacuous")
+
+    @pytest.mark.parametrize("over, searched", [(0.0, True), (0.5, True), (0.99, True), (2.0, False)])
+    def test_bound_within_the_slack_searches(self, demo_traj, monkeypatch, over, searched):
+        # gamma at the bound times 1 + over*_W_SLACK: within the slack (over < 1) the
+        # search runs, beyond it (over = 2) it is skipped
+        gamma = W_bound(demo_traj) * (1.0 + over * aifcert.verify._W_SLACK)
+        cert = dataclasses.replace(certificate(DEMO, State.zero()), gamma=gamma)
+        calls = spy_stretch_searches(monkeypatch)
+        res = check_W_decrease(demo_traj, DEMO, cert)
+        assert calls == ([("W", gamma)] if searched else [])
+        assert res.status == "pass" and "decrease part vacuous" in res.detail
+
+
 class TestPropositions:
     def test_demo(self):
         res = check_propositions(DEMO)
@@ -493,6 +559,27 @@ class TestPropositions:
     def test_fuzz_count_may_be_a_numpy_integer(self):
         report = build_report(DEMO, State.zero(), horizon=1.0, fuzz_count=np.int64(2))
         assert report.checks[-1] == check_propositions(DEMO, fuzz_count=2)
+
+    @pytest.mark.parametrize(
+        "seed", [None, "x", 2.5, -1, True], ids=["None", "str", "float", "negative", "bool"]
+    )
+    def test_fuzz_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=r"fuzz_seed must be a non-negative integer, got"):
+            check_propositions(DEMO, 5, seed)
+
+    def test_fuzz_seed_is_read_only_for_fuzz(self):
+        assert check_propositions(DEMO, 0, None) == check_propositions(DEMO)
+        assert check_propositions(DEMO, 5, np.int64(3)) == check_propositions(DEMO, 5, 3)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(rates=st.tuples(*[st.floats(*FORMULA_FUZZ_RANGE)] * 8), fuzz=st.sampled_from([0, 7]))
+    @example(rates=(100, 1, 1, 0.01, 1, 0.01, 1, 100), fuzz=0)
+    @example(rates=(100, 1, 1, 0.01, 1, 0.01, 1, 100), fuzz=7)
+    @example(rates=(300, 1, 1, 0.005, 1, 0.005, 1, 300), fuzz=0)
+    @example(rates=(300, 1, 1, 0.005, 1, 0.005, 1, 300), fuzz=7)
+    def test_one_table_pass_matches_loop_form_bitwise(self, rates, fuzz):
+        p = Params.from_sequence(rates)
+        assert _bitwise(check_propositions(p, fuzz, 11)) == _bitwise(check_propositions_loop(p, fuzz, 11))
 
     @pytest.mark.parametrize("seed", [0, 31, 1729])
     @pytest.mark.parametrize("fuzz", [0, 7, 50, 100])
@@ -581,6 +668,33 @@ class TestReport:
     def test_level_override_propagates(self):
         rep = build_report(DEMO, State.zero(), horizon=20.0, L_override=1.75)
         assert rep.certificate.L_used == 1.75
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a certificate or integrated before checking the arguments")
+
+        monkeypatch.setattr(aifcert.verify, "certificate", refuse)
+        monkeypatch.setattr(aifcert.verify, "integrate", refuse)
+
+    @pytest.mark.parametrize(
+        "fuzz, seed, message",
+        [(2.5, 0, "fuzz must be"), (3, -1, "fuzz_seed must be"), (3, "x", "fuzz_seed must be")],
+        ids=["count", "negative-seed", "str-seed"],
+    )
+    def test_fuzz_arguments_checked_before_any_work(self, no_work, fuzz, seed, message):
+        with pytest.raises(ValueError, match=message):
+            build_report(DEMO, State.zero(), horizon=100.0, fuzz_count=fuzz, fuzz_seed=seed)
+
+    @pytest.mark.parametrize(
+        "rates, x0", [(DEMO, (1.0, 0.0, 0.0, 0.0)), (dataclasses.replace(DEMO, alpha1=2.0), (0.0,) * 4)],
+        ids=["other-x0", "other-rates"],
+    )
+    def test_certificate_checked_before_integrating(self, rates, x0, request):
+        cert = certificate(rates, State.from_sequence(x0))
+        request.getfixturevalue("no_work")
+        with pytest.raises(ValueError, match="certificate provenance does not match the trajectory"):
+            build_report(DEMO, State.zero(), horizon=100.0, cert=cert)
 
     def test_json_shape(self):
         rep = build_report(DEMO, State.zero(), horizon=20.0)
