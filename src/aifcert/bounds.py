@@ -150,7 +150,7 @@ class BoundCertificate:
         for name in _CONSTANTS:
             require = _require_nonnegative if name == "W0" else _require_positive
             try:
-                require(name, getattr(self, name))
+                object.__setattr__(self, name, require(name, getattr(self, name)))
             except ValueError as exc:
                 raise CertificateError(str(exc)) from None
 

@@ -5,17 +5,17 @@ status, a worst-case margin (normalized so positive means headroom), the
 location where the margin is attained, and a human-readable detail line.
 ``build_report`` assembles the five named checks exactly once each.
 
-Every check quantifies over what its claim quantifies over: the
-interpolant, through the exact windowed extrema of Trajectory.extrema
-(the lemma reads p = x1*x4, since xdot1 = alpha1 - alpha2*p, and
-W_decrease W_rate = dW/dt), or a closed form.  Nothing here samples or
-differences the trajectory.  A check asks for all the extrema it needs
-in one batched search: global_bounds for the four components, the
-cascade for the four stages of an excursion, the lemma and W_decrease
-for all their windows.  The lemma and the cascade read one set of
-excursions, those above L_used, which excursions_above finds once and
-keeps on the trajectory: an excursion above any higher level, and its
-window [start+T0, end], lies inside one of them.
+The four trajectory checks each state their claim as obligations: the
+max (or min) of an observable of the interpolant on a window is at most
+(at least) a bound.  One rule, _judge, takes a check's extrema from one
+exact Trajectory.extrema search and gives every margin, headroom over a
+scale, and the first worst with its location; no obligations is vacuous.
+The lemma reads p = x1*x4 (xdot1 = alpha1 - alpha2*p), W_decrease
+W_rate = dW/dt; nothing here samples or differences the trajectory.  The
+lemma and the cascade read one set of excursions, those above L_used,
+which excursions_above finds once and keeps on the trajectory: an
+excursion above any higher level, and its window [start+T0, end], lies
+inside one of them.
 """
 
 from __future__ import annotations
@@ -115,6 +115,23 @@ def _check_provenance(traj: Trajectory, p: Params, cert=None, x0=None) -> None:
         raise ValueError("x0 does not match the trajectory's initial state")
 
 
+def _judge(traj: Trajectory, obligations, found=()):
+    """(first worst margin, its location, every margin, every (value, time)) of obligations.
+
+    An obligation (sense, observable, start, end, bound, scale) claims the
+    "max" ("min") of the observable on [start, end] is at most (at least)
+    bound; its margin is (bound - max)/scale or (min - bound)/scale.  ``found``
+    holds the (value, time) of the first obligations; one extrema search finds the rest.
+    """
+    found = [*found, *traj.extrema([ob[:4] for ob in obligations[len(found):]])]
+    margins = [
+        (bound - v if sense == "max" else v - bound) / scale
+        for (sense, _, _, _, bound, scale), (v, _) in zip(obligations, found)
+    ]
+    k = margins.index(min(margins))
+    return margins[k], found[k][1], margins, found
+
+
 def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult:
     """Each state component stays below its certificate bound.
 
@@ -126,29 +143,22 @@ def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult
     """
     _check_provenance(traj, cert.params, cert)
     bounds = (cert.M1, cert.M2, cert.M3, cert.M4)
-    worst_margin = math.inf
-    worst_loc = float(traj.t[0])
-    fail_loc = None
-    parts = []
-    for i, (M, (top, t_top)) in enumerate(zip(bounds, traj.maxima)):
-        margin = (M - top) / M
-        parts.append(f"x{i + 1} max {top:.6g} vs M{i + 1} {M:.6g}")
-        if margin < worst_margin:
-            worst_margin, worst_loc = margin, t_top
+    obligations = [("max", f"x{i}", None, None, M, M) for i, M in enumerate(bounds, 1)]
+    worst_margin, worst_loc, _, _ = _judge(traj, obligations, traj.maxima)
+    parts, fails = [], []  # fails: for each component above its limit, where it first is
+    for i, (M, (top, t_top)) in enumerate(zip(bounds, traj.maxima), 1):
+        parts.append(f"x{i} max {top:.6g} vs M{i} {M:.6g}")
         limit = M + 1e-6 * M
         if top > limit:
-            above = stretches_above(traj, f"x{i + 1}", limit)
-            t_first = above[0][0] if above else t_top
-            fail_loc = t_first if fail_loc is None else min(fail_loc, t_first)
-    if fail_loc is not None:
-        return CheckResult(
-            "global_bounds",
-            FAIL,
-            worst_margin,
-            fail_loc,
-            "bound exceeded: " + "; ".join(parts),
-        )
-    return CheckResult("global_bounds", PASS, worst_margin, worst_loc, "; ".join(parts))
+            above = stretches_above(traj, f"x{i}", limit)
+            fails.append(above[0][0] if above else t_top)
+    return CheckResult(
+        "global_bounds",
+        FAIL if fails else PASS,
+        worst_margin,
+        min(fails, default=worst_loc),
+        ("bound exceeded: " if fails else "") + "; ".join(parts),
+    )
 
 
 def _long_excursions(traj: Trajectory, cert: BoundCertificate):
@@ -167,38 +177,31 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     lies inside one above L_used, and so does its window, so checking
     the excursions above L_used covers every level, each in the form
     with T0 = tau(L_used); the lemma's shorter wait tau(L) at a level
-    L > L_used is not checked.  Both claims follow from the exact
-    minimum of p = x1*x4 on each window, because xdot1 = alpha1 -
-    alpha2*p.  If max x1 (Trajectory.maxima, kept from global_bounds)
-    is at most L_used, or no excursion lasts T0, the check passes
-    vacuously and says so.  _long_excursions serves the cascade record too.
+    L > L_used is not checked.  As xdot1 = alpha1 - alpha2*p, both claims
+    are one obligation per window: min p = x1*x4 >= theta + 1e-9*theta,
+    with scale theta.  If max x1 (Trajectory.maxima, kept from
+    global_bounds) is at most L_used, or no excursion lasts T0 (as
+    _long_excursions finds for the cascade record too), there are none:
+    the check passes vacuously and says why.
     """
     _check_provenance(traj, p, cert)
     L_used, T0 = cert.L_used, cert.T0
     x1max = traj.maxima[0][0]
-    if x1max <= L_used:
-        return CheckResult(
-            "excursion_lemma",
-            PASS,
-            None,
-            None,
-            f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}",
-        )
-    _, qualifying, longest = _long_excursions(traj, cert)
+    _, qualifying, longest = ((), (), 0.0) if x1max <= L_used else _long_excursions(traj, cert)
     if not qualifying:
         return CheckResult(
             "excursion_lemma",
             PASS,
             None,
             None,
-            f"vacuous: no excursion above L_used {L_used:.6g} lasted >= T0 {T0:.6g} "
-            f"(longest {longest:.6g})",
+            f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}"
+            if x1max <= L_used
+            else f"vacuous: no excursion above L_used {L_used:.6g} lasted >= T0 {T0:.6g} (longest {longest:.6g})",
         )
-    worst_margin, worst_loc = math.inf, None
-    for low, t_low in traj.extrema([("min", "p", e.start + T0, e.end) for e in qualifying]):
-        margin = (p.alpha2 * low - p.alpha1 - _STRICT_NEG * p.alpha1) / p.alpha1
-        if margin < worst_margin:
-            worst_margin, worst_loc = margin, t_low
+    theta = p.alpha1 / p.alpha2
+    bound = theta + _STRICT_NEG * theta  # x1*x4 above it is xdot1 below -_STRICT_NEG*alpha1
+    obligations = [("min", "p", e.start + T0, e.end, bound, theta) for e in qualifying]
+    worst_margin, worst_loc, _, _ = _judge(traj, obligations)
     detail = (
         f"{len(qualifying)} qualifying excursion(s); strict decrease and product "
         f"threshold checked on [start+T0, end]"
@@ -259,19 +262,14 @@ def check_cascade_lower_bounds(
         # ell4 with the effective window bound
         ("x4>=ell4", "min", "x4", dc.psi1 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
     ) if w[3] <= w[4]]
-    found = traj.extrema([(sense, name, s + a, s + b) for _, sense, name, a, b, _ in windows])
-    stages = [  # (label, margin, location)
-        (label, (bound - v if sense == "max" else v - bound) / bound, at)
-        for (label, sense, _, _, _, bound), (v, at) in zip(windows, found)
-    ]
-
-    worst = min(stages, key=lambda st: st[1])
-    detail = "; ".join(f"{label} margin {m:.3g}" for label, m, _ in stages)
+    obligations = [(sense, name, s + a, s + b, bound, bound) for _, sense, name, a, b, bound in windows]
+    margin, location, margins, _ = _judge(traj, obligations)
+    detail = "; ".join(f"{w[0]} margin {m:.3g}" for w, m in zip(windows, margins))
     return CheckResult(
         "cascade_lower_bounds",
-        PASS if worst[1] >= -1e-9 else FAIL,
-        worst[1],
-        worst[2],
+        PASS if margin >= -1e-9 else FAIL,
+        margin,
+        location,
         f"excursion [{excursion.start:.6g}, {excursion.end:.6g}]: {detail}",
     )
 
@@ -298,17 +296,16 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
         (dc.c * p.alpha3, p.alpha8 * dc.K),
     )
     ident = max(abs(lhs - rhs) / rhs for lhs, rhs in pairs)
-    margin, location = 1e-12 - ident, None
     parts = [f"identity worst {ident:.3g} (c*a4 = d*a5, d*a6 = a7, c*a3 = a8*K)"]
     x2max, x3max, x4max = (top for top, _ in traj.maxima[1:])
     below = dc.W(x2max, x3max, x4max) < cert.gamma - _W_SLACK * cert.gamma
     stretches = [] if below else stretches_above(traj, "W", cert.gamma)
-    windows = [("max", "W_rate", a, b) for a, b in stretches if a < b]
-    if windows:
-        top, t_top = max(traj.extrema(windows), key=lambda f: f[0])  # the first largest
+    obligations = [("max", "identity", None, None, 1e-12, 1.0)]  # found in closed form: ident
+    obligations += [("max", "W_rate", a, b, 1e-9, 1.0) for a, b in stretches if a < b]
+    margin, location, _, found = _judge(traj, obligations, [(ident, None)])
+    if found[1:]:
+        top = max(v for v, _ in found[1:])
         parts.append(f"W above gamma {cert.gamma:.6g}, max Wdot there {top:.3g}")
-        if 1e-9 - top < margin:
-            margin, location = 1e-9 - top, t_top
     else:
         parts.append(f"W never above gamma {cert.gamma:.6g}; decrease part vacuous")
     return CheckResult(
@@ -476,7 +473,7 @@ def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate) -> Chec
     results = [
         check_cascade_lower_bounds(traj, p, cert.L_used, e, T0=cert.T0) for e in qualifying
     ]
-    worst = min(results, key=lambda r: math.inf if r.margin is None else r.margin)
+    worst = min(results, key=lambda r: r.margin)
     status = FAIL if any(r.status == FAIL for r in results) else PASS
     return replace(
         worst,

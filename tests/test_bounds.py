@@ -244,6 +244,15 @@ class TestCertificate:
                 dataclasses.replace(cert, **{name: v})
         assert dataclasses.replace(cert, W0=0.0).W0 == 0.0
 
+    def test_constants_are_plain_floats(self):
+        # tau gives a numpy float; the certificate keeps each constant as the float it checked
+        names = ("L_star", "L_used", "T0", "M1", "M2", "M3", "M4", "gamma", "W0")
+        for x0 in (State.zero(), State.from_sequence([10.0, 0.0, 0.0, 0.0])):
+            cert = certificate(DEMO, x0)
+            for c in (cert, dataclasses.replace(cert, T0=np.float64(cert.T0))):
+                assert [type(getattr(c, name)) for name in names] == [float] * len(names)
+                assert "np.float64" not in repr(c)
+
 
 class TestGrowthEnvelope:
     def test_golden_from_origin(self):

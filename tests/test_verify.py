@@ -202,6 +202,43 @@ class TestOneSearchPerCheck:
         assert check_excursion_lemma(fresh, DEMO, report.certificate) == report.checks[1]
 
 
+class TestJudge:
+    """verify._judge: every trajectory check's margins and first worst point, by one rule."""
+
+    def test_max_and_min_margins_are_headroom_over_scale(self, demo_traj):
+        obligations = [("max", "x1", 10.0, 20.0, 2.0, 4.0), ("min", "x2", 10.0, 20.0, 0.1, 0.5)]
+        (top, t_top), (low, t_low) = demo_traj.extrema([ob[:4] for ob in obligations])
+        margin, location, margins, found = aifcert.verify._judge(demo_traj, obligations)
+        assert margins == [(2.0 - top) / 4.0, (low - 0.1) / 0.5]
+        assert found == [(top, t_top), (low, t_low)]
+        k = int(np.argmin(margins))
+        assert (margin, location) == (margins[k], found[k][1]) and margin < margins[1 - k]
+
+    def test_a_tie_gives_the_first_location(self, demo_traj):
+        # margins 1, 0.5, 0.5, 1: the worst is the second obligation's
+        obligations = [
+            ("max", "x1", None, None, 2.0, 1.0),
+            ("min", "x2", None, None, 0.5, 2.0),
+            ("max", "x3", None, None, 3.0, 4.0),
+            ("min", "x4", None, None, 0.0, 1.0),
+        ]
+        found = [(1.0, 5.0), (1.5, 6.0), (1.0, 7.0), (1.0, 8.0)]
+        margin, location, margins, _ = aifcert.verify._judge(demo_traj, obligations, found)
+        assert margins == [1.0, 0.5, 0.5, 1.0]
+        assert (margin, location) == (0.5, 6.0)
+
+    def test_found_extrema_are_not_searched_again(self, demo_traj, monkeypatch):
+        traj = Trajectory(DEMO, demo_traj.t, demo_traj.y, demo_traj.taylor_runs)
+        maxima = traj.maxima
+        obligations = [("max", f"x{i}", None, None, 10.0, 10.0) for i in range(1, 5)]
+        calls = count_searches(monkeypatch)
+        _, _, _, found = aifcert.verify._judge(traj, obligations, maxima)
+        assert calls == [] and found == maxima
+        # given the first four, only the fifth is searched
+        aifcert.verify._judge(traj, [*obligations, ("min", "p", 10.0, 20.0, 0.0, 1.0)], maxima)
+        assert calls == [1]
+
+
 class TestExcursionLemma:
     def test_vacuous_from_origin(self, demo_traj):
         cert = certificate(DEMO, State.zero())
@@ -278,8 +315,8 @@ class TestExcursionLemma:
         assert [(a, b) for _, _, a, b in queries] == windows
         assert [(v.hex(), w.hex()) for v, w in found] == [(v.hex(), w.hex()) for v, w in one_window]
         assert calls == [2]  # both windows; max x1 is the kept one
-        a1, a2 = DEMO.alpha1, DEMO.alpha2
-        margins = [(a2 * low - a1 - 1e-9 * a1) / a1 for low, _ in one_window]
+        theta = DEMO.alpha1 / DEMO.alpha2
+        margins = [(low - (theta + 1e-9 * theta)) / theta for low, _ in one_window]
         k = int(np.argmin(margins))
         assert (res.margin, res.location) == (margins[k], one_window[k][1])
         assert res.detail.startswith("2 qualifying excursion(s)")
@@ -330,6 +367,24 @@ def test_lemma_and_cascade_pass_non_vacuously(rates, x0):
         assert res.margin > 0.0
         assert "vacuous" not in res.detail
         assert res.detail.startswith("1 qualifying excursion(s)")
+
+
+def test_lemma_margin_is_headroom_over_theta():
+    # the lemma's margin is (min p - bound)/theta with bound = theta + 1e-9*theta,
+    # bit for bit; on draw148 the form (a2*min p - a1 - 1e-9*a1)/a1 rounds one
+    # ulp apart, so this case tells the two forms apart
+    rates, x0 = NON_VACUOUS_WITNESSES["draw148"]
+    p, x0 = Params.from_sequence(rates), State.from_sequence(x0)
+    traj, cert = integrate(p, x0, 50.0), certificate(p, x0)
+    res = check_excursion_lemma(traj, p, cert)
+    (e,) = [e for e in excursions_above(traj, cert.L_used) if e.duration >= cert.T0]
+    ((low, t_low),) = traj.extrema([("min", "p", e.start + cert.T0, e.end)])
+    theta = p.alpha1 / p.alpha2
+    bound = theta + 1e-9 * theta
+    assert (res.margin.hex(), res.location) == (((low - bound) / theta).hex(), t_low)
+    a1, a2 = p.alpha1, p.alpha2
+    other = (a2 * low - a1 - 1e-9 * a1) / a1
+    assert other != res.margin and abs(other - res.margin) <= math.ulp(res.margin)
 
 
 class TestCascadeLowerBounds:
