@@ -12,8 +12,8 @@ report in build_report's order, through the public API:
 - ``loop``: integrate without the Trajectory constructor, which is
   timed apart by wrapping ``Trajectory.__init__`` (``ctor``);
 - ``bounds``, ``lemma``, ``cascade``, ``W_dec``, ``props``: the five
-  checks (the cascade as check_cascade_lower_bounds on each excursion
-  above L_used that lasts T0, after excursions_above).
+  checks (the cascade as the record a report makes, the private
+  ``aifcert.verify._cascade_record``).
 
 It prints one row per case (accepted steps, the median microseconds of
 each segment and of their sum) and a last row with the medians of those
@@ -51,10 +51,7 @@ def report_segments(aifcert, case, clock) -> dict:
     lap()
     aifcert.check_excursion_lemma(traj, p, cert)
     lap()
-    if traj.maxima[0][0] >= cert.L_used:
-        for e in aifcert.excursions_above(traj, cert.L_used):
-            if e.duration >= cert.T0:
-                aifcert.check_cascade_lower_bounds(traj, p, cert.L_used, e, T0=cert.T0)
+    aifcert.verify._cascade_record(traj, p, cert)
     lap()
     aifcert.check_W_decrease(traj, p, cert)
     lap()

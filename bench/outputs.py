@@ -29,7 +29,11 @@ and prints one ``<sha256>  <name>`` line per output:
 - ``witness/<name>/...``: the report JSON of build_report on each run
   of WITNESSES, and again against its certificate with T0 divided by
   100 and with gamma halved, which covers the certified paths of the
-  excursion lemma, the cascade and W_decrease's rate part.
+  excursion lemma, the cascade and W_decrease's rate part;
+- ``witness/demo_L_used_0.2/...``: the report JSON of build_report on the
+  README demo run (x0 = 0, horizon 100) against its certificate with
+  L_used set to 0.2 and T0 to tau(0.2), and again with T0 divided by 3,
+  so that the cascade record judges many qualifying excursions together.
 
 Two checkouts have byte-identical outputs exactly when ``diff`` finds
 no difference between their digest lists.  Only aifcert's public API
@@ -87,6 +91,7 @@ WITNESSES = (
     ("demo_x1_1_x4_60", DEMO_RATES, (1.0, 0.0, 0.0, 60.0), 30.0),
     ("demo_x4_100", DEMO_RATES, (0.0, 0.0, 0.0, 100.0), 30.0),
 )
+CASCADE_LEVEL = 0.2  # the demo run has 13 excursions above it lasting tau(0.2)
 
 
 def digest(data: bytes | str) -> str:
@@ -153,6 +158,17 @@ def witness_outputs(aifcert, rates, x0, horizon) -> list[tuple[str, str]]:
                                      sort_keys=True))) for name, c in certs]
 
 
+def cascade_outputs(aifcert) -> list[tuple[str, str]]:
+    """(name, digest) of the demo run's report with L_used = CASCADE_LEVEL and T0 = tau of it, and T0 / 3."""
+    p, x0 = aifcert.Params.from_sequence(DEMO_RATES), aifcert.State.zero()
+    T0 = float(aifcert.tau(p, CASCADE_LEVEL))
+    cert = dataclasses.replace(aifcert.certificate(p, x0), L_used=CASCADE_LEVEL, T0=T0)
+    traj = aifcert.integrate(p, x0, 100.0)
+    certs = (("report.json", cert), ("T0_over_3/report.json", dataclasses.replace(cert, T0=T0 / 3.0)))
+    return [(name, digest(json.dumps(aifcert.build_report(p, x0, cert=c, traj=traj).to_json(),
+                                     sort_keys=True))) for name, c in certs]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--checkout", type=Path, default=ROOT, help="checkout whose src to run (default: this one)")
@@ -173,6 +189,7 @@ def main(argv=None) -> int:
             found.append((f"{name}/seed{seed}/integrator.json", digest(json.dumps(counters, sort_keys=True))))
     for name, *run in WITNESSES:
         found += [(f"witness/{name}/{n}", d) for n, d in witness_outputs(aifcert, *run)]
+    found += [(f"witness/demo_L_used_0.2/{n}", d) for n, d in cascade_outputs(aifcert)]
     for name, value in found:
         print(f"{value}  {name}")
     return 0

@@ -11,11 +11,11 @@ a drift of the host's speed is shared out between the two sides.  For
 every metric of the runs' JSON lines (the end-to-end metrics, or the
 per-layer ones with ``--trace 1``) it prints both sides' runs, medians
 and quartiles, and the pairs the change won, judged by the metric's
-``better`` direction in BENCHMARK.json.  A gain is claimed only where
-the change wins at least 9 pairs in 10 and the gap between the medians
-is larger than the distance between the parent's quartiles; the last
-line of each metric says whether that holds.  Exits 1 if a run fails
-or is not correct.
+``better`` direction in BENCHMARK.json.  A gain is claimed only from
+at least 10 pairs, where the change wins at least 9 pairs in 10 and the
+gap between the medians is larger than the distance between the
+parent's quartiles (gain_claim); the last line of each metric says
+whether that holds.  Exits 1 if a run fails or is not correct.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from run import DEFAULT_SEED  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for kind in ("end_to_end", "per_layer") for m in BENCHMARK[kind]}
+MIN_PAIRS = 10  # with fewer, the parent's quartiles say too little about its spread
 
 
 def run(checkout: Path, args) -> dict:
@@ -46,6 +47,13 @@ def run(checkout: Path, args) -> dict:
     if not result["correct"] or result["failed"]:
         sys.exit(f"{checkout}: {result['failed']} failed operations, correct={result['correct']}")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def gain_claim(wins: int, pairs: int, gap: float, spread: float) -> str:
+    """Whether the rule for claiming a gain is met: at least MIN_PAIRS pairs, 9 in 10 won, gap > spread."""
+    if pairs < MIN_PAIRS:
+        return f"not met (fewer than {MIN_PAIRS} pairs)"
+    return "met" if wins >= 0.9 * pairs and gap > spread else "not met"
 
 
 def quartiles(runs: list[float]) -> tuple[float, float, float]:
@@ -80,7 +88,6 @@ def main(argv=None) -> int:
         (q1, mp, q3), mc = quartiles(parent), statistics.median(change)
         gain = (mp - mc) if lower else (mc - mp)
         delta = f"{(mc - mp) / mp:+.1%}" if mp else "n/a"
-        met = wins >= 0.9 * args.pairs and gain > q3 - q1
         print(f"{args.workload} {name} ({'lower' if lower else 'higher'} is better)")
         for side, values in (("parent", parent), ("change", change)):
             lo, med, hi = quartiles(values)
@@ -88,7 +95,7 @@ def main(argv=None) -> int:
             print(f"  {side}  median {med:.6g}  quartiles {lo:.6g} {hi:.6g}")
         print(f"  change won {wins} of {args.pairs}; median {delta}; "
               f"gap {gain:.6g} against parent quartile distance {q3 - q1:.6g}; "
-              f"gain claim rule {'met' if met else 'not met'}")
+              f"gain claim rule {gain_claim(wins, args.pairs, gain, q3 - q1)}")
     return 0
 
 

@@ -128,14 +128,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
     cert = certificate(cfg.params, cfg.x0, cfg.L0)
     out = _outdir(cfg)
     _write_json(os.path.join(out, "certificate.json"), cert.to_json())
-    print(f"L_star = {cert.L_star:.4f}")
-    print(f"L_used = {cert.L_used:.4f}")
-    print(f"T0     = {cert.T0:.4f}")
-    print(f"M1     = {cert.M1:.4f}")
-    print(f"M2     = {cert.M2:.4f}")
-    print(f"M3     = {cert.M3:.4f}")
-    print(f"M4     = {cert.M4:.4f}")
-    print(f"gamma  = {cert.gamma:.4f}")
+    for name in ("L_star", "L_used", "T0", "M1", "M2", "M3", "M4", "gamma"):
+        print(f"{name:<6} = {getattr(cert, name):.4f}")
     print(
         f"T0 / M1 / M2 / M3 / M4 = {cert.T0:.4f} / {cert.M1:.4f} / "
         f"{cert.M2:.4f} / {cert.M3:.4f} / {cert.M4:.4f}"

@@ -15,13 +15,14 @@ W_rate = dW/dt; nothing here samples or differences the trajectory.  The
 lemma and the cascade read one set of excursions, those above L_used,
 which excursions_above finds once and keeps on the trajectory: an
 excursion above any higher level, and its window [start+T0, end], lies
-inside one of them.
+inside one of them.  The cascade record judges the stages of all those
+lasting T0 together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +37,7 @@ from .bounds import (
     tau,
     window_upper,
 )
-from .model import DerivedConstants, Params, State, _is_integer
+from .model import DerivedConstants, Params, State, _is_integer, _require_positive
 from .simulate import (
     Excursion,
     Trajectory,
@@ -179,15 +180,14 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     with T0 = tau(L_used); the lemma's shorter wait tau(L) at a level
     L > L_used is not checked.  As xdot1 = alpha1 - alpha2*p, both claims
     are one obligation per window: min p = x1*x4 >= theta + 1e-9*theta,
-    with scale theta.  If max x1 (Trajectory.maxima, kept from
-    global_bounds) is at most L_used, or no excursion lasts T0 (as
-    _long_excursions finds for the cascade record too), there are none:
-    the check passes vacuously and says why.
+    with scale theta.  _long_excursions finds the qualifying excursions
+    for the cascade record too; with none the check passes vacuously and
+    says why.
     """
     _check_provenance(traj, p, cert)
     L_used, T0 = cert.L_used, cert.T0
     x1max = traj.maxima[0][0]
-    _, qualifying, longest = ((), (), 0.0) if x1max <= L_used else _long_excursions(traj, cert)
+    _, qualifying, longest = _long_excursions(traj, cert)
     if not qualifying:
         return CheckResult(
             "excursion_lemma",
@@ -226,10 +226,10 @@ def check_cascade_lower_bounds(
 
     With time re-based to the excursion start: x2 clears its floor after
     delta2, x3 after delta2+delta3, x4 after the further delay delta4,
-    and x1 stays under the window bound until T0.  Each stage compares
-    the exact minimum (for x1 the maximum) of the interpolant on its
-    window.  An excursion shorter than the waiting time is reported
-    not-applicable.
+    and x1 stays under the window bound until T0 (tau(L) if not given;
+    a given T0 must be finite and > 0).  Each stage compares the exact
+    minimum (for x1 the maximum) of the interpolant on its window.  An
+    excursion shorter than the waiting time is reported not-applicable.
 
     The window bound uses the larger of L and x1 at the excursion start:
     excursions anchored at the initial time may start above their level,
@@ -238,7 +238,7 @@ def check_cascade_lower_bounds(
     """
     _check_provenance(traj, p)
     L = float(L)
-    T_w = tau(p, L) if T0 is None else float(T0)
+    T_w = tau(p, L) if T0 is None else _require_positive("T0", T0)
     dur = excursion.duration
     if dur < T_w:
         return CheckResult(
@@ -249,28 +249,38 @@ def check_cascade_lower_bounds(
             f"excursion [{excursion.start:.6g}, {excursion.end:.6g}] lasts "
             f"{dur:.6g} < waiting time {T_w:.6g}",
         )
+    return _cascade(traj, p, L, [excursion], T_w)
 
+
+def _cascade(traj, p, L, excursions, T_w, prefix="") -> CheckResult:
+    """One record of every stage of excursions lasting T_w at level L; its detail lists the worst's."""
     dc = DerivedConstants.from_params(p)
-    s = excursion.start
-    U_eff = window_upper(p, max(L, float(traj.at(s)[0])), T_w)
-    delta4 = math.log(2.0) / (p.alpha8 * U_eff)
-    # (label, sense, observable, window start and end after s, bound); empty windows drop out
-    windows = [w for w in (
-        ("x1<=window", "max", "x1", 0.0, T_w, U_eff),
-        ("x2>=ell2", "min", "x2", dc.delta2, dur, ell2(p, L)),
-        ("x3>=ell3", "min", "x3", dc.psi1, dur, ell3(p, L)),
-        # ell4 with the effective window bound
-        ("x4>=ell4", "min", "x4", dc.psi1 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
-    ) if w[3] <= w[4]]
-    obligations = [(sense, name, s + a, s + b, bound, bound) for _, sense, name, a, b, bound in windows]
+    stages, obligations = [], []  # stages: each obligation's (excursion index, stage label)
+    for k, (e, x1) in enumerate(zip(excursions, traj.at([e.start for e in excursions])[:, 0].tolist())):
+        s, dur = e.start, e.duration
+        U_eff = window_upper(p, max(L, x1), T_w)
+        delta4 = math.log(2.0) / (p.alpha8 * U_eff)
+        # (label, sense, observable, window start and end after s, bound); empty windows drop out
+        for label, sense, name, a, b, bound in (
+            ("x1<=window", "max", "x1", 0.0, T_w, U_eff),
+            ("x2>=ell2", "min", "x2", dc.delta2, dur, ell2(p, L)),
+            ("x3>=ell3", "min", "x3", dc.psi1, dur, ell3(p, L)),
+            # ell4 with the effective window bound
+            ("x4>=ell4", "min", "x4", dc.psi1 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
+        ):
+            if a <= b:
+                stages.append((k, label))
+                obligations.append((sense, name, s + a, s + b, bound, bound))
     margin, location, margins, _ = _judge(traj, obligations)
-    detail = "; ".join(f"{w[0]} margin {m:.3g}" for w, m in zip(windows, margins))
+    k = stages[margins.index(margin)][0]  # the excursion that owns the first worst margin
+    detail = "; ".join(f"{w} margin {m:.3g}" for (j, w), m in zip(stages, margins) if j == k)
+    e = excursions[k]
     return CheckResult(
         "cascade_lower_bounds",
         PASS if margin >= -1e-9 else FAIL,
         margin,
         location,
-        f"excursion [{excursion.start:.6g}, {excursion.end:.6g}]: {detail}",
+        f"{prefix}excursion [{e.start:.6g}, {e.end:.6g}]: {detail}",
     )
 
 
@@ -459,7 +469,7 @@ def build_report(
 
 
 def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
-    """One aggregated cascade record over the excursions above L_used."""
+    """One cascade record: every excursion above L_used that lasts T0, judged together."""
     excs, qualifying, longest = _long_excursions(traj, cert)
     if not qualifying:
         return CheckResult(
@@ -470,13 +480,5 @@ def _cascade_record(traj: Trajectory, p: Params, cert: BoundCertificate) -> Chec
             f"no excursion above L_used {cert.L_used:.6g} lasted >= T0 {cert.T0:.6g} "
             f"({len(excs)} excursion(s), longest {longest:.6g})",
         )
-    results = [
-        check_cascade_lower_bounds(traj, p, cert.L_used, e, T0=cert.T0) for e in qualifying
-    ]
-    worst = min(results, key=lambda r: r.margin)
-    status = FAIL if any(r.status == FAIL for r in results) else PASS
-    return replace(
-        worst,
-        status=status,
-        detail=f"{len(qualifying)} qualifying excursion(s); worst: {worst.detail}",
-    )
+    prefix = f"{len(qualifying)} qualifying excursion(s); worst: "
+    return _cascade(traj, p, cert.L_used, qualifying, cert.T0, prefix)

@@ -121,6 +121,16 @@ class TestOneSearchPerCheck:
         assert res.status == "pass" and res.detail.count("margin") == 4
         assert calls == [4]
 
+    def test_cascade_record_is_one_search_over_every_excursion(self, demo_traj, monkeypatch):
+        # the demo has 13 excursions above 0.2 lasting tau(0.2), 4 stage
+        # windows each: all 52 go to one search, however many excursions
+        cert = dataclasses.replace(certificate(DEMO, State.zero()), L_used=0.2, T0=tau(DEMO, 0.2))
+        demo_traj.maxima, excursions_above(demo_traj, 0.2)  # found and kept in every report
+        calls = count_searches(monkeypatch)
+        res = aifcert.verify._cascade_record(demo_traj, DEMO, cert)
+        assert res.status == "pass" and res.detail.startswith("13 qualifying excursion(s); worst: ")
+        assert calls == [52]
+
     def test_W_decrease_is_one_search(self, demo_traj, monkeypatch):
         # gamma at W's median node: W has many stretches above it, all
         # windows of one W_rate search
@@ -427,6 +437,48 @@ class TestCascadeLowerBounds:
         ((low, _),) = traj.extrema([("min", "x2", None, None)])
         assert res.margin == pytest.approx((low - 0.5) / 0.5, rel=1e-12)
         assert res.margin < -0.2
+
+    @pytest.mark.parametrize("T0", [0.0, math.inf, -1.0, math.nan], ids=["zero", "inf", "negative", "nan"])
+    def test_given_waiting_time_must_be_finite_and_positive(self, demo_traj, T0):
+        e = next(e for e in excursions_above(demo_traj, 0.2) if e.duration >= tau(DEMO, 0.2))
+        with pytest.raises(ValueError, match=r"^T0 must be finite and > 0, got "):
+            check_cascade_lower_bounds(demo_traj, DEMO, 0.2, e, T0=T0)
+
+    def test_record_is_the_worst_excursion_bit_for_bit(self, demo_traj):
+        # the record judges all 13 excursions together; it must read as the
+        # first worst of the 13 records judged one by one
+        cert = dataclasses.replace(certificate(DEMO, State.zero()), L_used=0.2, T0=tau(DEMO, 0.2))
+        qualifying = [e for e in excursions_above(demo_traj, 0.2) if e.duration >= cert.T0]
+        results = [check_cascade_lower_bounds(demo_traj, DEMO, 0.2, e, T0=cert.T0) for e in qualifying]
+        worst = min(results, key=lambda r: r.margin)
+        res = build_report(DEMO, State.zero(), cert=cert, traj=demo_traj).checks[2]
+        assert len(results) == 13
+        assert (res.name, res.status, res.margin.hex(), res.location, res.detail) == (
+            "cascade_lower_bounds",
+            worst.status,
+            worst.margin.hex(),
+            worst.location,
+            f"13 qualifying excursion(s); worst: {worst.detail}",
+        )
+
+    def test_record_names_the_excursion_with_the_dip(self):
+        # x1 at its equilibrium 0.1, above L_used = 0.09 but for two dips to
+        # 0.05, makes two excursions; x2 dips to 0.3, below ell2(0.09) = 0.45,
+        # only inside the second, whose record is the worst
+        eq = equilibrium(DEMO).as_tuple()
+        low, dip = (0.05, *eq[1:]), (eq[0], 0.3, *eq[2:])
+        t = [0.0, 0.5, 3.0, 3.5, 4.0, 5.999, 6.0, 6.001, 8.0]
+        traj = Trajectory.from_samples(DEMO, t, [low, eq, eq, low, eq, eq, dip, eq, eq])
+        cert = dataclasses.replace(certificate(DEMO, State.from_sequence(low)), L_used=0.09, T0=1.0)
+        first, second = excursions_above(traj, 0.09)
+        assert check_cascade_lower_bounds(traj, DEMO, 0.09, first, T0=1.0).status == "pass"
+        res = build_report(DEMO, low, cert=cert, traj=traj).checks[2]
+        assert res.status == "fail" and res.margin < -0.3
+        assert second.start < 5.999 < res.location < 6.001 < second.end
+        assert res.detail.startswith(
+            f"2 qualifying excursion(s); worst: excursion [{second.start:.6g}, {second.end:.6g}]: "
+        )
+        assert "x2>=ell2 margin -0.333" in res.detail
 
     def test_overstated_floor_fails(self, demo_traj):
         # widen the window beyond the excursion: not applicable again
