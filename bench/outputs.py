@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print a sha256 digest of each output that a refactor must leave byte-identical.
 
-    python3 bench/outputs.py [--checkout DIR] > digests.txt
+    python3 bench/outputs.py [--checkout DIR] [--dump DIR] > digests.txt
 
 Imports aifcert from the checkout's ``src`` (default: this checkout)
 and prints one ``<sha256>  <name>`` line per output:
@@ -33,11 +33,17 @@ and prints one ``<sha256>  <name>`` line per output:
 - ``witness/demo_L_used_0.2/...``: the report JSON of build_report on the
   README demo run (x0 = 0, horizon 100) against its certificate with
   L_used set to 0.2 and T0 to tau(0.2), and again with T0 divided by 3,
-  so that the cascade record judges many qualifying excursions together.
+  so that the cascade record judges many qualifying excursions together;
+- ``witness/second_excursion_dip/report.json``: the report JSON of
+  build_report on a sampled run (Trajectory.from_samples) with two
+  excursions above L_used = 0.09 lasting T0 = 1 and an x2 dip only in the
+  second, so that the cascade record's worst excursion is not the first.
 
 Two checkouts have byte-identical outputs exactly when ``diff`` finds
-no difference between their digest lists.  Only aifcert's public API
-and make_cases are used.
+no difference between their digest lists.  With ``--dump DIR`` the bytes
+behind each digest are also written to ``DIR/<name>``, so that
+``diff -r`` of two dumps shows which records moved; the digest lines do
+not change.  Only aifcert's public API and make_cases are used.
 """
 
 from __future__ import annotations
@@ -94,12 +100,12 @@ WITNESSES = (
 CASCADE_LEVEL = 0.2  # the demo run has 13 excursions above it lasting tau(0.2)
 
 
-def digest(data: bytes | str) -> str:
-    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+def report_json(aifcert, p, x0, cert, traj) -> str:
+    return json.dumps(aifcert.build_report(p, x0, cert=cert, traj=traj).to_json(), sort_keys=True)
 
 
-def demo_outputs(main) -> list[tuple[str, str]]:
-    """(name, digest) of each command's standard output and of each file it writes."""
+def demo_outputs(main) -> list[tuple[str, bytes | str]]:
+    """(name, bytes) of each command's standard output and of each file it writes."""
 
     def run(commands, prefix):
         for argv in commands:
@@ -108,7 +114,7 @@ def demo_outputs(main) -> list[tuple[str, str]]:
                 code = main(argv)
             if code != 0:
                 sys.exit(f"aifcert {' '.join(argv)} exited {code}")
-            found.append((f"{prefix}stdout/{argv[0]}", digest(out.getvalue())))
+            found.append((f"{prefix}stdout/{argv[0]}", out.getvalue()))
 
     found = []
     cwd = os.getcwd()
@@ -116,36 +122,36 @@ def demo_outputs(main) -> list[tuple[str, str]]:
         os.chdir(tmp)
         try:
             run(DEMO_COMMANDS, "demo/")
-            found += [(f"demo/{name}", digest(Path(name).read_bytes())) for name in DEMO_FILES]
+            found += [(f"demo/{name}", Path(name).read_bytes()) for name in DEMO_FILES]
             Path(CSV_CONFIG[0]).write_text(json.dumps(CSV_CONFIG[1]))
             run(CSV_COMMANDS, "demo/from_csv/")
-            found += [(f"demo/{name}", digest(Path(name).read_bytes())) for name in CSV_FILES]
+            found += [(f"demo/{name}", Path(name).read_bytes()) for name in CSV_FILES]
         finally:
             os.chdir(cwd)
     return found
 
 
 def case_outputs(aifcert, case) -> tuple[list[tuple[str, str]], dict]:
-    """(name, digest) of one case's report, of its four tampered global_bounds records and
+    """(name, JSON) of one case's report, of its four tampered global_bounds records and
     of its W_decrease record at W's median node, and its integration's counters."""
     report = aifcert.build_report(case.params, case.x0, horizon=case.horizon, L_override=case.L,
                                   fuzz_count=case.fuzz, fuzz_seed=case.fuzz_seed)
-    found = [("report.json", digest(json.dumps(report.to_json(), sort_keys=True)))]
+    found = [("report.json", json.dumps(report.to_json(), sort_keys=True))]
     traj = aifcert.integrate(case.params, case.x0, case.horizon)
     cert = aifcert.certificate(case.params, case.x0, case.L)
     for i in range(1, 5):
         bad = dataclasses.replace(cert, **{f"M{i}": getattr(cert, f"M{i}") / 10.0})
         record = aifcert.check_global_bounds(traj, bad).to_json()
-        found.append((f"global_bounds_M{i}_over_10.json", digest(json.dumps(record, sort_keys=True))))
+        found.append((f"global_bounds_M{i}_over_10.json", json.dumps(record, sort_keys=True)))
     W = aifcert.DerivedConstants.from_params(case.params).W(*traj.y[:, 1:].T)
     median = dataclasses.replace(cert, gamma=float(np.median(W)))
     record = aifcert.check_W_decrease(traj, case.params, median).to_json()
-    found.append(("W_decrease_gamma_median.json", digest(json.dumps(record, sort_keys=True))))
+    found.append(("W_decrease_gamma_median.json", json.dumps(record, sort_keys=True)))
     return found, {"taylor_runs": traj.taylor_runs, "stats": dict(traj.stats)}
 
 
 def witness_outputs(aifcert, rates, x0, horizon) -> list[tuple[str, str]]:
-    """(name, digest) of one run's report, and of its reports with T0 / 100 and gamma / 2."""
+    """(name, JSON) of one run's report, and of its reports with T0 / 100 and gamma / 2."""
     p, x0 = aifcert.Params.from_sequence(rates), aifcert.State.from_sequence(x0)
     cert = aifcert.certificate(p, x0)
     traj = aifcert.integrate(p, x0, horizon)
@@ -154,24 +160,40 @@ def witness_outputs(aifcert, rates, x0, horizon) -> list[tuple[str, str]]:
         ("T0_over_100/report.json", dataclasses.replace(cert, T0=cert.T0 / 100.0)),
         ("gamma_halved/report.json", dataclasses.replace(cert, gamma=cert.gamma / 2.0)),
     )
-    return [(name, digest(json.dumps(aifcert.build_report(p, x0, cert=c, traj=traj).to_json(),
-                                     sort_keys=True))) for name, c in certs]
+    return [(name, report_json(aifcert, p, x0, c, traj)) for name, c in certs]
 
 
 def cascade_outputs(aifcert) -> list[tuple[str, str]]:
-    """(name, digest) of the demo run's report with L_used = CASCADE_LEVEL and T0 = tau of it, and T0 / 3."""
+    """(name, JSON) of the demo run's report with L_used = CASCADE_LEVEL and T0 = tau of it, and T0 / 3."""
     p, x0 = aifcert.Params.from_sequence(DEMO_RATES), aifcert.State.zero()
     T0 = float(aifcert.tau(p, CASCADE_LEVEL))
     cert = dataclasses.replace(aifcert.certificate(p, x0), L_used=CASCADE_LEVEL, T0=T0)
     traj = aifcert.integrate(p, x0, 100.0)
     certs = (("report.json", cert), ("T0_over_3/report.json", dataclasses.replace(cert, T0=T0 / 3.0)))
-    return [(name, digest(json.dumps(aifcert.build_report(p, x0, cert=c, traj=traj).to_json(),
-                                     sort_keys=True))) for name, c in certs]
+    return [(name, report_json(aifcert, p, x0, c, traj)) for name, c in certs]
+
+
+def later_excursion_output(aifcert) -> str:
+    """JSON of the report on a sampled run whose cascade record's worst excursion is the second.
+
+    x1 sits at the demo equilibrium's 0.1 but for two dips to 0.05, which
+    make two excursions above L_used = 0.09 lasting T0 = 1; x2 dips to 0.3,
+    below ell2(0.09) = 0.45, only inside the second.
+    """
+    p = aifcert.Params.from_sequence(DEMO_RATES)
+    eq = aifcert.equilibrium(p).as_tuple()
+    low, dip = (0.05, *eq[1:]), (eq[0], 0.3, *eq[2:])
+    t = [0.0, 0.5, 3.0, 3.5, 4.0, 5.999, 6.0, 6.001, 8.0]
+    traj = aifcert.Trajectory.from_samples(p, t, [low, eq, eq, low, eq, eq, dip, eq, eq])
+    x0 = aifcert.State.from_sequence(low)
+    cert = dataclasses.replace(aifcert.certificate(p, x0), L_used=0.09, T0=1.0)
+    return report_json(aifcert, p, x0, cert, traj)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--checkout", type=Path, default=ROOT, help="checkout whose src to run (default: this one)")
+    ap.add_argument("--dump", type=Path, help="also write the bytes behind each digest to DIR/<name>")
     args = ap.parse_args(argv)
     # workloads imports aifcert from the checkout's src and refuses any other copy
     sys.path.insert(0, str(args.checkout.resolve() / "perfbench"))
@@ -186,12 +208,18 @@ def main(argv=None) -> int:
                 outputs, case_counters = case_outputs(aifcert, case)
                 found += [(f"{name}/seed{seed}/case{k}/{n}", d) for n, d in outputs]
                 counters.append(case_counters)
-            found.append((f"{name}/seed{seed}/integrator.json", digest(json.dumps(counters, sort_keys=True))))
+            found.append((f"{name}/seed{seed}/integrator.json", json.dumps(counters, sort_keys=True)))
     for name, *run in WITNESSES:
         found += [(f"witness/{name}/{n}", d) for n, d in witness_outputs(aifcert, *run)]
     found += [(f"witness/demo_L_used_0.2/{n}", d) for n, d in cascade_outputs(aifcert)]
-    for name, value in found:
-        print(f"{value}  {name}")
+    found.append(("witness/second_excursion_dip/report.json", later_excursion_output(aifcert)))
+    for name, data in found:
+        data = data.encode() if isinstance(data, str) else data
+        if args.dump is not None:
+            path = args.dump / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
     return 0
 
 

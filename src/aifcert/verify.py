@@ -11,7 +11,8 @@ max (or min) of an observable of the interpolant on a window is at most
 exact Trajectory.extrema search and gives every margin, headroom over a
 scale, and the first worst with its location; no obligations is vacuous.
 The lemma reads p = x1*x4 (xdot1 = alpha1 - alpha2*p), W_decrease
-W_rate = dW/dt; nothing here samples or differences the trajectory.  The
+W_rate = dW/dt, whose rate identities are algebra, the proposition fact
+"W identity"; nothing here samples or differences the trajectory.  The
 lemma and the cascade read one set of excursions, those above L_used,
 which excursions_above finds once and keeps on the trajectory: an
 excursion above any higher level, and its window [start+T0, end], lies
@@ -121,8 +122,8 @@ def _judge(traj: Trajectory, obligations, found=()):
 
     An obligation (sense, observable, start, end, bound, scale) claims the
     "max" ("min") of the observable on [start, end] is at most (at least)
-    bound; its margin is (bound - max)/scale or (min - bound)/scale.  ``found``
-    holds the (value, time) of the first obligations; one extrema search finds the rest.
+    bound; its margin is (bound - max)/scale or (min - bound)/scale.  ``found`` holds the
+    (value, time) of the first obligations (global_bounds' kept maxima); one search finds the rest.
     """
     found = [*found, *traj.extrema([ob[:4] for ob in obligations[len(found):]])]
     margins = [
@@ -198,7 +199,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
             if x1max <= L_used
             else f"vacuous: no excursion above L_used {L_used:.6g} lasted >= T0 {T0:.6g} (longest {longest:.6g})",
         )
-    theta = p.alpha1 / p.alpha2
+    theta = DerivedConstants.from_params(p).theta
     bound = theta + _STRICT_NEG * theta  # x1*x4 above it is xdot1 below -_STRICT_NEG*alpha1
     obligations = [("min", "p", e.start + T0, e.end, bound, theta) for e in qualifying]
     worst_margin, worst_loc, _, _ = _judge(traj, obligations)
@@ -254,7 +255,7 @@ def check_cascade_lower_bounds(
 
 def _cascade(traj, p, L, excursions, T_w, prefix="") -> CheckResult:
     """One record of every stage of excursions lasting T_w at level L; its detail lists the worst's."""
-    dc = DerivedConstants.from_params(p)
+    dc, l2, l3 = DerivedConstants.from_params(p), ell2(p, L), ell3(p, L)
     stages, obligations = [], []  # stages: each obligation's (excursion index, stage label)
     for k, (e, x1) in enumerate(zip(excursions, traj.at([e.start for e in excursions])[:, 0].tolist())):
         s, dur = e.start, e.duration
@@ -263,8 +264,8 @@ def _cascade(traj, p, L, excursions, T_w, prefix="") -> CheckResult:
         # (label, sense, observable, window start and end after s, bound); empty windows drop out
         for label, sense, name, a, b, bound in (
             ("x1<=window", "max", "x1", 0.0, T_w, U_eff),
-            ("x2>=ell2", "min", "x2", dc.delta2, dur, ell2(p, L)),
-            ("x3>=ell3", "min", "x3", dc.psi1, dur, ell3(p, L)),
+            ("x2>=ell2", "min", "x2", dc.delta2, dur, l2),
+            ("x3>=ell3", "min", "x3", dc.psi1, dur, l3),
             # ell4 with the effective window bound
             ("x4>=ell4", "min", "x4", dc.psi1 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
         ):
@@ -287,43 +288,35 @@ def _cascade(traj, p, L, excursions, T_w, prefix="") -> CheckResult:
 def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> CheckResult:
     """W = x4 + c*x2 + d*x3 cannot climb while above gamma.
 
-    By the chain rule dW/dt = (d*a5 - c*a4)*x2 + (a7 - d*a6)*x3
-    + c*a3*x1 - a8*x1*x4, which equals alpha8*x1*(K - x4) for every state
-    iff c*a4 = d*a5, d*a6 = a7 and c*a3 = a8*K; each must hold to 1e-12
-    relative.  Wherever the interpolant's W exceeds gamma (stretches_above),
-    between the nodes too, that derivative, W_rate, must be <= 1e-9.  As
-    c, d > 0, W <= c*max x2 + d*max x3 + max x4 (Trajectory.maxima, kept
-    from global_bounds); if that bound lies below gamma by more than the
+    With c, d and K as DerivedConstants defines them, dW/dt is
+    alpha8*x1*(K - x4) for every state: the rate identities c*a4 = d*a5,
+    d*a6 = a7 and c*a3 = a8*K are algebra on the rates, checked by
+    check_propositions as its fact "W identity".  Wherever the
+    interpolant's W exceeds gamma (stretches_above), between the nodes
+    too, that derivative, W_rate, must be <= 1e-9.  As c, d > 0,
+    W <= c*max x2 + d*max x3 + max x4 (Trajectory.maxima, kept from
+    global_bounds); if that bound lies below gamma by more than the
     rounding slack _W_SLACK relative, far above the maxima's rounding, W
     has no stretch above gamma and the search is skipped.  A bound within
-    the slack runs the search, so a fail never rests on the skip.
+    the slack runs the search, so a fail never rests on the skip.  With no
+    stretch the check passes vacuously and says so, as the lemma does.
     """
     _check_provenance(traj, p, cert)
-    dc = DerivedConstants.from_params(p)
-    pairs = (
-        (dc.c * p.alpha4, dc.d * p.alpha5),
-        (dc.d * p.alpha6, p.alpha7),
-        (dc.c * p.alpha3, p.alpha8 * dc.K),
-    )
-    ident = max(abs(lhs - rhs) / rhs for lhs, rhs in pairs)
-    parts = [f"identity worst {ident:.3g} (c*a4 = d*a5, d*a6 = a7, c*a3 = a8*K)"]
     x2max, x3max, x4max = (top for top, _ in traj.maxima[1:])
-    below = dc.W(x2max, x3max, x4max) < cert.gamma - _W_SLACK * cert.gamma
+    below = DerivedConstants.from_params(p).W(x2max, x3max, x4max) < cert.gamma - _W_SLACK * cert.gamma
     stretches = [] if below else stretches_above(traj, "W", cert.gamma)
-    obligations = [("max", "identity", None, None, 1e-12, 1.0)]  # found in closed form: ident
-    obligations += [("max", "W_rate", a, b, 1e-9, 1.0) for a, b in stretches if a < b]
-    margin, location, _, found = _judge(traj, obligations, [(ident, None)])
-    if found[1:]:
-        top = max(v for v, _ in found[1:])
-        parts.append(f"W above gamma {cert.gamma:.6g}, max Wdot there {top:.3g}")
-    else:
-        parts.append(f"W never above gamma {cert.gamma:.6g}; decrease part vacuous")
+    obligations = [("max", "W_rate", a, b, 1e-9, 1.0) for a, b in stretches if a < b]
+    if not obligations:
+        return CheckResult(
+            "W_decrease", PASS, None, None, f"W never above gamma {cert.gamma:.6g}; decrease part vacuous"
+        )
+    margin, location, _, found = _judge(traj, obligations)
     return CheckResult(
         "W_decrease",
         PASS if margin >= 0.0 else FAIL,
         margin,
         location,
-        "; ".join(parts),
+        f"W above gamma {cert.gamma:.6g}, max Wdot there {max(v for v, _ in found):.3g}",
     )
 
 
@@ -334,7 +327,7 @@ _LEVELS = np.r_[_GRID, _RES_GRID, 1e9]
 _CHUNK = 1024  # rate sets per array pass, which bounds the memory of a large fuzz count
 _ALPHAS = tuple(f"alpha{k + 1}" for k in range(8))
 _FACTS = ("tau decreasing", "tau above psi1", "ell4 increasing", "ell4 below K/8", "L*ell4 increasing",
-          "tau limit", "ell4 supremum", "fixed-point residual", "threshold residual")
+          "tau limit", "ell4 supremum", "fixed-point residual", "threshold residual", "W identity")
 
 
 def _propositions(rates: np.ndarray):
@@ -343,7 +336,7 @@ def _propositions(rates: np.ndarray):
     ``rates`` holds one set's alpha1..alpha8 per row.  Margins are
     normalized, a location is the level of its margin.  All levels of all
     the sets fill one (sets, 63) table that goes through one tau and one
-    ell4 call, and each fact fills its column of the three (sets, 9) tables.
+    ell4 call, and each fact fills its column of the three (sets, 10) tables.
     """
     sets = [SimpleNamespace(**dict(zip(_ALPHAS, row))) for row in rates.tolist()]
     # a lone set's rates as floats, which broadcast at a fraction of the cost of (1, 1) arrays
@@ -358,7 +351,7 @@ def _propositions(rates: np.ndarray):
     taus = tau(p, levels)
     l4s = ell4(p, levels, taus)
     # one column per fact, in _FACTS order
-    holds, margin, loc = np.empty((n, 9), dtype=bool), np.empty((n, 9)), np.empty((n, 9))
+    holds, margin, loc = np.empty((n, 10), dtype=bool), np.empty((n, 10)), np.empty((n, 10))
     rows = np.arange(n)
 
     # strict monotonicity along the grid, and the floors: each worst at its first minimum
@@ -393,14 +386,20 @@ def _propositions(rates: np.ndarray):
     res = np.abs(levels[:, 62:63] * l4s[:, 62:63] - dc.theta)
     tol = 1e-12 * dc.theta
     holds[:, 8:9], margin[:, 8:9], loc[:, 8] = res <= tol, (tol - res) / dc.theta, levels[:, 62]
+
+    # the rate identities that make dW/dt = alpha8*x1*(K - x4), located at L* like the threshold
+    w = np.maximum.reduce([np.abs(lhs - rhs) / rhs for lhs, rhs in (
+        (dc.c * p.alpha4, dc.d * p.alpha5), (dc.d * p.alpha6, p.alpha7), (dc.c * p.alpha3, p.alpha8 * dc.K))])
+    holds[:, 9:10], margin[:, 9:10], loc[:, 9] = w <= 1e-12, (1e-12 - w) / 1e-12, levels[:, 62]
     return holds, margin, loc
 
 
 def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> CheckResult:
-    """Scalar facts about tau, ell4, L*ell4 and the threshold equation.
+    """Scalar facts about tau, ell4, L*ell4, the threshold equation and W.
 
     The facts (_FACTS) are checked on a 40-level grid, a 20-level
-    residual grid, at large levels and at L*.  With fuzz_count > 0 they
+    residual grid, at large levels and at L*, also the location of "W identity", the rate
+    identities behind dW/dt = alpha8*x1*(K - x4).  With fuzz_count > 0 they
     are also checked on that many random parameter sets (log-uniform in
     FORMULA_FUZZ_RANGE, all drawn in one call of default_rng(fuzz_seed),
     which must then be a non-negative integer), the sets of each _CHUNK in

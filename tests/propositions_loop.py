@@ -75,6 +75,15 @@ def propositions_eval(p):
     res = abs(L_star * ell4(p, L_star, tau(p, L_star)) - dc.theta)
     record(res <= 1e-12 * dc.theta, float(1e-12 * dc.theta - res) / dc.theta, L_star, "threshold residual")
 
+    # c, d and K make dW/dt = alpha8*x1*(K - x4) for every state iff these hold
+    pairs = (
+        (dc.c * p.alpha4, dc.d * p.alpha5),
+        (dc.d * p.alpha6, p.alpha7),
+        (dc.c * p.alpha3, p.alpha8 * dc.K),
+    )
+    ident = max(abs(lhs - rhs) / rhs for lhs, rhs in pairs)
+    record(ident <= 1e-12, float(1e-12 - ident) / 1e-12, L_star, "W identity")
+
     detail = "all grid and limit facts hold" if ok else "; ".join(notes)
     return ok, worst[0], worst[1], detail
 

@@ -1,19 +1,24 @@
 """The benchmark scripts' own rules, which need no benchmark run."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-PAIRS = Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("pairs")
 
 
 @pytest.mark.parametrize(
@@ -29,3 +34,13 @@ def pairs():
 )
 def test_gain_claim_needs_ten_pairs_nine_won_and_a_wide_gap(pairs, wins, n, gap, spread, verdict):
     assert pairs.gain_claim(wins, n, gap, spread) == verdict
+
+
+def test_dump_holds_the_bytes_behind_each_digest(tmp_path, capsys):
+    # outputs.py --dump writes one file per digest line, whose sha256 is that line's
+    assert load("outputs").main(["--dump", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines:
+        value, name = line.split("  ")
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == value, name
+    assert 0 < len(lines) == sum(path.is_file() for path in tmp_path.rglob("*"))

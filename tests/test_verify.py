@@ -488,26 +488,14 @@ class TestCascadeLowerBounds:
 
 
 class TestWDecrease:
-    def test_identity_holds_everywhere(self, demo_traj):
+    def test_vacuous_on_the_demo_has_no_margin(self, demo_traj):
+        # W stays below gamma on the demo: the record passes with no margin
+        # and no location, as the vacuous lemma does; the rate identities
+        # are the propositions' fact W identity, not a trajectory margin
         cert = certificate(DEMO, State.zero())
         res = check_W_decrease(demo_traj, DEMO, cert)
-        assert res.status == "pass"
-        assert "identity" in res.detail
-        assert "W never above gamma" in res.detail
-
-    def test_tampered_weight_breaks_identity(self, demo_traj, monkeypatch):
-        # c off by 1e-9 relative breaks c*a4 = d*a5 and c*a3 = a8*K
-        cert = certificate(DEMO, State.zero())
-        exact = DerivedConstants.from_params.__func__
-
-        def tampered(cls, p):
-            dc = exact(cls, p)
-            return dataclasses.replace(dc, c=dc.c * (1.0 + 1e-9))
-
-        monkeypatch.setattr(DerivedConstants, "from_params", classmethod(tampered))
-        res = check_W_decrease(demo_traj, DEMO, cert)
-        assert res.status == "fail"
-        assert res.margin < 0.0
+        assert (res.status, res.margin, res.location) == ("pass", None, None)
+        assert res.detail == f"W never above gamma {cert.gamma:.6g}; decrease part vacuous"
 
     def test_decrease_from_high_start(self):
         x0 = State.from_sequence([0.0, 0.0, 0.0, 100.0])
@@ -721,6 +709,30 @@ class TestPropositions:
         monkeypatch.setattr(aifcert.verify, "_CHUNK", chunk)
         res = check_propositions(DEMO, fuzz_count=50, fuzz_seed=1729)
         assert _bitwise(res) == _bitwise(check_propositions_loop(DEMO, 50, 1729))
+
+    def test_tampered_weight_breaks_W_identity(self, monkeypatch):
+        # c off by 1e-9 relative breaks c*a4 = d*a5 and c*a3 = a8*K
+        exact = DerivedConstants.from_params.__func__
+
+        def tampered(cls, p):
+            dc = exact(cls, p)
+            return dataclasses.replace(dc, c=dc.c * (1.0 + 1e-9))
+
+        monkeypatch.setattr(DerivedConstants, "from_params", classmethod(tampered))
+        res = check_propositions(DEMO)
+        assert res.status == "fail" and res.margin < 0.0
+        assert res.detail.startswith("W identity failed (margin ")
+        assert _bitwise(res) == _bitwise(check_propositions_loop(DEMO))
+
+    def test_W_identity_holds_on_20000_drawn_sets(self):
+        # the audit: the rate identities hold to rounding on every set drawn
+        # across FORMULA_FUZZ_RANGE, far inside 1e-12
+        lo, hi = (math.log(b) for b in FORMULA_FUZZ_RANGE)
+        rates = np.exp(np.random.default_rng(1729).uniform(lo, hi, (20_000, 8)))
+        k = aifcert.verify._FACTS.index("W identity")
+        for chunk in np.split(rates, 20):
+            holds, margin, _ = aifcert.verify._propositions(chunk)
+            assert holds[:, k].all() and margin[:, k].min() >= 0.999
 
     def test_some_fuzzed_sets_failing_fails(self, monkeypatch):
         # tau held constant above L = 10 only for the sets with alpha4 < 0.05;
