@@ -152,7 +152,8 @@ class Trajectory:
     power 0 to 6 of s, node]`` that every query reads: column i is step
     i's polynomial, row 0 node i's state, and the last column the last
     node alone, so ``y`` is a view of row 0, and ``t`` is a read-only
-    copy like the table.  Instances carry the inputs that produced them and do not change
+    copy like the table.  A non-finite time or state raises a ValueError.
+    Instances carry the inputs that produced them and do not change
     after construction, except that two answers are kept after first
     use: ``maxima``, and per level the excursions of excursions_above.
 
@@ -170,6 +171,8 @@ class Trajectory:
         self.params = params
         self.t = t = np.array(t, dtype=float)  # an owned copy, read-only like the table
         t.flags.writeable = False
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
+            raise ValueError("trajectory times and states must be finite")
         self.x0 = State(*y[0].tolist())
         self.taylor_runs = taylor_runs = tuple((int(i), int(j)) for i, j in taylor_runs)
         a = params.as_tuple()

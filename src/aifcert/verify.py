@@ -9,8 +9,11 @@ The four trajectory checks each state their claim as obligations: the
 max (or min) of an observable of the interpolant on a window is at most
 (at least) a bound.  One rule, _judge, takes a check's extrema from one
 exact Trajectory.extrema search and gives every margin, headroom over a
-scale, and the first worst with its location; no obligations is vacuous.
-The lemma reads p = x1*x4 (xdot1 = alpha1 - alpha2*p), W_decrease
+scale, the first worst with its location, and the verdict: a check
+names only its floor, and fails unless every margin is at least it
+(global_bounds -1e-6, the strict lemma the least positive float, the
+cascade -1e-9, W_decrease 0); no obligations is a vacuous pass.  The
+lemma reads p = x1*x4 (xdot1 = alpha1 - alpha2*p), W_decrease
 W_rate = dW/dt, whose rate identities are algebra, the proposition fact
 "W identity"; nothing here samples or differences the trajectory.  The
 lemma and the cascade read one set of excursions, those above L_used,
@@ -117,46 +120,54 @@ def _check_provenance(traj: Trajectory, p: Params, cert=None, x0=None) -> None:
         raise ValueError("x0 does not match the trajectory's initial state")
 
 
-def _judge(traj: Trajectory, obligations, found=()):
-    """(first worst margin, its location, every margin, every (value, time)) of obligations.
+def _judge(traj: Trajectory, obligations, floor, found=()):
+    """(status, first worst margin, its location, every margin, every (value, time)) of obligations.
 
     An obligation (sense, observable, start, end, bound, scale) claims the
     "max" ("min") of the observable on [start, end] is at most (at least)
-    bound; its margin is (bound - max)/scale or (min - bound)/scale.  ``found`` holds the
-    (value, time) of the first obligations (global_bounds' kept maxima); one search finds the rest.
+    bound; its margin is (bound - max)/scale or (min - bound)/scale.  The
+    one fail rule of every trajectory check: it fails unless every margin
+    is >= floor, the check's allowance, so a NaN margin fails too.
+    No obligations is a vacuous pass with no margin and no location.
+    ``found`` holds the (value, time) of the first obligations
+    (global_bounds' kept maxima); one search finds the rest.
     """
+    if not obligations:
+        return PASS, None, None, [], []
     found = [*found, *traj.extrema([ob[:4] for ob in obligations[len(found):]])]
     margins = [
         (bound - v if sense == "max" else v - bound) / scale
         for (sense, _, _, _, bound, scale), (v, _) in zip(obligations, found)
     ]
     k = margins.index(min(margins))
-    return margins[k], found[k][1], margins, found
+    status = PASS if all(m >= floor for m in margins) else FAIL
+    return status, margins[k], found[k][1], margins, found
 
 
 def check_global_bounds(traj: Trajectory, cert: BoundCertificate) -> CheckResult:
     """Each state component stays below its certificate bound.
 
     The comparison is against the exact maximum of the interpolant, not
-    just the step nodes.  A failure is located at the start of the first
-    stretch where a component is at or above its bound plus 1e-6
-    relative (at t0 if it starts there), or at the maximum if rounding
+    just the step nodes, and a component fails at a margin (M - max)/M
+    below -1e-6.  A failure is located at the start of the first stretch
+    where a failing component is at or above its bound plus 1e-6
+    relative (at t0 if it starts there), or at its maximum if rounding
     leaves no such stretch.
     """
     _check_provenance(traj, cert.params, cert)
     bounds = (cert.M1, cert.M2, cert.M3, cert.M4)
     obligations = [("max", f"x{i}", None, None, M, M) for i, M in enumerate(bounds, 1)]
-    worst_margin, worst_loc, _, _ = _judge(traj, obligations, traj.maxima)
-    parts, fails = [], []  # fails: for each component above its limit, where it first is
-    for i, (M, (top, t_top)) in enumerate(zip(bounds, traj.maxima), 1):
+    floor = -1e-6  # a component may exceed its bound by 1e-6 relative
+    status, worst_margin, worst_loc, _, _ = _judge(traj, obligations, floor, traj.maxima)
+    parts, fails = [], []  # fails: for each failing component, where it first is above its limit
+    for i, (M, ob, (top, t_top)) in enumerate(zip(bounds, obligations, traj.maxima), 1):
         parts.append(f"x{i} max {top:.6g} vs M{i} {M:.6g}")
-        limit = M + 1e-6 * M
-        if top > limit:
-            above = stretches_above(traj, f"x{i}", limit)
+        if status == FAIL and _judge(traj, [ob], floor, [(top, t_top)])[0] == FAIL:
+            above = stretches_above(traj, f"x{i}", M + 1e-6 * M)
             fails.append(above[0][0] if above else t_top)
     return CheckResult(
         "global_bounds",
-        FAIL if fails else PASS,
+        status,
         worst_margin,
         min(fails, default=worst_loc),
         ("bound exceeded: " if fails else "") + "; ".join(parts),
@@ -189,31 +200,20 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     L_used, T0 = cert.L_used, cert.T0
     x1max = traj.maxima[0][0]
     _, qualifying, longest = _long_excursions(traj, cert)
-    if not qualifying:
-        return CheckResult(
-            "excursion_lemma",
-            PASS,
-            None,
-            None,
-            f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}"
-            if x1max <= L_used
-            else f"vacuous: no excursion above L_used {L_used:.6g} lasted >= T0 {T0:.6g} (longest {longest:.6g})",
-        )
     theta = DerivedConstants.from_params(p).theta
     bound = theta + _STRICT_NEG * theta  # x1*x4 above it is xdot1 below -_STRICT_NEG*alpha1
     obligations = [("min", "p", e.start + T0, e.end, bound, theta) for e in qualifying]
-    worst_margin, worst_loc, _, _ = _judge(traj, obligations)
+    # the least positive float as the floor: the claim is strict, so a margin of exactly 0 fails
+    status, worst_margin, worst_loc, _, _ = _judge(traj, obligations, math.ulp(0.0))
     detail = (
         f"{len(qualifying)} qualifying excursion(s); strict decrease and product "
         f"threshold checked on [start+T0, end]"
+        if qualifying
+        else f"vacuous: max x1 {x1max:.6g} never exceeded L_used {L_used:.6g}"
+        if x1max <= L_used
+        else f"vacuous: no excursion above L_used {L_used:.6g} lasted >= T0 {T0:.6g} (longest {longest:.6g})"
     )
-    return CheckResult(
-        "excursion_lemma",
-        FAIL if worst_margin <= 0.0 else PASS,
-        worst_margin,
-        worst_loc,
-        detail,
-    )
+    return CheckResult("excursion_lemma", status, worst_margin, worst_loc, detail)
 
 
 def check_cascade_lower_bounds(
@@ -272,13 +272,13 @@ def _cascade(traj, p, L, excursions, T_w, prefix="") -> CheckResult:
             if a <= b:
                 stages.append((k, label))
                 obligations.append((sense, name, s + a, s + b, bound, bound))
-    margin, location, margins, _ = _judge(traj, obligations)
+    status, margin, location, margins, _ = _judge(traj, obligations, -1e-9)
     k = stages[margins.index(margin)][0]  # the excursion that owns the first worst margin
     detail = "; ".join(f"{w} margin {m:.3g}" for (j, w), m in zip(stages, margins) if j == k)
     e = excursions[k]
     return CheckResult(
         "cascade_lower_bounds",
-        PASS if margin >= -1e-9 else FAIL,
+        status,
         margin,
         location,
         f"{prefix}excursion [{e.start:.6g}, {e.end:.6g}]: {detail}",
@@ -306,18 +306,13 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     below = DerivedConstants.from_params(p).W(x2max, x3max, x4max) < cert.gamma - _W_SLACK * cert.gamma
     stretches = [] if below else stretches_above(traj, "W", cert.gamma)
     obligations = [("max", "W_rate", a, b, 1e-9, 1.0) for a, b in stretches if a < b]
-    if not obligations:
-        return CheckResult(
-            "W_decrease", PASS, None, None, f"W never above gamma {cert.gamma:.6g}; decrease part vacuous"
-        )
-    margin, location, _, found = _judge(traj, obligations)
-    return CheckResult(
-        "W_decrease",
-        PASS if margin >= 0.0 else FAIL,
-        margin,
-        location,
-        f"W above gamma {cert.gamma:.6g}, max Wdot there {max(v for v, _ in found):.3g}",
+    status, margin, location, _, found = _judge(traj, obligations, 0.0)
+    detail = (
+        f"W above gamma {cert.gamma:.6g}, max Wdot there {max(v for v, _ in found):.3g}"
+        if found
+        else f"W never above gamma {cert.gamma:.6g}; decrease part vacuous"
     )
+    return CheckResult("W_decrease", status, margin, location, detail)
 
 
 # Levels of the grid facts and of the fixed-point residual, and the facts in record order

@@ -44,3 +44,17 @@ def test_dump_holds_the_bytes_behind_each_digest(tmp_path, capsys):
         value, name = line.split("  ")
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == value, name
     assert 0 < len(lines) == sum(path.is_file() for path in tmp_path.rglob("*"))
+
+
+def test_mutants_prints_the_survivor_of_a_fixture(capsys):
+    # fixture.py has two mutants; check_fixture.py pins at_least's >= at its
+    # edge, so that mutant is killed, and not positive's >, whose mutant survives
+    fixture = Path(__file__).resolve().parent / "mutants_fixture"
+    argv = ["--checkout", str(fixture), "--file", "fixture.py", "--tests", "check_fixture.py",
+            "--", "-p", "no:hypothesispytest"]
+    assert load("mutants").main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "fixture.py:11: survived: positive: return x > 0  [> -> >=]",
+        "2 mutants: 1 killed, 1 survived, 0 allowed as equivalent",
+    ]
+

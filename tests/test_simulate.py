@@ -429,6 +429,20 @@ class TestCoefficientTable:
         with pytest.raises(ValueError, match="read-only"):
             traj.y[1, 0] = 0.0
 
+    @pytest.mark.parametrize("where", ["t", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_nodes_are_rejected(self, where, bad):
+        # a NaN x4 node once gave global_bounds a pass with "x4 max nan":
+        # a trajectory like it is not built at all
+        traj = integrate(DEMO, State.zero(), 20.0)
+        t, y = traj.t.copy(), traj.y.copy()
+        if where == "t":
+            t[len(t) // 2] = bad
+        else:
+            y[len(y) // 2, 3] = bad
+        with pytest.raises(ValueError, match="^trajectory times and states must be finite$"):
+            Trajectory(DEMO, t, y, traj.taylor_runs)
+
 
 class TestWindowedExtrema:
     @pytest.mark.parametrize("kind", ["taylor", "rodas4", "samples"])

@@ -213,16 +213,17 @@ class TestOneSearchPerCheck:
 
 
 class TestJudge:
-    """verify._judge: every trajectory check's margins and first worst point, by one rule."""
+    """verify._judge: every trajectory check's verdict, margins and first worst point, by one rule."""
 
     def test_max_and_min_margins_are_headroom_over_scale(self, demo_traj):
         obligations = [("max", "x1", 10.0, 20.0, 2.0, 4.0), ("min", "x2", 10.0, 20.0, 0.1, 0.5)]
         (top, t_top), (low, t_low) = demo_traj.extrema([ob[:4] for ob in obligations])
-        margin, location, margins, found = aifcert.verify._judge(demo_traj, obligations)
+        status, margin, location, margins, found = aifcert.verify._judge(demo_traj, obligations, 0.0)
         assert margins == [(2.0 - top) / 4.0, (low - 0.1) / 0.5]
         assert found == [(top, t_top), (low, t_low)]
         k = int(np.argmin(margins))
         assert (margin, location) == (margins[k], found[k][1]) and margin < margins[1 - k]
+        assert status == ("pass" if margin >= 0.0 else "fail")
 
     def test_a_tie_gives_the_first_location(self, demo_traj):
         # margins 1, 0.5, 0.5, 1: the worst is the second obligation's
@@ -233,20 +234,38 @@ class TestJudge:
             ("min", "x4", None, None, 0.0, 1.0),
         ]
         found = [(1.0, 5.0), (1.5, 6.0), (1.0, 7.0), (1.0, 8.0)]
-        margin, location, margins, _ = aifcert.verify._judge(demo_traj, obligations, found)
+        status, margin, location, margins, _ = aifcert.verify._judge(demo_traj, obligations, 0.0, found)
         assert margins == [1.0, 0.5, 0.5, 1.0]
-        assert (margin, location) == (0.5, 6.0)
+        assert (status, margin, location) == ("pass", 0.5, 6.0)
 
     def test_found_extrema_are_not_searched_again(self, demo_traj, monkeypatch):
         traj = Trajectory(DEMO, demo_traj.t, demo_traj.y, demo_traj.taylor_runs)
         maxima = traj.maxima
         obligations = [("max", f"x{i}", None, None, 10.0, 10.0) for i in range(1, 5)]
         calls = count_searches(monkeypatch)
-        _, _, _, found = aifcert.verify._judge(traj, obligations, maxima)
+        *_, found = aifcert.verify._judge(traj, obligations, 0.0, maxima)
         assert calls == [] and found == maxima
         # given the first four, only the fifth is searched
-        aifcert.verify._judge(traj, [*obligations, ("min", "p", 10.0, 20.0, 0.0, 1.0)], maxima)
+        aifcert.verify._judge(traj, [*obligations, ("min", "p", 10.0, 20.0, 0.0, 1.0)], 0.0, maxima)
         assert calls == [1]
+
+    def test_no_obligations_is_a_pass_with_no_margin(self, demo_traj, monkeypatch):
+        calls = count_searches(monkeypatch)
+        assert aifcert.verify._judge(demo_traj, [], 0.0)[:3] == ("pass", None, None)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "floor, v, status",
+        [(0.0, 1.0, "pass"), (0.0, math.nextafter(1.0, 2.0), "fail"), (-0.25, 1.25, "pass"),
+         (-0.25, math.nextafter(1.25, 2.0), "fail"), (0.0, math.nan, "fail")],
+        ids=["at-0", "below-0", "at-minus-quarter", "below-minus-quarter", "nan"],
+    )
+    def test_fails_below_the_floor(self, demo_traj, floor, v, status):
+        # the margin of a maximum v against bound 1 is 1 - v: at the floor it passes, one ulp lower it
+        # fails; a second obligation with headroom does not hide a NaN margin
+        obligations = [("max", "x1", None, None, 2.0, 1.0), ("max", "x1", None, None, 1.0, 1.0)]
+        found = [(0.0, 0.0), (v, 1.0)]
+        assert aifcert.verify._judge(demo_traj, obligations, floor, found)[0] == status
 
 
 class TestExcursionLemma:
@@ -873,3 +892,224 @@ class TestFuzzHelpers:
         for _ in range(50):
             s = random_state(rng)
             assert all(0.0 <= v <= 2.0 for v in s.as_tuple())
+
+
+# Each trajectory check's fail rule, and each case boundary, pinned at its
+# edge.  A fail rule is tried at its floor and one ulp either side, on a
+# trajectory rebuilt from a few samples whose worst point is a node, so the
+# check reads that node's value exactly.  The case boundaries are an
+# excursion lasting exactly the waiting time, L_used equal to max x1, a
+# stretch of W above gamma of length 0, and build_report's default horizon.
+
+DC = DerivedConstants.from_params(DEMO)
+
+
+def ulps(x, k):
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def rising_x1(top):
+    """x1 rising from top/2 to top over [0, 1] (xdot1 = 1 at both nodes): max x1 is top, at t = 1."""
+    traj = Trajectory.from_samples(DEMO, [0.0, 1.0], [[top / 2, 1.0, 1.0, 0.0], [top, 1.0, 1.0, 0.0]])
+    assert traj.maxima[0] == (top, 1.0)
+    return traj
+
+
+class TestGlobalBoundsEdge:
+    """A component fails at a margin (M - max)/M below -1e-6."""
+
+    @pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
+    def test_at_and_around_the_limit(self, k):
+        # at M = 2 the maximum fl(M + 1e-6*M) has a margin of at least -1e-6
+        # and passes; one to four ulps above it fails, below it passes
+        M = 2.0
+        traj = rising_x1(ulps(M + 1e-6 * M, k))
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), M1=M)
+        res = check_global_bounds(traj, cert)
+        assert res.status == ("fail" if k > 0 else "pass")
+        assert res.margin == (M - traj.maxima[0][0]) / M
+        if k > 0:
+            assert res.detail.startswith("bound exceeded: ") and 0.0 < res.location <= 1.0
+
+    @pytest.mark.parametrize("k", [-4, -1, 1, 4])
+    def test_both_sides_of_the_declared_edge(self, k):
+        # at M = 1.2 the maximum fl(M + 1e-6*M) has a margin below -1e-6;
+        # one to four ulps either side, the verdict is the one at M = 2
+        M = 1.2
+        traj = rising_x1(ulps(M + 1e-6 * M, k))
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), M1=M)
+        assert check_global_bounds(traj, cert).status == ("fail" if k > 0 else "pass")
+
+    def test_a_maximum_at_the_limit_whose_margin_is_below_the_floor_fails(self):
+        # the declared edge: max x1 = fl(M + 1e-6*M) exactly, whose margin
+        # (M - max)/M rounds below -1e-6 at M = 1.2 (for about half of all M)
+        M = 1.2
+        traj = rising_x1(M + 1e-6 * M)
+        assert (M - traj.maxima[0][0]) / M < -1e-6
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), M1=M)
+        res = check_global_bounds(traj, cert)
+        assert (res.status, res.location) == ("fail", 1.0)
+
+
+def product_floor_trajectory(low):
+    """x1 = 2 on [0, 2], where p = x1*x4 is low at t = 1 and rises to 2 at t = 2.
+
+    With L_used = 1 and T0 = 1 the one excursion is [0, 2], its window
+    [1, 2], and min p on it is the node value 2*(low/2) = low at t = 1.
+    """
+    y = [[2.0, 1.0, 2.0, low / 2], [2.0, 1.0, 2.0, low / 2], [2.0, 1.0, 2.0, 1.0]]
+    traj = Trajectory.from_samples(DEMO, [0.0, 1.0, 2.0], y)
+    assert traj.extrema([("min", "p", 1.0, 2.0)]) == [(low, 1.0)]
+    return traj
+
+
+class TestExcursionLemmaEdge:
+    """The lemma's claim is strict: a margin of exactly 0 fails."""
+
+    @pytest.mark.parametrize("k, status", [(-1, "fail"), (0, "fail"), (1, "pass")])
+    def test_min_product_at_the_bound(self, k, status):
+        bound = DC.theta + 1e-9 * DC.theta
+        traj = product_floor_trajectory(ulps(bound, k))
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), L_used=1.0, T0=1.0)
+        res = check_excursion_lemma(traj, DEMO, cert)
+        assert (res.status, res.location) == (status, 1.0)
+        assert (res.margin > 0.0, res.margin == 0.0) == (k > 0, k == 0)
+
+
+def stage_floor_trajectory(low):
+    """x2 falling like 5 + (x2(0) - 5)*exp(-t) to low at t = 2, its minimum on [0, 2].
+
+    x1 = 0.5 and x4 = 1/15 keep x1 nearly still; x3 = x2 stays above ell3.
+    """
+    t = np.linspace(0.0, 2.0, 9)
+    x2 = 5.0 + (low - 5.0) * np.exp(2.0 - t)
+    x2[-1] = low
+    traj = Trajectory.from_samples(DEMO, t, np.column_stack([np.full(9, 0.5), x2, x2, np.full(9, 1 / 15)]))
+    assert traj.extrema([("min", "x2", math.log(2.0), 2.0)]) == [(low, 2.0)]
+    return traj
+
+
+def floor_instance():
+    """(L, min x2) at which the x2 stage's margin (min x2 - ell2(L))/ell2(L) is exactly -1e-9.
+
+    With ell2(L) = m*u, u the ulp of [8, 16), and min x2 = (m - k)*u, the
+    margin is fl(-k/m): a k whose nearest m gives -1e-9, and an L whose
+    ell2 is m*u, are found by trying k in turn.
+    """
+    u = 2.0**-49
+    for k in range(5_000_000, 5_001_000):
+        m = round(k / 1e-9)
+        L = m * u / 5.0  # ell2(L) = alpha3*L/(2*alpha4) = 5*L
+        if ell2(DEMO, L) == m * u and ((m - k) * u - m * u) / (m * u) == -1e-9:
+            return L, (m - k) * u
+    raise AssertionError("no instance")
+
+
+L_EDGE, AT_FLOOR = floor_instance()
+
+
+class TestCascadeEdge:
+    """A cascade stage fails at a margin below -1e-9."""
+
+    @staticmethod
+    def record(low):
+        traj = stage_floor_trajectory(low)
+        return check_cascade_lower_bounds(traj, DEMO, L_EDGE, Excursion(L_EDGE, 0.0, 2.0), T0=1.0)
+
+    @pytest.mark.parametrize("k, status", [(-1, "fail"), (0, "pass"), (1, "pass")])
+    def test_min_at_the_floor(self, k, status):
+        low = ulps(AT_FLOOR, k)
+        res = self.record(low)
+        B = ell2(DEMO, L_EDGE)
+        assert (res.status, res.margin, res.location) == (status, (low - B) / B, 2.0)
+        assert (res.margin < -1e-9, res.margin == -1e-9) == (k < 0, k == 0)
+
+    def test_margin_inside_the_allowance_passes(self):
+        B = ell2(DEMO, L_EDGE)
+        res = self.record(B - 0.5e-9 * B)
+        assert res.status == "pass" and -1e-9 < res.margin < 0.0
+
+    @pytest.mark.parametrize("shorter, status", [(False, "pass"), (True, "not-applicable")])
+    def test_excursion_lasting_exactly_the_waiting_time(self, demo_traj, shorter, status):
+        # an excursion lasting T0 is checked; one an ulp shorter than T0 is not applicable
+        e = excursions_above(demo_traj, 0.2)[1]
+        T0 = ulps(e.duration, 1) if shorter else e.duration
+        assert (e.duration < T0) == shorter
+        res = check_cascade_lower_bounds(demo_traj, DEMO, 0.2, e, T0=T0)
+        assert res.status == status
+
+
+class TestWDecreaseEdge:
+    """W_decrease fails where its rate above gamma exceeds 1e-9 (a margin below 0)."""
+
+    @staticmethod
+    def rate_node(top):
+        """x1 with 30*(x1*(K - x4)) = top at K - x4 = 0.25, the largest float x1 giving it."""
+        x1 = top / 7.5
+        while 30.0 * (x1 * 0.25) < top:
+            x1 = ulps(x1, 1)
+        while 30.0 * (x1 * 0.25) > top:
+            x1 = ulps(x1, -1)
+        assert 30.0 * (x1 * 0.25) == top
+        return x1
+
+    @pytest.mark.parametrize("k, status", [(-1, "pass"), (0, "pass"), (1, "fail")])
+    def test_max_rate_at_the_bound(self, k, status):
+        # x1 rises from 0 to x1e over [0, x1e] (xdot1 = 1 at both nodes), so W_rate =
+        # alpha8*x1*(K - x4) is largest at the last node, where it is 1e-9 moved k ulps;
+        # W > gamma = 1 throughout, so the stretch is the whole span
+        top = ulps(1e-9, k)
+        x1e, x4 = self.rate_node(top), DC.K - 0.25
+        y = [[0.0, 1.0, 0.0, x4], [x1e, 1.0, 0.0, x4]]
+        traj = Trajectory.from_samples(DEMO, [0.0, x1e], y)
+        assert traj.extrema([("max", "W_rate", None, None)]) == [(top, x1e)]
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), gamma=1.0)
+        res = check_W_decrease(traj, DEMO, cert)
+        assert (res.status, res.margin, res.location) == (status, 1e-9 - top, x1e)
+
+    def test_zero_length_stretch_is_vacuous(self):
+        # W = x2 + x3 + x4 falls from 3 at t = 0 (x4 > K, so dW/dt < 0): with
+        # gamma = 3 the stretch above gamma is [0, 0] and holds no rate obligation
+        traj = Trajectory.from_samples(DEMO, [0.0, 1.0], [[0.01, 1.0, 1.0, 1.0], [0.01, 1.0, 1.0, 0.8]])
+        assert stretches_above(traj, "W", 3.0) == [(0.0, 0.0)]
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), gamma=3.0)
+        res = check_W_decrease(traj, DEMO, cert)
+        assert (res.status, res.margin, res.location) == ("pass", None, None)
+        assert res.detail == "W never above gamma 3; decrease part vacuous"
+
+
+class TestCaseBoundaries:
+    """Which excursions qualify, what the records say at L_used = max x1, and the default horizon."""
+
+    @pytest.mark.parametrize("shorter", [False, True])
+    def test_excursion_lasting_exactly_T0_qualifies(self, demo_traj, shorter):
+        # T0 set to the longest excursion's duration above 0.2: that one
+        # excursion qualifies; with T0 an ulp longer none does
+        longest = max(e.duration for e in excursions_above(demo_traj, 0.2))
+        T0 = ulps(longest, 1) if shorter else longest
+        cert = dataclasses.replace(certificate(DEMO, State.zero()), L_used=0.2, T0=T0)
+        lemma, cascade = build_report(DEMO, State.zero(), cert=cert, traj=demo_traj).checks[1:3]
+        if shorter:
+            assert lemma.detail.startswith("vacuous: no excursion above L_used 0.2 lasted >= T0")
+            assert cascade.status == "not-applicable"
+        else:
+            assert lemma.detail.startswith("1 qualifying excursion(s)")
+            assert cascade.detail.startswith("1 qualifying excursion(s); worst: ")
+
+    def test_L_used_at_max_x1(self):
+        # x1 falls from 2 at t = 0 (xdot1 = 1 - 30*2*0.02 < 0): with L_used = 2
+        # the excursion search runs and finds [0, 0], and the lemma says x1
+        # never exceeded L_used
+        traj = Trajectory.from_samples(DEMO, [0.0, 1.0], [[2.0, 1.0, 1.0, 0.02], [1.8, 1.0, 1.0, 0.02]])
+        assert traj.maxima[0] == (2.0, 0.0)
+        cert = dataclasses.replace(certificate(DEMO, traj.x0), L_used=2.0, T0=0.5)
+        assert [(e.start, e.end) for e in excursions_above(traj, 2.0)] == [(0.0, 0.0)]
+        lemma, cascade = build_report(DEMO, traj.x0, cert=cert, traj=traj).checks[1:3]
+        assert lemma.detail == "vacuous: max x1 2 never exceeded L_used 2"
+        assert cascade.detail.endswith("(1 excursion(s), longest 0)")
+
+    def test_default_horizon_is_100(self, demo_traj):
+        assert build_report(DEMO, State.zero()).to_json() == build_report(DEMO, State.zero(), traj=demo_traj).to_json()
