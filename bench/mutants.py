@@ -49,6 +49,10 @@ ALLOWED = {
      "cert.gamma - _W_SLACK * cert.gamma", "< -> <="):
         "the skip only decides whether a stretch search runs; a bound exactly at gamma*(1 - _W_SLACK) "
         "lies below gamma, so that search finds no stretch and the record is the vacuous one either way",
+    ("simulate.py", "_settle", "ok = (s >= lo) & (s <= hi)", ">= -> >"):
+        "a root or pad slot at exactly lo is the window's start, or the step's left node when lo is 0, "
+        "whose value is already among the query's best candidates by the same arithmetic; it can only "
+        "tie the best, and a tie never replaces it",
 }
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks",
                                 ".perfbench_out", ".perfbench_work", "*.egg-info")

@@ -24,8 +24,8 @@ each bracket is polished on plain floats (_unit_roots).  They bound
 the stretches at or above a level (stretches_above), the one event
 query: the excursions of x1, the stretches of W above gamma, and where
 a component first exceeds its bound.  Extrema of x1 to x4, p, W and
-W_rate = dW/dt over any number of time windows come from one search on
-the same polynomials (Trajectory.extrema, _extremum).
+W_rate = dW/dt over time windows, and the span's maxima of x1 to x4, come
+from one root search on the same polynomials (Trajectory.extrema, maxima).
 
 The state space is tiny (four components), so both steps are written
 out component by component on plain floats, RODAS4's six stage solves
@@ -255,10 +255,21 @@ class Trajectory:
     def maxima(self):
         """(value, time) of the interpolant's maximum of x1 to x4 over the span.
 
-        Found by one extrema search on first use and kept, so the checks
-        and commands that all need them share that search.
+        Found on first use and kept, so the checks and commands that all
+        need them share it: one pass over the table that gives _extremum's
+        answers bit for bit, without its window bookkeeping, and puts the
+        steps of all four components through one root search (_settle).
         """
-        return self.extrema([("max", f"x{i}", None, None) for i in range(1, 5)])
+        coef, m = self._coef, len(self.t) - 1
+        j = coef[:, 0].argmax(axis=1).tolist()
+        # a best first node is read as _extremum reads a window's start
+        best = [coef.item(q, 0, k) if k else _horner(coef[q, :, 0].tolist(), 0.0) for q, k in enumerate(j)]
+        s_best, steps = [float(k == m) for k in j], [min(k, m - 1) for k in j]
+        bound = np.maximum(coef[:, :, :-1], 0.0)  # the filter bound of _extremum,
+        bound[:, 0] = coef[:, 0, :-1]  # summed in the same order
+        cand = (bound.sum(axis=1) > np.array(best)[:, None]).ravel().nonzero()[0]
+        c = coef[cand // m, :, cand % m].T  # columns numbered component by component
+        return _settle(self.t, c, cand, 0.0, 1.0, range(0, 4 * m + 1, m), best, s_best, steps, [0] * 4)
 
     @classmethod
     def from_samples(cls, params, t, y, taylor_runs=()):
@@ -822,7 +833,7 @@ def _extremum(traj: Trajectory, queries):
     parts = [q[0][:, first:stop] for q, (first, stop, _, _) in zip(queries, windows)]
     c = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     # each query's best node or window end, also spread over its columns
-    best, s_best, col, beat = [], [], [], np.empty(edges[-1])
+    best, s_best, steps, beat = [], [], [], np.empty(edges[-1])
     for q, (first, stop, w0, w1), e0, e1 in zip(queries, windows, edges, edges[1:]):
         lo[e0], hi[e1 - 1] = w0, w1
         v = q[0][0, first : stop + 1].copy()  # the node values
@@ -832,16 +843,25 @@ def _extremum(traj: Trajectory, queries):
         j = int(v.argmax())
         best.append(v.item(j))
         s_best.append(w0 if j == 0 else w1 if j == e1 - e0 else 0.0)
-        col.append(e0 + min(j, e1 - e0 - 1))
+        steps.append(first + min(j, stop - first - 1))
         beat[e0:e1] = best[-1]
     # each column's left value plus its positive coefficients, summed in row order
     bound = np.maximum(c, 0.0)
     bound[0] = c[0]
     cand = (bound.sum(axis=0) > beat).nonzero()[0]
+    return _settle(t, c[:, cand], cand, lo[cand], hi[cand], edges, best, s_best, steps, [w[0] for w in windows])
+
+
+def _settle(t, c, cand, lo, hi, edges, best, s_best, steps, firsts):
+    """Each query's (value, time): its best so far (best, s_best, steps) or a larger root.
+
+    c holds the sorted candidate columns cand, numbered as in _extremum (query q's from
+    edges[q], on its step firsts[q]); lo and hi clip the roots to the windows.  Of equal
+    values the first in (root slot, step) order wins.
+    """
     if cand.size:
-        c = c[:, cand]
         s = _unit_roots(c[1:] * _RANKS[: len(c) - 1], 0.0, 0.0)
-        ok = (s >= lo[cand]) & (s <= hi[cand])
+        ok = (s >= lo) & (s <= hi)
         v = np.where(ok, _horner(c, s), -np.inf)
         # cand is sorted, so each query's candidates are one run of columns
         split = cand.searchsorted(edges).tolist()
@@ -849,11 +869,11 @@ def _extremum(traj: Trajectory, queries):
             if a < b:
                 k, j = divmod(int(v[:, a:b].argmax()), b - a)
                 if v[k, a + j] > best[q]:
-                    best[q], s_best[q], col[q] = v[k, a + j], s[k, a + j], cand[a + j]
+                    best[q], s_best[q] = v[k, a + j], s[k, a + j]
+                    steps[q] = firsts[q] + int(cand[a + j]) - edges[q]
     found = []
-    for value, s_at, column, (first, _, _, _), e0 in zip(best, s_best, col, windows, edges):
-        step = first + int(column) - e0
-        a, b = node(step), node(step + 1)
+    for value, s_at, step in zip(best, s_best, steps):
+        a, b = t.item(step), t.item(step + 1)
         time = b if s_at == 1.0 else a + (b - a) * s_at
         found.append((float(value), float(time)))
     return found

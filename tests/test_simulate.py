@@ -576,6 +576,106 @@ class TestWindowedExtrema:
         assert 0.0 <= best - low <= 1e-8 * abs(low)
 
 
+ONES = Params.from_sequence((1.0,) * 8)
+
+
+def level_samples(t, v):
+    """A from_samples trajectory under unit rates with x1 = x2 = x3 = v at times t, flat at every node.
+
+    With x4 = 1/v the fields x1' = 1 - x1*x4, x2' = x1 - x2 and x3' = x2 - x3
+    are 0 at the nodes, so each Hermite piece of x1 to x3 runs
+    monotonically from one node's value to the next one's.
+    """
+    v = np.asarray(v, dtype=float)
+    return Trajectory.from_samples(ONES, t, np.column_stack([v, v, v, 1.0 / v]))
+
+
+class TestMaximaPass:
+    """Trajectory.maxima: one pass over the table, bit for bit four one-query extrema searches."""
+
+    @staticmethod
+    def pass_matches_queries(traj):
+        """The maxima of a fresh copy of traj, after checking them against the generic path."""
+        want = [traj.extrema([("max", f"x{i}", None, None)])[0] for i in range(1, 5)]
+        found = Trajectory(traj.params, traj.t, traj.y, traj.taylor_runs).maxima
+        assert [(v.hex(), t.hex()) for v, t in found] == [(v.hex(), t.hex()) for v, t in want]
+        return found
+
+    @pytest.mark.parametrize("kind", ["taylor", "rodas4", "samples"])
+    def test_matches_one_query_searches_bitwise(self, window_cases, kind):
+        self.pass_matches_queries(window_cases[kind][0])
+
+    def test_equal_node_maxima_give_the_first_time(self):
+        traj = level_samples([0.0, 0.1, 0.2, 0.3, 0.4], [0.5, 1.0, 0.5, 1.0, 0.5])
+        assert self.pass_matches_queries(traj)[:3] == [(1.0, 0.1)] * 3
+
+    def test_maximum_on_the_last_node_is_at_its_time(self):
+        # 0.07 + (0.9 - 0.07) is not 0.9: the time is the node's, not recomputed
+        traj = level_samples([0.0, 0.07, 0.9], [0.5, 1.0, 2.0])
+        assert 0.07 + (0.9 - 0.07) != 0.9
+        assert self.pass_matches_queries(traj)[:3] == [(2.0, 0.9)] * 3
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_flat_zero_components(self, zero):
+        # with x1 = 0 at the nodes, x2 to x4 have field 0 there and stay
+        # flat; their first node is read as a window's start, so a stored
+        # -0.0 comes out as 0.0, as the generic path gives it
+        y = np.full((6, 4), zero)
+        y[:, 0] = 0.0
+        traj = Trajectory(ONES, np.linspace(0.0, 1.0, 6), y)
+        found = self.pass_matches_queries(traj)
+        assert [(v.hex(), t.hex()) for v, t in found[1:]] == [("0x0.0p+0", "0x0.0p+0")] * 3
+        assert found[0][0] > 0.0  # x1 rises between the nodes
+
+    @pytest.mark.parametrize("kind", ["taylor", "rodas4", "samples"])
+    def test_one_root_search_kept(self, window_cases, kind, monkeypatch):
+        # the steps of all four components go through one _unit_roots call
+        # (its calls on the derivatives' derivatives are not counted), no
+        # window search runs, and a second read searches nothing
+        traj = window_cases[kind][0]
+        traj = Trajectory(traj.params, traj.t, traj.y, traj.taylor_runs)
+        calls, depth, roots = [], [], sim._unit_roots
+
+        def spy(coef, level, pad):
+            if not depth:
+                calls.append(coef.shape[1])
+            depth.append(coef)
+            try:
+                return roots(coef, level, pad)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(sim, "_unit_roots", spy)
+        monkeypatch.setattr(sim, "_extremum", None)
+        traj.maxima
+        assert len(calls) == 1 and calls[0] > 0
+        traj.maxima
+        assert len(calls) == 1
+
+    def test_a_root_that_only_ties_the_best_node_does_not_replace_it(self):
+        # x2 = 0.5, 0.5, 1.0 with slopes 0.5, -0.5, 0 (x2' = x1 - x2): step 0
+        # is the bump 0.5 + 2s(1 - s), whose top at s = 0.5 is exactly 1.0,
+        # the last node's value; the node comes first and is kept
+        traj = Trajectory.from_samples(ONES, [0.0, 4.0, 8.0], [[1.0, 0.5, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0],
+                                                             [1.0, 1.0, 0.0, 0.0]])
+        assert traj.at(2.0)[1] == 1.0
+        assert self.pass_matches_queries(traj)[1] == (1.0, 8.0)
+
+    def test_a_root_on_a_step_end_is_read_from_its_row(self):
+        # x2' = x1 - x2 is 0 at the right node, so the slope's root is s = 1
+        # exactly, where the row's value rounds one ulp above the node's
+        traj = Trajectory.from_samples(ONES, [0.0, 4.0], [[0.39, 0.1, 0.0, 0.0], [2.3, 2.3, 0.0, 0.0]])
+        assert self.pass_matches_queries(traj)[1] == (math.nextafter(2.3, 3.0), 4.0)
+
+    def test_steps_that_only_tie_the_best_node_are_not_searched(self, monkeypatch):
+        # every component flat at 1: each step's bound equals its best
+        # node, so no step can beat it and no root search runs
+        traj = level_samples([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
+        assert not traj._coef[:, 1:].any()
+        monkeypatch.setattr(sim, "_unit_roots", None)
+        assert self.pass_matches_queries(traj) == [(1.0, 0.0)] * 4
+
+
 class TestFixedStepOrder:
     def test_order_at_least_four(self):
         ref = propagate_fixed(DEMO, State.zero(), 5.0, 64000)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import DEMO, log_uniform, random_params, random_state
 from sampling import window_grid
 
+import aifcert.cli
 import aifcert.simulate
 import aifcert.verify
 import propositions_loop
@@ -103,16 +104,30 @@ def count_searches(monkeypatch):
     return calls
 
 
+def count_maxima_passes(monkeypatch):
+    """Spy on the pass behind Trajectory.maxima: the trajectory of each pass, in call order."""
+    calls = []
+    kept = Trajectory.__dict__["maxima"]  # a cached_property, which calls its func on first use
+    find = kept.func
+
+    def spy(traj):
+        calls.append(traj)
+        return find(traj)
+
+    monkeypatch.setattr(kept, "func", spy)
+    return calls
+
+
 class TestOneSearchPerCheck:
     def test_global_bounds_is_one_search(self, demo_traj, monkeypatch):
         # a trajectory of its own: the shared one may have found its maxima
         traj = Trajectory(DEMO, demo_traj.t, demo_traj.y, demo_traj.taylor_runs)
         cert = certificate(DEMO, State.zero())
-        calls = count_searches(monkeypatch)
+        passes, calls = count_maxima_passes(monkeypatch), count_searches(monkeypatch)
         assert check_global_bounds(traj, cert).status == "pass"
-        assert calls == [4]
+        assert passes == [traj] and calls == []
         assert check_global_bounds(traj, cert).status == "pass"
-        assert calls == [4]  # the maxima are kept
+        assert passes == [traj] and calls == []  # the maxima are kept
 
     def test_cascade_record_is_one_search(self, demo_traj, monkeypatch):
         e = next(e for e in excursions_above(demo_traj, 0.2) if e.duration >= tau(DEMO, 0.2))
@@ -192,12 +207,12 @@ class TestOneSearchPerCheck:
         ids=["demo", "overshoot"],
     )
     def test_one_x1_maximum_per_report(self, monkeypatch, x0, horizon):
-        # global_bounds' search answers the lemma's max x1 too (the demo's
+        # global_bounds' maxima pass answers the lemma's max x1 too (the demo's
         # nodes stay below L_used, so its lemma needs it), and the lemma
         # record equals the one a fresh trajectory gives on its own
         traj = integrate(DEMO, x0, horizon)
         x1 = aifcert.simulate._coefficients(traj, "x1")
-        searched = []
+        passes, searched = count_maxima_passes(monkeypatch), []
         search = aifcert.simulate._extremum
 
         def spy(traj, queries):
@@ -206,10 +221,18 @@ class TestOneSearchPerCheck:
 
         monkeypatch.setattr(aifcert.simulate, "_extremum", spy)
         report = build_report(DEMO, x0, horizon=horizon, traj=traj)
-        assert len(searched) == 1
+        assert passes == [traj] and searched == []  # the lemma reads the kept pass
         monkeypatch.undo()
         fresh = integrate(DEMO, x0, horizon)
         assert check_excursion_lemma(fresh, DEMO, report.certificate) == report.checks[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_one_maxima_pass_per_command(self, monkeypatch, tmp_path, capsys, command):
+        # simulate prints the maxima and verify's checks read them: each
+        # command's one trajectory has its maxima found once
+        passes = count_maxima_passes(monkeypatch)
+        assert aifcert.cli.main([command, "--horizon", "20", "--out", str(tmp_path)]) == 0
+        assert len(passes) == 1
 
 
 class TestJudge:
