@@ -45,10 +45,13 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.And: "and", ast.Or: "or"}
 # (file name, function, source line, change) of each equivalent mutant, and why no input tells it apart
 ALLOWED = {
-    ("verify.py", "check_W_decrease", "below = DerivedConstants.from_params(p).W(x2max, x3max, x4max) < "
-     "cert.gamma - _W_SLACK * cert.gamma", "< -> <="):
+    ("verify.py", "check_W_decrease", "below = p.derived.W(x2max, x3max, x4max) < cert.gamma - _W_SLACK * cert.gamma",
+     "< -> <="):
         "the skip only decides whether a stretch search runs; a bound exactly at gamma*(1 - _W_SLACK) "
         "lies below gamma, so that search finds no stretch and the record is the vacuous one either way",
+    ("bounds.py", "_L_star", "if not L - step < L:", "< -> <="):
+        "with <= the loop also goes on after a step that leaves L as it is, and every later step "
+        "leaves it as it is too, so it ends at the same L after its 200 rounds; only the time differs",
     ("simulate.py", "_settle", "ok = (s >= lo) & (s <= hi)", ">= -> >"):
         "a root or pad slot at exactly lo is the window's start, or the step's left node when lo is 0, "
         "whose value is already among the query's best candidates by the same arithmetic; it can only "

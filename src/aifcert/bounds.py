@@ -9,6 +9,13 @@ stayed at or above a level L for tau(L) time units, the chain has
 pumped enough of species 4 to force species 1 downward.
 Levels L above the threshold L* make that forcing self-sustaining,
 which is what the certificate exploits.
+
+Each closed form is written once, as a private function of the rates p
+and their DerivedConstants dc (a Params keeps its own, Params.derived)
+with no validation and no float(): plain arithmetic, with sqrt and ln 2
+of the argument's own type (model._math), so it runs on floats, numpy
+arrays, mpmath numbers and sympy symbols alike.  The public functions
+validate their arguments once, on entry, and call it.
 """
 
 from __future__ import annotations
@@ -16,9 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import DerivedConstants, Params, State, _number, _require_nonnegative, _require_positive
+from .model import DerivedConstants, Params, State, _math, _number, _require_nonnegative, _require_positive
 
 __all__ = [
     "BoundCertificate",
@@ -40,6 +45,60 @@ class CertificateError(ValueError):
     that is not finite and positive (W0 may be 0)."""
 
 
+def _derived(p) -> DerivedConstants:
+    """The DerivedConstants of rates p: p.derived if p keeps them (a Params does), else derived now."""
+    return getattr(p, "derived", None) or DerivedConstants.from_params(p)
+
+
+def _sqrt(x):  # the closed forms follow (see the module docstring)
+    return _math(x).sqrt(x)
+
+
+def _tau(p, dc, L):
+    b = L + p.alpha1 * dc.psi1
+    return dc.psi1 + 2.0 * dc.psi2 / (b + _sqrt(b * b + 4.0 * p.alpha1 * dc.psi2))
+
+
+def _ell2(p, L):
+    return p.alpha3 * L / (2.0 * p.alpha4)
+
+
+def _ell3(p, L):
+    return (p.alpha3 * p.alpha5) / (4.0 * p.alpha4 * p.alpha6) * L
+
+
+def _ell4(dc, L, U):  # the floor of species 4 under the window bound U on species 1
+    return dc.K * L / (8.0 * U)
+
+
+def _window_upper(p, L, t):
+    return L + p.alpha1 * t
+
+
+def _L_star(p, dc):  # see solve_L_star
+    k = dc.K / (8.0 * dc.theta)
+    b, c = p.alpha1 * dc.psi1, p.alpha1 * dc.psi2
+    L = 2.0 * max(1.0 / k, _sqrt(b / k), (c / (2.0 * k * k)) ** 0.25)
+    for _ in range(200):
+        f = ((k * L - 1.0) * L - b) * L * L - c / k
+        step = f / (((4.0 * k * L - 3.0) * L - 2.0 * b) * L)
+        if not L - step < L:
+            break
+        L -= step
+    return L
+
+
+def _bounds(p, dc, x0, L):
+    """(T0, M1, M2, M3, M4, gamma, W0) of a certificate at level L from x0 = (x1, x2, x3, x4)."""
+    x1, x2, x3, x4 = x0
+    T0 = _tau(p, dc, L)
+    M1 = _window_upper(p, max(x1, L), T0)
+    M2 = max(x2, (p.alpha3 / p.alpha4) * M1)
+    M3 = max(x3, (p.alpha5 / p.alpha6) * M2)
+    W0, gamma = dc.W(x2, x3, x4), dc.W(M2, M3, dc.K)
+    return T0, M1, M2, M3, max(W0, gamma), gamma, W0
+
+
 def tau(p: Params, L: float) -> float:
     """Waiting time tau(L): unique positive root of the fixed-point equation.
 
@@ -49,23 +108,17 @@ def tau(p: Params, L: float) -> float:
     subtractive quadratic formula loses the root there).  L and the alphas
     of p may be arrays that broadcast: each element is then the scalar result.
     """
-    L = _require_positive("level L", L)
-    dc = DerivedConstants.from_params(p)
-    b = L + p.alpha1 * dc.psi1
-    q = 2.0 * dc.psi2 / (b + np.sqrt(b * b + 4.0 * p.alpha1 * dc.psi2))
-    return dc.psi1 + q
+    return _tau(p, _derived(p), _require_positive("level L", L))
 
 
 def ell2(p: Params, L: float) -> float:
     """Floor reached by species 2 after delay delta2 on an excursion at level L."""
-    L = _require_positive("level L", L)
-    return p.alpha3 * L / (2.0 * p.alpha4)
+    return _ell2(p, _require_positive("level L", L))
 
 
 def ell3(p: Params, L: float) -> float:
     """Floor reached by species 3 after delay delta2 + delta3."""
-    L = _require_positive("level L", L)
-    return (p.alpha3 * p.alpha5) / (4.0 * p.alpha4 * p.alpha6) * L
+    return _ell3(p, _require_positive("level L", L))
 
 
 def ell4(p: Params, L: float, T: float) -> float:
@@ -75,16 +128,12 @@ def ell4(p: Params, L: float, T: float) -> float:
     on species 1, which is why T enters through window_upper.  Takes arrays as tau does.
     """
     L = _require_positive("level L", L)
-    T = _require_positive("window length T", T)
-    K = DerivedConstants.from_params(p).K
-    return K * L / (8.0 * (L + p.alpha1 * T))
+    return _ell4(_derived(p), L, _window_upper(p, L, _require_positive("window length T", T)))
 
 
 def window_upper(p: Params, L: float, t: float) -> float:
     """Upper bound L + alpha1*t on species 1 inside an excursion window."""
-    L = _require_positive("level L", L)
-    t = _require_nonnegative("time t", t)
-    return L + p.alpha1 * t
+    return _window_upper(p, _require_positive("level L", L), _require_nonnegative("time t", t))
 
 
 def solve_L_star(p: Params) -> float:
@@ -98,24 +147,15 @@ def solve_L_star(p: Params) -> float:
     Raises CertificateError for rates so far apart that these constants
     underflow or overflow and leave no such root in floating point.
     """
-    dc = DerivedConstants.from_params(p)
+    dc = _derived(p)
     try:
-        k = dc.K / (8.0 * dc.theta)
-        b, c = p.alpha1 * dc.psi1, p.alpha1 * dc.psi2
-        L = 2.0 * max(1.0 / k, math.sqrt(b / k), (c / (2.0 * k * k)) ** 0.25)
-        for _ in range(200):
-            f = ((k * L - 1.0) * L - b) * L * L - c / k
-            step = f / (((4.0 * k * L - 3.0) * L - 2.0 * b) * L)
-            if not L - step < L:
-                break
-            L -= step
+        L = _L_star(p, dc)
         # the defining equation forces L* > 8*theta/K, so this holds with margin
         ok = math.isfinite(L) and L > 4.0 * p.alpha1 / (dc.K * p.alpha2)
     except ZeroDivisionError:  # by a constant that underflowed to 0
         ok = False
     if not ok:
-        msg = f"the threshold L* is out of floating-point range for rates {p.as_tuple()}"
-        raise CertificateError(msg)
+        raise CertificateError(f"the threshold L* is out of floating-point range for rates {p.as_tuple()}")
     return L
 
 
@@ -148,9 +188,9 @@ class BoundCertificate:
 
     def __post_init__(self) -> None:
         for name in _CONSTANTS:
-            require = _require_nonnegative if name == "W0" else _require_positive
+            v = getattr(self, name)
             try:
-                object.__setattr__(self, name, require(name, getattr(self, name)))
+                object.__setattr__(self, name, float(_require_positive(name, v, strict=name != "W0")))
             except ValueError as exc:
                 raise CertificateError(str(exc)) from None
 
@@ -177,37 +217,12 @@ def certificate(p: Params, x0: State, L_override: float | None = None) -> BoundC
     """
     x0 = State.from_sequence(x0)
     L_star = solve_L_star(p)
-    if L_override is not None:
-        L_used = float(L_override)
-        if not math.isfinite(L_used):
-            raise CertificateError(f"override level must be finite, got {L_used!r}")
-        if L_used < L_star:
-            raise CertificateError(
-                f"override level {L_used!r} is below the admissible threshold {L_star!r}"
-            )
-    else:
-        L_used = L_star
-    dc = DerivedConstants.from_params(p)
-    T0 = tau(p, L_used)
-    M1 = window_upper(p, max(x0.x1, L_used), T0)
-    M2 = max(x0.x2, (p.alpha3 / p.alpha4) * M1)
-    M3 = max(x0.x3, (p.alpha5 / p.alpha6) * M2)
-    W0 = dc.W(x0.x2, x0.x3, x0.x4)
-    gamma = dc.W(M2, M3, dc.K)
-    M4 = max(W0, gamma)
-    return BoundCertificate(
-        L_star=L_star,
-        L_used=L_used,
-        T0=T0,
-        M1=M1,
-        M2=M2,
-        M3=M3,
-        M4=M4,
-        gamma=gamma,
-        W0=W0,
-        params=p,
-        x0=x0,
-    )
+    L_used = L_star if L_override is None else _number(L_override, "override level as a number")
+    if not math.isfinite(L_used):
+        raise CertificateError(f"override level must be finite, got {L_used!r}")
+    if L_used < L_star:
+        raise CertificateError(f"override level {L_used!r} is below the admissible threshold {L_star!r}")
+    return BoundCertificate(L_star, L_used, *_bounds(p, p.derived, x0.as_tuple(), L_used), params=p, x0=x0)
 
 
 def growth_envelope(p: Params, x0: State, t: float) -> tuple[float, float, float, float]:
@@ -218,20 +233,8 @@ def growth_envelope(p: Params, x0: State, t: float) -> tuple[float, float, float
     """
     x0 = State.from_sequence(x0)
     t = _require_nonnegative("time t", t)
-    a1, a3, a5, a7 = p.alpha1, p.alpha3, p.alpha5, p.alpha7
-    e1 = x0.x1 + a1 * t
-    e2 = x0.x2 + a3 * x0.x1 * t + a1 * a3 * t * t / 2.0
-    e3 = (
-        x0.x3
-        + a5 * x0.x2 * t
-        + a3 * a5 * x0.x1 * t * t / 2.0
-        + a1 * a3 * a5 * t**3 / 6.0
-    )
-    e4 = (
-        x0.x4
-        + a7 * x0.x3 * t
-        + a5 * a7 * x0.x2 * t * t / 2.0
-        + a3 * a5 * a7 * x0.x1 * t**3 / 6.0
-        + a1 * a3 * a5 * a7 * t**4 / 24.0
-    )
-    return (e1, e2, e3, e4)
+    coef, envelope = [p.alpha1], []  # the source alpha1, then each component's coefficients of t**k
+    for x, gain in zip(x0.as_tuple(), (1.0, p.alpha3, p.alpha5, p.alpha7)):
+        coef = [x, *(gain * c / k for k, c in enumerate(coef, 1))]  # x + gain * its integral
+        envelope.append(sum(c * t**k for k, c in enumerate(coef)))
+    return tuple(envelope)

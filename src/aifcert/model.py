@@ -9,7 +9,10 @@ every face of the nonnegative orthant and trajectories never leave it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,24 +27,32 @@ __all__ = [
 ]
 
 
-def _require_positive(name: str, v):
-    """v as a float (an array is kept as it is), checked finite and > 0."""
+def _math(x):
+    """The module of x's sqrt and log: its own package's if that has them (numpy, mpmath, sympy), else math."""
+    own = math if type(x) is float else sys.modules.get(type(x).__module__.partition(".")[0], math)
+    return own if "sqrt" in vars(own) else math
+
+
+def _require_positive(name: str, v, strict: bool = True):
+    """v checked finite and > 0 (>= 0 unless strict), an array element by element.
+
+    A number stays as it is if another package does its math (mpmath,
+    sympy: _math), and becomes a float by _number's rule otherwise, so a
+    boolean is not a number.
+    """
     if isinstance(v, np.ndarray):
-        ok = (np.isfinite(v) & (v > 0.0)).all()
+        ok = (np.isfinite(v) & ((v > 0.0) if strict else (v >= 0.0))).all()
     else:
-        v = float(v)
-        ok = math.isfinite(v) and v > 0.0
+        v = v if _math(v) not in (math, np) else _number(v, f"{name} as a number")
+        ok = (v > 0 if strict else v >= 0) and v - v == 0  # v - v is 0 unless v is infinite or NaN
     if not ok:
-        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {v!r}")
     return v
 
 
-def _require_nonnegative(name: str, v) -> float:
-    """v as a float, checked finite and >= 0."""
-    v = float(v)
-    if not (math.isfinite(v) and v >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-    return v
+def _require_nonnegative(name: str, v):
+    """v checked finite and >= 0, by _require_positive's rules."""
+    return _require_positive(name, v, strict=False)
 
 
 def _number(value, what: str = "a number") -> float:
@@ -69,6 +80,10 @@ def _floats(values, n: int, what: str) -> list[float]:
     return vals
 
 
+_ALPHAS = tuple(f"alpha{k}" for k in range(1, 9))  # the rates' names, in order
+_rates = attrgetter(*_ALPHAS)
+
+
 @dataclass(frozen=True)
 class Params:
     """The eight positive rate constants.
@@ -88,25 +103,20 @@ class Params:
     alpha8: float
 
     def __post_init__(self) -> None:
-        for k in range(1, 9):
-            name = f"alpha{k}"
-            object.__setattr__(self, name, _require_positive(name, float(getattr(self, name))))
+        for name in _ALPHAS:
+            object.__setattr__(self, name, float(_require_positive(name, getattr(self, name))))
+
+    @cached_property
+    def derived(self) -> "DerivedConstants":
+        """The rates' DerivedConstants, derived on first use and kept."""
+        return DerivedConstants.from_params(self)
 
     @classmethod
     def from_sequence(cls, values) -> "Params":
         return cls(*_floats(values, 8, "rate constants"))
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.alpha1,
-            self.alpha2,
-            self.alpha3,
-            self.alpha4,
-            self.alpha5,
-            self.alpha6,
-            self.alpha7,
-            self.alpha8,
-        )
+        return _rates(self)
 
     def to_json(self) -> dict:
         return {"alpha": list(self.as_tuple())}
@@ -128,7 +138,10 @@ class DerivedConstants:
     the half-life delays of species 2 and 3.  psi1 = delta2 + delta3 and
     psi2 = ln2/alpha8, the half-life scale of the species-4 buildup
     against annihilation, are the coefficients of the waiting time's
-    fixed-point equation tau = psi1 + psi2 / (L + alpha1 * tau).
+    fixed-point equation tau = psi1 + psi2 / (L + alpha1 * tau).  They
+    are plain arithmetic on the rates, so they come out as the rates'
+    number type: floats, numpy arrays, mpmath numbers or sympy symbols.
+    A Params derives its own once and keeps them (Params.derived).
     """
 
     K: float
@@ -141,22 +154,17 @@ class DerivedConstants:
     psi2: float
 
     @classmethod
-    def from_params(cls, p: Params) -> "DerivedConstants":
-        ln2 = math.log(2.0)
+    def from_params(cls, p) -> "DerivedConstants":
+        """The constants of any object with the rates alpha1..alpha8, ln 2 of their type (_math)."""
+        ln2 = _math(p.alpha4).log(2)
         delta2, delta3 = ln2 / p.alpha4, ln2 / p.alpha6
-        return cls(
-            K=(p.alpha3 * p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6 * p.alpha8),
-            theta=p.alpha1 / p.alpha2,
-            c=(p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6),
-            d=p.alpha7 / p.alpha6,
-            delta2=delta2,
-            delta3=delta3,
-            psi1=delta2 + delta3,
-            psi2=ln2 / p.alpha8,
-        )
+        K = (p.alpha3 * p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6 * p.alpha8)
+        c = (p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6)
+        theta, d = p.alpha1 / p.alpha2, p.alpha7 / p.alpha6
+        return cls(K, theta, c, d, delta2, delta3, delta2 + delta3, ln2 / p.alpha8)
 
     def W(self, x2, x3, x4):
-        """The aggregate x4 + c*x2 + d*x3, on floats or numpy arrays alike."""
+        """The aggregate x4 + c*x2 + d*x3, on any number type."""
         return x4 + self.c * x2 + self.d * x3
 
 
@@ -171,7 +179,7 @@ class State:
 
     def __post_init__(self) -> None:
         for name in ("x1", "x2", "x3", "x4"):
-            object.__setattr__(self, name, _require_nonnegative(name, getattr(self, name)))
+            object.__setattr__(self, name, float(_require_nonnegative(name, getattr(self, name))))
 
     @classmethod
     def zero(cls) -> "State":

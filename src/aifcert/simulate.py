@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import DerivedConstants, Params, State, _is_integer, _require_positive, field
+from .model import Params, State, _is_integer, _require_positive, field
 
 __all__ = [
     "IntegrationError",
@@ -510,7 +510,7 @@ def integrate(
     trials included, and 1 per accepted RODAS4 state.
     """
     x0 = State.from_sequence(x0)
-    horizon = _require_positive("horizon", float(horizon))
+    horizon = float(_require_positive("horizon", horizon))
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < tol < 1.0):
             raise ValueError(f"{name} must lie in (0, 1), got {tol!r}")
@@ -660,7 +660,7 @@ def propagate_fixed(p: Params, x0, horizon: float, n_steps: int) -> np.ndarray:
     must be an int >= 1.
     """
     x0 = State.from_sequence(x0)
-    horizon = _require_positive("horizon", float(horizon))
+    horizon = float(_require_positive("horizon", horizon))
     if not _is_integer(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be an int >= 1, got {n_steps!r}")
     a = p.as_tuple()
@@ -686,10 +686,10 @@ def _coefficients(traj: Trajectory, name: str) -> np.ndarray:
     if name == "p":
         return _product(x1, x4)
     if name == "W":
-        return DerivedConstants.from_params(traj.params).W(x2, x3, x4)
+        return traj.params.derived.W(x2, x3, x4)
     if name == "W_rate":
         gap = -x4
-        gap[0] += DerivedConstants.from_params(traj.params).K
+        gap[0] += traj.params.derived.K
         return traj.params.alpha8 * _product(x1, gap)
     return traj._coef[OBSERVABLES.index(name)]
 
@@ -929,7 +929,7 @@ def stretches_above(traj: Trajectory, observable: str, level: float) -> list[tup
 
 def excursions_above(traj: Trajectory, level: float) -> list[Excursion]:
     """Maximal intervals with x1 >= level, by start time; found once per level and kept."""
-    level = _require_positive("level", float(level))
+    level = float(_require_positive("level", level))
     if level not in traj._excursions:
         traj._excursions[level] = [Excursion(level, a, b) for a, b in stretches_above(traj, "x1", level)]
     return list(traj._excursions[level])  # a new list: the kept one stays as found

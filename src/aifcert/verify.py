@@ -31,17 +31,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bounds import (
-    BoundCertificate,
-    certificate,
-    ell2,
-    ell3,
-    ell4,
-    solve_L_star,
-    tau,
-    window_upper,
-)
-from .model import DerivedConstants, Params, State, _is_integer, _require_positive
+from .bounds import BoundCertificate, _ell2, _ell3, _ell4, _window_upper, certificate, ell4, solve_L_star, tau
+from .model import _ALPHAS, DerivedConstants, Params, State, _is_integer, _require_positive
 from .simulate import (
     Excursion,
     Trajectory,
@@ -200,7 +191,7 @@ def check_excursion_lemma(traj: Trajectory, p: Params, cert: BoundCertificate) -
     L_used, T0 = cert.L_used, cert.T0
     x1max = traj.maxima[0][0]
     _, qualifying, longest = _long_excursions(traj, cert)
-    theta = DerivedConstants.from_params(p).theta
+    theta = p.derived.theta
     bound = theta + _STRICT_NEG * theta  # x1*x4 above it is xdot1 below -_STRICT_NEG*alpha1
     obligations = [("min", "p", e.start + T0, e.end, bound, theta) for e in qualifying]
     # the least positive float as the floor: the claim is strict, so a margin of exactly 0 fails
@@ -238,7 +229,7 @@ def check_cascade_lower_bounds(
     interior crossings the two coincide.
     """
     _check_provenance(traj, p)
-    L = float(L)
+    L = float(_require_positive("level L", L))
     T_w = tau(p, L) if T0 is None else _require_positive("T0", T0)
     dur = excursion.duration
     if dur < T_w:
@@ -255,19 +246,18 @@ def check_cascade_lower_bounds(
 
 def _cascade(traj, p, L, excursions, T_w, prefix="") -> CheckResult:
     """One record of every stage of excursions lasting T_w at level L; its detail lists the worst's."""
-    dc, l2, l3 = DerivedConstants.from_params(p), ell2(p, L), ell3(p, L)
+    dc, l2, l3 = p.derived, _ell2(p, L), _ell3(p, L)
     stages, obligations = [], []  # stages: each obligation's (excursion index, stage label)
     for k, (e, x1) in enumerate(zip(excursions, traj.at([e.start for e in excursions])[:, 0].tolist())):
         s, dur = e.start, e.duration
-        U_eff = window_upper(p, max(L, x1), T_w)
+        U_eff = _window_upper(p, max(L, x1), T_w)
         delta4 = math.log(2.0) / (p.alpha8 * U_eff)
         # (label, sense, observable, window start and end after s, bound); empty windows drop out
         for label, sense, name, a, b, bound in (
             ("x1<=window", "max", "x1", 0.0, T_w, U_eff),
             ("x2>=ell2", "min", "x2", dc.delta2, dur, l2),
             ("x3>=ell3", "min", "x3", dc.psi1, dur, l3),
-            # ell4 with the effective window bound
-            ("x4>=ell4", "min", "x4", dc.psi1 + delta4, T_w, dc.K * L / (8.0 * U_eff)),
+            ("x4>=ell4", "min", "x4", dc.psi1 + delta4, T_w, _ell4(dc, L, U_eff)),
         ):
             if a <= b:
                 stages.append((k, label))
@@ -303,7 +293,7 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     """
     _check_provenance(traj, p, cert)
     x2max, x3max, x4max = (top for top, _ in traj.maxima[1:])
-    below = DerivedConstants.from_params(p).W(x2max, x3max, x4max) < cert.gamma - _W_SLACK * cert.gamma
+    below = p.derived.W(x2max, x3max, x4max) < cert.gamma - _W_SLACK * cert.gamma
     stretches = [] if below else stretches_above(traj, "W", cert.gamma)
     obligations = [("max", "W_rate", a, b, 1e-9, 1.0) for a, b in stretches if a < b]
     status, margin, location, _, found = _judge(traj, obligations, 0.0)
@@ -320,7 +310,6 @@ _GRID = np.geomspace(1e-3, 1e6, 40)
 _RES_GRID = np.geomspace(1e-3, 1e6, 20)
 _LEVELS = np.r_[_GRID, _RES_GRID, 1e9]
 _CHUNK = 1024  # rate sets per array pass, which bounds the memory of a large fuzz count
-_ALPHAS = tuple(f"alpha{k + 1}" for k in range(8))
 _FACTS = ("tau decreasing", "tau above psi1", "ell4 increasing", "ell4 below K/8", "L*ell4 increasing",
           "tau limit", "ell4 supremum", "fixed-point residual", "threshold residual", "W identity")
 
@@ -336,7 +325,7 @@ def _propositions(rates: np.ndarray):
     sets = [SimpleNamespace(**dict(zip(_ALPHAS, row))) for row in rates.tolist()]
     # a lone set's rates as floats, which broadcast at a fraction of the cost of (1, 1) arrays
     p = sets[0] if len(sets) == 1 else SimpleNamespace(**dict(zip(_ALPHAS, rates.T[:, :, None])))
-    dc = DerivedConstants.from_params(p)
+    p.derived = dc = DerivedConstants.from_params(p)  # tau, ell4 and a lone set's solve_L_star read it
     n = len(sets)
     # columns: the 40 grid levels, the 20 residual levels, then 1e9, L_probe and L*
     levels = np.empty((n, 63))

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -158,6 +160,26 @@ class TestThreshold:
             assert L > 4.0 * dc.theta / dc.K
             assert abs(L * ell4(p, L, tau(p, L)) - dc.theta) <= 1e-12 * dc.theta
 
+    @pytest.mark.parametrize("alpha2", [1e-6, 1e6])
+    def test_newton_converges_quadratically_at_100_digits(self, alpha2):
+        # a step off the quartic's slope converges only linearly, by a factor
+        # up to 3/4 or 1/2 per step, and still misses by 1e-60 after the
+        # solve's 200 steps: alpha2 = 1e-6 makes L**2 the slope's main term,
+        # alpha2 = 1e6 makes b*L
+        with mpmath.workdps(100):
+            rates = (1, alpha2, 10, 1, 1, 1, 1, 30)
+            p = SimpleNamespace(**{f"alpha{k}": mpmath.mpf(v) for k, v in enumerate(rates, 1)})
+            dc = DerivedConstants.from_params(p)
+            k, b, c = dc.K / (8 * dc.theta), p.alpha1 * dc.psi1, p.alpha1 * dc.psi2
+            L = solve_L_star(p)
+            assert abs(k * L**4 - L**3 - b * L**2 - c / k) <= 1e-95 * k * L**4
+
+    def test_an_overflowing_start_raises(self):
+        # alpha1 * psi1 overflows, so Newton's start and the solve end at +inf
+        rates = (1e300, 1e300, 1.0, 1e-10, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(CertificateError, match=r"^the threshold L\* is out of floating-point range"):
+            solve_L_star(Params.from_sequence(rates))
+
     @pytest.mark.parametrize(
         "k, rate",
         [
@@ -245,7 +267,7 @@ class TestCertificate:
         assert dataclasses.replace(cert, W0=0.0).W0 == 0.0
 
     def test_constants_are_plain_floats(self):
-        # tau gives a numpy float; the certificate keeps each constant as the float it checked
+        # a numpy float given is kept as the float it checked, like every constant
         names = ("L_star", "L_used", "T0", "M1", "M2", "M3", "M4", "gamma", "W0")
         for x0 in (State.zero(), State.from_sequence([10.0, 0.0, 0.0, 0.0])):
             cert = certificate(DEMO, x0)

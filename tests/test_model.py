@@ -1,7 +1,9 @@
 """Core model layer: parameters, states, vector field, equilibrium."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,13 +11,23 @@ from conftest import DEMO, GOLDEN, log_uniform
 
 from aifcert import (
     DerivedConstants,
+    Excursion,
     Params,
     State,
     boundary_inflow,
+    certificate,
+    check_cascade_lower_bounds,
+    ell4,
     equilibrium,
+    excursions_above,
     field,
+    integrate,
+    propagate_fixed,
+    tau,
     vector_field,
+    window_upper,
 )
+from aifcert.model import _require_nonnegative, _require_positive
 
 
 class TestParams:
@@ -62,6 +74,14 @@ class TestState:
     def test_json_round_trip(self):
         s = State.from_sequence([0.1, 0.2, 0.3, 0.4])
         assert State.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize("cls, key", [(Params, "alpha"), (State, "x")])
+@pytest.mark.parametrize("obj", [{}, [], "alpha x", None], ids=["dict without it", "list", "str", "None"])
+def test_json_must_be_an_object_with_its_array(cls, key, obj):
+    what = "params" if cls is Params else "state"
+    with pytest.raises(ValueError, match=f"^{what} JSON must be an object with an '{key}' array$"):
+        cls.from_json(obj)
 
 
 class TestDerivedConstants:
@@ -177,3 +197,59 @@ class TestEquilibrium:
             p = Params.from_sequence(log_uniform(rng, 0.5, 2.0, 8))
             f = vector_field(p, equilibrium(p))
             assert max(abs(v) for v in f) <= 1e-12
+
+
+def _short_run():
+    return integrate(DEMO, State.zero(), 2.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Params(True, 30, 10, 1, 1, 1, 1, 30),
+        lambda: State(True, 0, 0, 0),
+        lambda: dataclasses.replace(certificate(DEMO, State.zero()), M1=True),
+        lambda: certificate(Params(1, 30, 100, 1, 1, 1, 1, 30), State.zero(), True),  # L* = 0.377
+        lambda: tau(DEMO, True),
+        lambda: ell4(DEMO, 1.0, True),
+        lambda: window_upper(DEMO, 1.0, False),
+        lambda: integrate(DEMO, State.zero(), True),
+        lambda: propagate_fixed(DEMO, State.zero(), True, 10),
+        lambda: excursions_above(_short_run(), True),
+        lambda: check_cascade_lower_bounds(_short_run(), DEMO, 0.05, Excursion(0.05, 0.5, 2.0), T0=True),
+    ],
+    ids=["Params", "State", "certificate", "L_override", "tau", "ell4", "window_upper", "integrate",
+         "propagate_fixed", "excursions_above", "cascade_T0"],
+)
+def test_a_boolean_is_not_a_number(call):
+    # as the readers say (model._number): True is not 1.0 and False is not 0.0
+    with pytest.raises(ValueError, match=r"^expected .+ as a number, got (True|False)$"):
+        call()
+
+
+class TestRequire:
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_arrays_element_by_element(self, strict):
+        ok = np.array([0.5, 2.0]) if strict else np.array([0.0, 2.0])
+        assert _require_positive("v", ok, strict) is ok
+        for bad in ((0.0, 1.0) if strict else (-1e-300, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            message = f"^v must be finite and {'>' if strict else '>='} 0, got array"
+            with pytest.raises(ValueError, match=message):
+                _require_positive("v", np.array(bad), strict)
+
+    @pytest.mark.parametrize("v", [0.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_a_positive_number_is_finite_and_above_0(self, v):
+        with pytest.raises(ValueError, match=r"^x must be finite and > 0, got "):
+            _require_positive("x", v)
+        if v == 0.0:
+            assert _require_nonnegative("x", v) == 0.0
+        else:
+            with pytest.raises(ValueError, match=r"^x must be finite and >= 0, got "):
+                _require_nonnegative("x", v)
+
+    def test_numbers_become_floats_but_other_number_types_are_kept(self):
+        for v in (2, np.float64(2.0), "2", np.int64(2)):
+            assert type(_require_positive("x", v)) is float and _require_nonnegative("x", v) == 2.0
+        assert isinstance(_require_positive("x", mpmath.mpf("1e400")), mpmath.mpf)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            _require_positive("x", mpmath.mpf("inf"))

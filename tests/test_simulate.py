@@ -379,6 +379,17 @@ class TestMaximum:
         assert found[0] == found[1]
         assert stretches_above(overshoot, "W", 1e9) == []  # no window: W_decrease's rate part is vacuous
 
+    @pytest.mark.parametrize("edge", ["before t0", "after tn", "start after end"])
+    def test_window_may_pass_its_edge_by_1e_12_and_no_more(self, overshoot, edge):
+        # each edge computed as _extremum's check computes it: exactly 1e-12 beyond passes, 1e-11 raises
+        t0, tn, mid = (overshoot.t.item(k) for k in (0, -1, len(overshoot.t) // 2))
+        windows = {"before t0": lambda s: (t0 - s, 1.0), "after tn": lambda s: (1.0, tn + s),
+                   "start after end": lambda s: (mid + s, mid)}
+        ((top, _),) = overshoot.extrema([("max", "x1", *windows[edge](1e-12))])
+        assert top > 0.0
+        with pytest.raises(ValueError, match=r"^window \[.*\] is not inside \[0\.0, 30\.0\]$"):
+            overshoot.extrema([("max", "x1", *windows[edge](1e-11))])
+
     def test_rejects_bad_window_and_observable(self, overshoot):
         with pytest.raises(ValueError):
             overshoot.extrema([("max", "x1", 2.0, 1.0)])
