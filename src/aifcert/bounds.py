@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import DerivedConstants, Params, State, _math, _number, _require_nonnegative, _require_positive
+from .model import DerivedConstants, Params, State, _math, _number, _rates, _require_nonnegative, _require_positive
 
 __all__ = [
     "BoundCertificate",
@@ -155,7 +155,7 @@ def solve_L_star(p: Params) -> float:
     except ZeroDivisionError:  # by a constant that underflowed to 0
         ok = False
     if not ok:
-        raise CertificateError(f"the threshold L* is out of floating-point range for rates {p.as_tuple()}")
+        raise CertificateError(f"the threshold L* is out of floating-point range for rates {_rates(p)}")
     return L
 
 

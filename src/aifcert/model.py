@@ -158,8 +158,11 @@ class DerivedConstants:
         """The constants of any object with the rates alpha1..alpha8, ln 2 of their type (_math)."""
         ln2 = _math(p.alpha4).log(2)
         delta2, delta3 = ln2 / p.alpha4, ln2 / p.alpha6
-        K = (p.alpha3 * p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6 * p.alpha8)
-        c = (p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6)
+        try:
+            K = (p.alpha3 * p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6 * p.alpha8)
+            c = (p.alpha5 * p.alpha7) / (p.alpha4 * p.alpha6)
+        except ZeroDivisionError:  # a float product of rates underflowed: the input is out of range
+            raise ValueError(f"a product of the rates {_rates(p)} underflows to 0") from None
         theta, d = p.alpha1 / p.alpha2, p.alpha7 / p.alpha6
         return cls(K, theta, c, d, delta2, delta3, delta2 + delta3, ln2 / p.alpha8)
 

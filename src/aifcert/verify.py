@@ -305,91 +305,55 @@ def check_W_decrease(traj: Trajectory, p: Params, cert: BoundCertificate) -> Che
     return CheckResult("W_decrease", status, margin, location, detail)
 
 
-# Levels of the grid facts and of the fixed-point residual, and the facts in record order
-_GRID = np.geomspace(1e-3, 1e6, 40)
-_RES_GRID = np.geomspace(1e-3, 1e6, 20)
-_LEVELS = np.r_[_GRID, _RES_GRID, 1e9]
 _CHUNK = 1024  # rate sets per array pass, which bounds the memory of a large fuzz count
-_FACTS = ("tau decreasing", "tau above psi1", "ell4 increasing", "ell4 below K/8", "L*ell4 increasing",
-          "tau limit", "ell4 supremum", "fixed-point residual", "threshold residual", "W identity")
+_FACTS = ("ell4 finite and positive", "fixed-point residual", "threshold residual", "W identity")  # in record order
+_TOL = 1e-12  # the relative error each fact allows
+_PROOFS = "tests/test_closed_forms.py"  # where the facts of tau and ell4 at every level are proved
 
 
 def _propositions(rates: np.ndarray):
     """(holds, margin, location) of each fact (columns) for each rate set (rows).
 
-    ``rates`` holds one set's alpha1..alpha8 per row.  Margins are
-    normalized, a location is the level of its margin.  All levels of all
-    the sets fill one (sets, 63) table that goes through one tau and one
-    ell4 call, and each fact fills its column of the three (sets, 10) tables.
+    ``rates`` holds one set's alpha1..alpha8 per row.  Each fact is an
+    error read at the set's L*, its location: 0 if ell4 there is finite
+    and > 0 (a float tau is finite, or ell4 refuses it) and inf if not,
+    then the relative errors of tau's fixed point, of the threshold
+    equation and of the three rate identities behind
+    dW/dt = alpha8*x1*(K - x4) (the largest).  One rule judges them all:
+    a fact holds if its error is at most _TOL, and its margin is the
+    headroom (_TOL - error)/_TOL.  The sets go through one tau and one
+    ell4 call.
     """
     sets = [SimpleNamespace(**dict(zip(_ALPHAS, row))) for row in rates.tolist()]
-    # a lone set's rates as floats, which broadcast at a fraction of the cost of (1, 1) arrays
-    p = sets[0] if len(sets) == 1 else SimpleNamespace(**dict(zip(_ALPHAS, rates.T[:, :, None])))
+    # a lone set's rates and level as floats, at a fraction of the cost of one-element arrays
+    p = sets[0] if len(sets) == 1 else SimpleNamespace(**dict(zip(_ALPHAS, rates.T)))
     p.derived = dc = DerivedConstants.from_params(p)  # tau, ell4 and a lone set's solve_L_star read it
-    n = len(sets)
-    # columns: the 40 grid levels, the 20 residual levels, then 1e9, L_probe and L*
-    levels = np.empty((n, 63))
-    levels[:, :61] = _LEVELS
-    levels[:, 61:62] = np.maximum(1e9, 1e7 * p.alpha1 * dc.psi1)
-    levels[:, 62] = [solve_L_star(q) for q in sets]
-    taus = tau(p, levels)
-    l4s = ell4(p, levels, taus)
-    # one column per fact, in _FACTS order
-    holds, margin, loc = np.empty((n, 10), dtype=bool), np.empty((n, 10)), np.empty((n, 10))
-    rows = np.arange(n)
-
-    # strict monotonicity along the grid, and the floors: each worst at its first minimum
-    t, e = taus[:, :40], l4s[:, :40]
-    le = _GRID * e
-    for k, m in enumerate((
-        (t[:, :-1] - t[:, 1:]) / t[:, :-1],
-        (t - dc.psi1) / t,
-        (e[:, 1:] - e[:, :-1]) / e[:, 1:],
-        (dc.K / 8.0 - e) / (dc.K / 8.0),
-        (le[:, 1:] - le[:, :-1]) / le[:, 1:],
-    )):
-        j = m.argmin(axis=1)
-        margin[:, k], loc[:, k] = m[rows, j], _GRID[j]
-    holds[:, :5] = margin[:, :5] > 0.0
-
-    # limits at large L
-    t_lim = np.abs(taus[:, 60:61] - dc.psi1)
-    holds[:, 5:6], margin[:, 5:6], loc[:, 5] = t_lim <= 1e-6, 1e-6 - t_lim, 1e9
-    sup_gap = dc.K / 8.0 - l4s[:, 61:62]
-    sup_tol = 1e-6 * np.maximum(1.0, dc.K / 8.0)
-    holds[:, 6:7], margin[:, 6:7], loc[:, 6] = sup_gap <= sup_tol, sup_tol - sup_gap, levels[:, 61]
-
-    # fixed-point residual of the waiting time, worst at its first maximum
-    tv = taus[:, 40:60]
-    r = np.abs(tv - (dc.psi1 + dc.psi2 / (_RES_GRID + p.alpha1 * tv))) / tv
-    j = r.argmax(axis=1)
-    worst = r[rows, j]
-    holds[:, 7], margin[:, 7], loc[:, 7] = worst <= 1e-12, (1e-12 - worst) / 1e-12, _RES_GRID[j]
-
-    # threshold equation is bracket-solvable and its root is admissible
-    res = np.abs(levels[:, 62:63] * l4s[:, 62:63] - dc.theta)
-    tol = 1e-12 * dc.theta
-    holds[:, 8:9], margin[:, 8:9], loc[:, 8] = res <= tol, (tol - res) / dc.theta, levels[:, 62]
-
-    # the rate identities that make dW/dt = alpha8*x1*(K - x4), located at L* like the threshold
-    w = np.maximum.reduce([np.abs(lhs - rhs) / rhs for lhs, rhs in (
+    L_star = [solve_L_star(q) for q in sets]
+    L = L_star[0] if len(sets) == 1 else np.array(L_star)
+    t = tau(p, L)
+    e = ell4(p, L, t)
+    error = np.empty((len(sets), 4))  # one column per fact, in _FACTS order
+    error[:, 0] = np.where(np.isfinite(e) & (e > 0.0), 0.0, np.inf)
+    error[:, 1] = abs(t - (dc.psi1 + dc.psi2 / (L + p.alpha1 * t))) / t
+    error[:, 2] = abs(L * e - dc.theta) / dc.theta
+    error[:, 3] = np.maximum.reduce([abs(lhs - rhs) / rhs for lhs, rhs in (
         (dc.c * p.alpha4, dc.d * p.alpha5), (dc.d * p.alpha6, p.alpha7), (dc.c * p.alpha3, p.alpha8 * dc.K))])
-    holds[:, 9:10], margin[:, 9:10], loc[:, 9] = w <= 1e-12, (1e-12 - w) / 1e-12, levels[:, 62]
-    return holds, margin, loc
+    return error <= _TOL, (_TOL - error) / _TOL, np.array(L_star)
 
 
 def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> CheckResult:
-    """Scalar facts about tau, ell4, L*ell4, the threshold equation and W.
+    """The facts about tau, the threshold equation and W that rest on the rates' numbers.
 
-    The facts (_FACTS) are checked on a 40-level grid, a 20-level
-    residual grid, at large levels and at L*, also the location of "W identity", the rate
-    identities behind dW/dt = alpha8*x1*(K - x4).  With fuzz_count > 0 they
-    are also checked on that many random parameter sets (log-uniform in
-    FORMULA_FUZZ_RANGE, all drawn in one call of default_rng(fuzz_seed),
-    which must then be a non-negative integer), the sets of each _CHUNK in
-    one table pass (_propositions), and the worst outcome is folded into
-    this record: the first worst margin in draw order, and how many fuzzed
-    sets fail.
+    The facts (_FACTS) are read at L* (_propositions).  The facts of tau
+    and ell4 at every level (tau falls to its limit psi1, ell4 and L*ell4
+    rise, ell4 stays below its supremum K/8) hold for every positive rate
+    set, and are proved once, over symbols, in _PROOFS.  With
+    fuzz_count > 0 the facts are also checked on that many random
+    parameter sets (log-uniform in FORMULA_FUZZ_RANGE, all drawn in one
+    call of default_rng(fuzz_seed), which must then be a non-negative
+    integer), the sets of each _CHUNK in one pass, and the worst outcome
+    is folded into this record: the first worst margin in draw order, and
+    how many fuzzed sets fail.
     """
     if not _is_integer(fuzz_count) or fuzz_count < 0:
         raise ValueError(f"fuzz must be a non-negative integer, got {fuzz_count!r}")
@@ -401,15 +365,15 @@ def check_propositions(p: Params, fuzz_count: int = 0, fuzz_seed: int = 0) -> Ch
         draws = np.random.default_rng(fuzz_seed).uniform(lo, hi, (fuzz_count, 8))
         rates = np.vstack([rates, np.exp(draws)])
     passes = [_propositions(rates[k : k + _CHUNK]) for k in range(0, len(rates), _CHUNK)]
-    holds, margins, locs = passes[0] if len(passes) == 1 else (np.vstack(c) for c in zip(*passes))
+    holds, margins, locs = passes[0] if len(passes) == 1 else (np.concatenate(c) for c in zip(*passes))
     k = int(margins.argmin())
     notes = [f"{f} failed (margin {m:.3g})" for f, h, m in zip(_FACTS, holds[0], margins[0]) if not h]
-    detail = "; ".join(notes) or "all grid and limit facts hold"
+    detail = "; ".join(notes) or f"all facts hold; tau and ell4 at every level proved in {_PROOFS}"
     if fuzz_count > 0:
         fails = np.sum(~holds[1:].all(axis=1))
         detail += f"; fuzz x{fuzz_count} (seed {fuzz_seed}): {fails} failure(s)"
     status = PASS if holds.all() else FAIL
-    return CheckResult("propositions", status, float(margins.flat[k]), float(locs.flat[k]), detail)
+    return CheckResult("propositions", status, float(margins.flat[k]), float(locs[k // len(_FACTS)]), detail)
 
 
 def build_report(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from aifcert import (
     boundary_inflow,
     certificate,
     check_cascade_lower_bounds,
+    check_propositions,
     ell4,
     equilibrium,
     excursions_above,
@@ -27,6 +29,7 @@ from aifcert import (
     vector_field,
     window_upper,
 )
+from aifcert.cli import main
 from aifcert.model import _require_nonnegative, _require_positive
 
 
@@ -104,6 +107,20 @@ class TestDerivedConstants:
             assert dc.theta == pytest.approx(a[0] / a[1], rel=1e-15)
             assert dc.c == pytest.approx(a[4] * a[6] / (a[3] * a[5]), rel=1e-12)
             assert dc.d == pytest.approx(a[6] / a[5], rel=1e-15)
+
+    @pytest.mark.parametrize("command", ["bounds", "verify", "tau", "check_propositions"])
+    def test_an_underflowing_product_of_rates_is_bad_input(self, tmp_path, capsys, command):
+        # alpha4*alpha6*alpha8 = 1e-330 is 0 in floating point
+        rates = (1.0, 1.0, 1.0, 1e-110, 1.0, 1e-110, 1.0, 1e-110)
+        message = f"a product of the rates {rates} underflows to 0"
+        if command in ("bounds", "verify"):
+            argv = [command, "--params", ",".join(map(str, rates)), "--horizon", "1", "--out", str(tmp_path)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        else:
+            call = {"tau": lambda p: tau(p, 1.0), "check_propositions": check_propositions}[command]
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(Params(*rates))
 
 
 class TestVectorField:

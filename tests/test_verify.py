@@ -18,6 +18,7 @@ import aifcert.simulate
 import aifcert.verify
 import propositions_loop
 from aifcert import (
+    CertificateError,
     Excursion,
     Params,
     State,
@@ -30,9 +31,11 @@ from aifcert import (
     check_global_bounds,
     check_propositions,
     ell2,
+    ell4,
     equilibrium,
     excursions_above,
     integrate,
+    solve_L_star,
     stretches_above,
     tau,
 )
@@ -676,13 +679,37 @@ class TestPropositions:
         assert res.status == "pass"
         assert "0 failure(s)" in res.detail
 
-    def test_tau_not_decreasing_fails(self, monkeypatch):
-        # tau held constant above L = 10 breaks its strict decrease
-        monkeypatch.setattr(aifcert.verify, "tau", lambda p, L: tau(p, np.minimum(L, 10.0)))
-        res = check_propositions(DEMO)
-        assert res.status == "fail"
-        assert "tau decreasing failed" in res.detail
-        assert res.margin <= 0.0
+    @pytest.mark.parametrize("rates", [
+        (300, 1, 1, 0.005, 1, 0.005, 1, 300),
+        (1, 1, 1, 1, 1, 1, 1, 1e-4),
+        (1e-12, 3e-11, 1e-11, 1e-12, 1e-12, 1e-12, 1e-12, 3e-11),
+        (1e9, 3e10, 1e10, 1, 1, 1, 1, 3e10),
+    ], ids=["flat-tau", "slow-alpha8", "slow-time", "small-x1"])
+    def test_no_fact_rests_on_fixed_levels(self, rates):
+        # each failed a level probe (tau falling between grid levels, or
+        # reaching psi1 by 1e9) by rounding or by the units of the levels
+        res = check_propositions(Params.from_sequence(rates))
+        assert res.status == "pass" and res.margin > 0.99
+
+    @pytest.mark.parametrize("rates, floor", [
+        ((1, 1e-300, 1, 1e-300, 1, 1, 1, 1), math.inf),
+        ((1, 1e300, 1e-300, 1e-300, 1, 1, 1, 1e150), 0.0),
+    ], ids=["overflow", "underflow"])
+    def test_ell4_out_of_range_at_L_star_fails(self, rates, floor):
+        # L* and tau there are finite, but K*L* overflows, or K*L*/(8*U) underflows
+        p = Params.from_sequence(rates)
+        L = solve_L_star(p)
+        assert ell4(p, L, tau(p, L)) == floor
+        res = check_propositions(p)
+        assert (res.status, res.margin, res.location) == ("fail", -math.inf, L)
+        assert res.detail.startswith("ell4 finite and positive failed (margin -inf); threshold residual failed")
+        assert _bitwise(res) == _bitwise(check_propositions_loop(p))
+
+    @pytest.mark.parametrize("call", [check_propositions, lambda p: build_report(p, State.zero())],
+                             ids=["check_propositions", "build_report"])
+    def test_L_star_out_of_range_is_a_certificate_error(self, call):
+        with pytest.raises(CertificateError, match=r"L\* is out of floating-point range for rates \(1e\+200, "):
+            call(Params(1e200, 1, 1, 1, 1, 1, 1, 1))
 
     def test_negative_fuzz_count_rejected(self):
         with pytest.raises(ValueError, match="fuzz"):
@@ -777,22 +804,26 @@ class TestPropositions:
             assert holds[:, k].all() and margin[:, k].min() >= 0.999
 
     def test_some_fuzzed_sets_failing_fails(self, monkeypatch):
-        # tau held constant above L = 10 only for the sets with alpha4 < 0.05;
-        # the demo rates (alpha4 = 1) keep theirs
-        def flat(p, L):
-            return tau(p, np.where(p.alpha4 < 0.05, np.minimum(L, 10.0), L))
+        # tau off by 1e-9 relative only for the sets with alpha4 < 0.05 breaks
+        # their fixed-point residual; the demo rates (alpha4 = 1) keep theirs
+        def off(p, L):
+            return tau(p, L) * np.where(p.alpha4 < 0.05, 1.0 + 1e-9, 1.0)
 
-        monkeypatch.setattr(aifcert.verify, "tau", flat)
-        monkeypatch.setattr(propositions_loop, "tau", flat)
+        monkeypatch.setattr(aifcert.verify, "tau", off)
+        monkeypatch.setattr(propositions_loop, "tau", off)
         res = check_propositions(DEMO, fuzz_count=50, fuzz_seed=1729)
         ref = check_propositions_loop(DEMO, 50, 1729)
         failures = r"fuzz x50 \(seed 1729\): (\d+) failure\(s\)$"
         k = int(re.search(failures, res.detail).group(1))
-        assert res.detail.startswith("all grid and limit facts hold; ")
+        assert res.detail.startswith("all facts hold; ")
         assert 0 < k == int(re.search(failures, ref.detail).group(1))
         assert res.status == "fail"
         assert _bitwise(res) == _bitwise(ref)
-
+        lo, hi = (math.log(b) for b in FORMULA_FUZZ_RANGE)
+        drawn = np.exp(np.random.default_rng(1729).uniform(lo, hi, (50, 8)))
+        holds, _, _ = aifcert.verify._propositions(drawn)
+        k = aifcert.verify._FACTS.index("fixed-point residual")
+        assert (~holds[:, k]).tolist() == (drawn[:, 3] < 0.05).tolist()
 
 def _bitwise(res):
     """A CheckResult's fields, its floats by their exact bits."""
@@ -1102,6 +1133,44 @@ class TestWDecreaseEdge:
         res = check_W_decrease(traj, DEMO, cert)
         assert (res.status, res.margin, res.location) == ("pass", None, None)
         assert res.detail == "W never above gamma 3; decrease part vacuous"
+
+
+def weight_instance(error):
+    """(r, c) with fl((c - r)/r) == error, r in [1, 2) and c - r a whole number of ulps.
+
+    On Params(1, 1, 1, 1, 1, 1, r, 1), c = d = K = r, so with c tampered to
+    that c the W identity's error is exactly error: c*a4 - d*a5 and
+    c*a3 - a8*K are c - r, and d*a6 - a7 is 0.
+    """
+    u = 2.0**-52
+    for m in range(4504, 9008):  # m*u/r is near 1e-12 for r in [1, 2)
+        for r in (ulps(m * u / error, -1), m * u / error, ulps(m * u / error, 1)):
+            if 1.0 <= r and r + m * u < 2.0 and (r + m * u - r) / r == error:
+                return r, r + m * u
+    raise AssertionError("no instance")
+
+
+class TestPropositionsEdge:
+    """A fact fails where its relative error exceeds 1e-12 (a margin below 0).
+
+    The three facts share that one rule, so the W identity, whose error
+    can be set exactly, pins it for all three.
+    """
+
+    @pytest.mark.parametrize("k, status", [(-1, "pass"), (0, "pass"), (1, "fail")])
+    def test_error_at_the_allowance(self, monkeypatch, k, status):
+        error = ulps(1e-12, k)
+        r, c = weight_instance(error)
+        exact = DerivedConstants.from_params.__func__
+        monkeypatch.setattr(
+            DerivedConstants, "from_params", classmethod(lambda cls, p: dataclasses.replace(exact(cls, p), c=c))
+        )
+        p = Params(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, r, 1.0)
+        res = check_propositions(p)
+        assert (res.status, res.margin, res.location) == (status, (1e-12 - error) / 1e-12, solve_L_star(p))
+        assert (res.margin < 0.0, res.margin == 0.0) == (k > 0, k == 0)
+        assert res.detail.startswith("W identity failed (margin ") == (k > 0)
+        assert _bitwise(res) == _bitwise(check_propositions_loop(p))
 
 
 class TestCaseBoundaries:
