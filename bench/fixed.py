@@ -16,9 +16,10 @@ report in build_report's order, through the public API:
   ``aifcert.verify._cascade_record``).
 
 It prints one row per case (accepted steps, the median microseconds of
-each segment and of their sum) and a last row with the medians of those
-rows.  The segments that do not grow with the step count are a report's
-fixed cost.  Times are wall time on the host it runs on: compare two
+each segment and of their sum), then a row with the medians of those
+rows and a row with their sums over the cases.  The segments that do
+not grow with the step count are a report's fixed cost; the total row
+shows the heavy cases that the median hides.  Times are wall time on the host it runs on: compare two
 checkouts by running both on one host, one after the other.
 """
 
@@ -97,8 +98,9 @@ def main(argv=None) -> int:
     columns = ("steps", *SEGMENTS, "total")
     print(f"{args.workload} seed {seed}, {args.repeats} runs per case, median microseconds per segment")
     print("case  " + "".join(f"{k:>9}" for k in columns))
-    summary = {k: statistics.median(r[k] for r in rows) for k in columns}
-    for label, row in [*enumerate(rows), ("median", summary)]:
+    median = {k: statistics.median(r[k] for r in rows) for k in columns}
+    total = {k: sum(r[k] for r in rows) for k in columns}
+    for label, row in [*enumerate(rows), ("median", median), ("total", total)]:
         print(f"{label!s:<6}" + "".join(f"{row[k]:>9.0f}" if k == "steps" else f"{row[k]:>9.1f}"
                                        for k in columns))
     return 0

@@ -43,7 +43,7 @@ def _require_positive(name: str, v, strict: bool = True):
     if isinstance(v, np.ndarray):
         ok = (np.isfinite(v) & ((v > 0.0) if strict else (v >= 0.0))).all()
     else:
-        v = v if _math(v) not in (math, np) else _number(v, f"{name} as a number")
+        v = v if type(v) is float or _math(v) not in (math, np) else _number(v, f"{name} as a number")
         ok = (v > 0 if strict else v >= 0) and v - v == 0  # v - v is 0 unless v is infinite or NaN
     if not ok:
         raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {v!r}")

@@ -328,6 +328,9 @@ def _propositions(rates: np.ndarray):
     # a lone set's rates and level as floats, at a fraction of the cost of one-element arrays
     p = sets[0] if len(sets) == 1 else SimpleNamespace(**dict(zip(_ALPHAS, rates.T)))
     p.derived = dc = DerivedConstants.from_params(p)  # tau, ell4 and a lone set's solve_L_star read it
+    if len(sets) > 1:  # each set's solve_L_star reads its row: the floats from_params gives the set
+        for q, row in zip(sets, zip(*(v.tolist() for v in vars(dc).values()))):
+            q.derived = DerivedConstants(*row)
     L_star = [solve_L_star(q) for q in sets]
     L = L_star[0] if len(sets) == 1 else np.array(L_star)
     t = tau(p, L)

@@ -432,9 +432,12 @@ class TestHeaderOnlyCsv:
         # RODAS4 steps passed off as Taylor steps, or a node inside the
         # Taylor run nudged by 1e-6 relative: a Taylor row misses its node
         lines = list(overshoot_csv_lines)
-        assert lines[1] == "# taylor_steps=0:528"
+        key, _, run = lines[1].partition("=")
+        start, switch = (int(k) for k in run.split(":"))  # one Taylor run, up to the switch
+        assert key == "# taylor_steps" and start == 0 and 100 < switch < len(lines) - 4
         if tamper == "raised-run":
-            lines[1], step = "# taylor_steps=0:838", 528
+            # the run raised to every step: header, runs line, nodes, final ""
+            lines[1], step = f"# taylor_steps=0:{len(lines) - 4}", switch
         else:
             row = lines[2 + 100].split(",")
             row[1] = repr(float(row[1]) * (1.0 + 1e-6))

@@ -29,6 +29,7 @@ from aifcert import (
     vector_field,
     window_upper,
 )
+from aifcert import model
 from aifcert.cli import main
 from aifcert.model import _require_nonnegative, _require_positive
 
@@ -263,6 +264,23 @@ class TestRequire:
         else:
             with pytest.raises(ValueError, match=r"^x must be finite and >= 0, got "):
                 _require_nonnegative("x", v)
+
+    def test_a_plain_float_skips_the_type_rules(self, monkeypatch):
+        # a float is checked as it is, without _math or _number, and still
+        # refused if not finite and > 0; a boolean still takes _number's rule
+        with pytest.raises(ValueError, match=r"^expected x as a number, got True$"):
+            _require_positive("x", True)
+
+        def unused(*args):
+            raise AssertionError("a plain float needs no type rule")
+
+        monkeypatch.setattr(model, "_math", unused)
+        monkeypatch.setattr(model, "_number", unused)
+        v = 2.5
+        assert _require_positive("x", v) is v and _require_nonnegative("x", 0.0) == 0.0
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=r"^x must be finite and > 0, got "):
+                _require_positive("x", bad)
 
     def test_numbers_become_floats_but_other_number_types_are_kept(self):
         for v in (2, np.float64(2.0), "2", np.int64(2)):

@@ -847,9 +847,9 @@ class TestFusedStep:
             u[0] == "rodas4" and v[0] == "taylor" and u[1] is v[1]
             for u, v in zip(attempts, attempts[1:])
         )
-        assert failed_trials <= taylor / sim._TRIAL_GAP + 1
+        assert st["failed_trials"] == failed_trials <= taylor / sim._TRIAL_GAP + 1
         rejected = st["rejected_error"] + st["rejected_orthant"] + st["rejected_nonfinite"]
-        assert len(accepted) + rejected + failed_trials == len(attempts)
+        assert len(accepted) + rejected + st["failed_trials"] == len(attempts)
         # the Taylor runs are those of the accepted steps; a passed trial
         # opens each RODAS4 run, and a hand-back closes each one but the last
         runs, k = [], 0
@@ -866,8 +866,9 @@ class TestFusedStep:
         # after every accepted RODAS4 step but the last, the next step
         # that its controller proposes decides: the run goes back to the
         # Taylor step iff that step times the trace bound at the new state
-        # is below _TRIAL_GATE; the Taylor run that follows a hand-back
-        # takes _TRIAL_GAP steps before a trial can end it
+        # is below _TRIAL_LENGTH * _TRIAL_GATE, the break-even at which a
+        # trial starts a RODAS4 run; the Taylor run that follows a
+        # hand-back takes _TRIAL_GAP steps before a trial can end it
         _, p, _, traj, _, accepted = recorded
         a = p.as_tuple()
         _, a2, _, a4, _, a6, _, a8 = a
@@ -880,7 +881,7 @@ class TestFusedStep:
             norm = math.sqrt(sum((e / s) ** 2 for e, s in zip(err, scale)) / 4.0)
             h = h_use * (10.0 if norm == 0.0 else min(10.0, max(0.2, 0.9 * norm**-0.25)))
             x1, _, _, x4 = traj.y[i + 1]
-            gates.append(h * (a2 * x4 + a8 * x1 + a4 + a6) < sim._TRIAL_GATE)
+            gates.append(h * (a2 * x4 + a8 * x1 + a4 + a6) < sim._TRIAL_LENGTH * sim._TRIAL_GATE)
             assert gates[-1] == (accepted[i + 1][0] == "taylor")
         assert sum(gates) == traj.stats["switches_back"]
         for i, j in traj.taylor_runs:
@@ -922,11 +923,17 @@ class TestFusedStep:
         assert st["accepted"] == len(attempts) - 1
 
     def test_rosenbrock_rejections_and_clamp(self):
-        # the same three faults forced on the first attempts after the
-        # switch on the stiff set; the clamped state's field starts the
-        # next step and ends its Hermite row, at no extra evaluation
+        # the same three faults forced on the first attempts from a state
+        # of the first RODAS4 run on the stiff set: the one whose step is
+        # longest against the trace bound, so that the step proposed after
+        # the clamped one, as long as the step first tried, keeps RODAS4;
+        # the clamped state's field starts the next step and ends its
+        # Hermite row, at no extra evaluation
         plain = integrate(STIFF, State.zero(), 3.0)
-        i = plain.taylor_runs[0][1] + 1  # the state after the first switching step
+        _, a2, _, a4, _, a6, _, a8 = STIFF.as_tuple()
+        switch, back = plain.taylor_runs[0][1], plain.taylor_runs[1][0]
+        x1, _, _, x4 = plain.y[switch:back].T
+        i = switch + int((np.diff(plain.t[switch : back + 1]) * (a2 * x4 + a8 * x1 + a4 + a6)).argmax())
         target = tuple(plain.y[i])
         forced = [math.nan, -1e-9, -0.5e-10]
 
@@ -949,6 +956,13 @@ class TestFusedStep:
         row = sim._hermite(h, traj.y[i + 1] - traj.y[i], np.array(f0), np.array(f1))
         column = np.column_stack([traj.y[i], row, np.zeros((4, 3))])
         assert column.tobytes() == traj._coef[:, :, i].tobytes()
+
+
+@pytest.fixture(scope="module")
+def demo_reference_10():
+    """A 2001-point grid of the demo's [0, 10], and the states of a rel_tol 1e-12 run there."""
+    grid = np.linspace(0.0, 10.0, 2001)
+    return grid, integrate(DEMO, State.zero(), 10.0, 1e-12, 1e-14).at(grid)
 
 
 class TestRosenbrock:
@@ -1003,14 +1017,23 @@ class TestRosenbrock:
             for i, j in traj.taylor_runs:
                 assert i == 0 or j - i >= sim._TRIAL_GAP or j == len(traj.t) - 1
 
-    @pytest.mark.parametrize(
-        "rel_tol, abs_tol",
-        [(1e-8, 1e-10), (1e-12, 1e-13)] + [(1e-6 * 0.5**k, 1e-8 * 0.5**k) for k in range(5)],
-    )
+    @pytest.mark.parametrize("rel_tol, abs_tol", [(1e-8, 1e-10), (1e-12, 1e-13)])
     def test_demo_never_switches(self, rel_tol, abs_tol):
         horizon = 100.0 if rel_tol == 1e-8 else 10.0
         st = integrate(DEMO, State.zero(), horizon, rel_tol, abs_tol).stats
         assert (st["stiff_steps"], st["switches"], st["switches_back"]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("rel_tol, abs_tol", [(1e-6 * 0.5**k, 1e-8 * 0.5**k) for k in range(5)])
+    def test_demo_at_loose_tolerances_stays_accurate(self, demo_reference_10, rel_tol, abs_tol):
+        # at these tolerances trials pass where the demo's steps sit at the
+        # Taylor step's stability limit, and RODAS4 takes short runs; the
+        # run stays within 5 tolerance units of a tight one over the span,
+        # and within 1 at its end
+        grid, want = demo_reference_10
+        traj = integrate(DEMO, State.zero(), 10.0, rel_tol, abs_tol)
+        units = np.abs(traj.at(grid) - want) / (abs_tol + rel_tol * np.abs(want))
+        assert traj.stats["switches"] > 0
+        assert units.max() <= 5.0 and units[-1].max() <= 1.0
 
 
 class TestStats:
@@ -1025,8 +1048,13 @@ class TestStats:
             "stiff_steps",
             "switches",
             "switches_back",
+            "failed_trials",
         }
         assert st["accepted"] == len(demo_traj.t) - 1
+        # the demo never switches: one expansion per accepted state, and
+        # five evaluations per trial, every one of them failed
+        assert st["switches"] == 0 and st["failed_trials"] > 0
+        assert st["nfev"] == 6 * st["accepted"] + 5 * st["failed_trials"]
 
     def test_read_only(self, demo_traj):
         with pytest.raises(TypeError):
@@ -1203,10 +1231,14 @@ class TestCsvRoundTrip:
         # the Taylor runs as start:stop pairs: one run up to a switch, and
         # two runs around the RODAS4 stretch of a run that hands back
         path = tmp_path / "traj.csv"
-        for p, x0, horizon, line in ((DEMO, (10.0, 0.0, 0.0, 0.0), 30.0, "0:528"),
-                                     (STIFF, (0.0, 0.0, 0.0, 0.0), 3.0, "0:262,308:678")):
-            write_trajectory_csv(integrate(p, x0, horizon), path)
-            assert path.read_text().split("\n")[1] == f"# taylor_steps={line}"
+        for p, x0, horizon, count in ((DEMO, (10.0, 0.0, 0.0, 0.0), 30.0, 1),
+                                      (STIFF, (0.0, 0.0, 0.0, 0.0), 3.0, 2)):
+            traj = integrate(p, x0, horizon)
+            write_trajectory_csv(traj, path)
+            key, _, line = path.read_text().split("\n")[1].partition("=")
+            runs = tuple(tuple(int(k) for k in run.split(":")) for run in line.split(","))
+            assert key == "# taylor_steps" and runs == traj.taylor_runs
+            assert len(runs) == count and runs[0][0] == 0 and runs[-1][1] < len(traj.t) - 1
 
     def test_without_taylor_line_reads_as_samples(self, tmp_path):
         traj = integrate(DEMO, State.from_sequence([10.0, 0.0, 0.0, 0.0]), 30.0)

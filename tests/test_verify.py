@@ -779,6 +779,28 @@ class TestPropositions:
         res = check_propositions(DEMO, fuzz_count=50, fuzz_seed=1729)
         assert _bitwise(res) == _bitwise(check_propositions_loop(DEMO, 50, 1729))
 
+    def test_drawn_sets_read_their_rows_of_one_derivation(self, monkeypatch):
+        # a pass derives its sets' constants once, as arrays, and each set's
+        # solve_L_star reads its row: the floats from_params gives the set
+        exact = DerivedConstants.from_params.__func__
+        calls, rows = [], []
+
+        def counted(cls, p):
+            calls.append(p)
+            return exact(cls, p)
+
+        def spy(q):
+            rows.append((dataclasses.astuple(q.derived), dataclasses.astuple(exact(DerivedConstants, q))))
+            return solve_L_star(q)
+
+        monkeypatch.setattr(DerivedConstants, "from_params", classmethod(counted))
+        monkeypatch.setattr(aifcert.verify, "solve_L_star", spy)
+        check_propositions(DEMO, fuzz_count=50, fuzz_seed=1729)
+        assert len(calls) == 1 and len(rows) == 51
+        for got, want in rows:
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
     def test_tampered_weight_breaks_W_identity(self, monkeypatch):
         # c off by 1e-9 relative breaks c*a4 = d*a5 and c*a3 = a8*K
         exact = DerivedConstants.from_params.__func__
